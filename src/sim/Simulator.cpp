@@ -30,6 +30,18 @@ dmcc::IntT paramValue(const std::map<std::string, dmcc::IntT> &Params,
   return It->second;
 }
 
+/// A decomposition's source-space values with the parameters filled in
+/// and zeros in the element-index slots.
+std::vector<dmcc::IntT>
+sourceParams(const Decomposition &D,
+             const std::map<std::string, dmcc::IntT> &Params) {
+  std::vector<dmcc::IntT> Src(D.sourceSpace().size(), 0);
+  for (unsigned I = 0; I != D.sourceSpace().size(); ++I)
+    if (D.sourceSpace().kind(I) == VarKind::Param)
+      Src[I] = paramValue(Params, D.sourceSpace().name(I));
+  return Src;
+}
+
 /// Number of floating-point operations in a statement's right-hand side.
 unsigned countFlops(const Statement &S) {
   unsigned N = 0;
@@ -41,6 +53,100 @@ unsigned countFlops(const Statement &S) {
   return N;
 }
 
+/// A packed message payload. Immutable once packed, so a multicast
+/// burst and every transport copy or duplicate of a message share one.
+/// Null when there is nothing to carry (performance mode, empty bodies).
+using Payload = std::shared_ptr<const std::vector<double>>;
+
+Payload makePayload(std::vector<double> Data) {
+  if (Data.empty())
+    return nullptr;
+  return std::make_shared<const std::vector<double>>(std::move(Data));
+}
+
+uint64_t payloadSize(const Payload &D) { return D ? D->size() : 0; }
+
+/// One virtual processor's local memory (paper Section 5.5; DESIGN.md
+/// §16). Per array, a dense window over the flat range the processor
+/// has touched so far, with a presence byte per slot: a slot is held
+/// once the processor owned, wrote or received that element. A window
+/// grows on demand (at least doubling, clamped to [0, array extent)),
+/// so a store is O(touched range), not O(whole array).
+class ValueStore {
+public:
+  ValueStore() = default;
+  explicit ValueStore(unsigned NumArrays) : Windows(NumArrays) {}
+
+  /// The held value of an element, or null when the processor does not
+  /// hold it. \p Flat must lie in [0, extent).
+  const double *find(unsigned ArrayId, IntT Flat) const {
+    const Window &W = Windows[ArrayId];
+    IntT Off = Flat - W.Lo;
+    if (Off < 0 || Off >= static_cast<IntT>(W.Has.size()) || !W.Has[Off])
+      return nullptr;
+    return &W.Vals[Off];
+  }
+
+  /// Stores an element; \p Flat must lie in [0, \p Extent).
+  void set(unsigned ArrayId, IntT Flat, double Val, IntT Extent) {
+    Window &W = Windows[ArrayId];
+    IntT Size = static_cast<IntT>(W.Has.size());
+    if (Size == 0 || Flat < W.Lo || Flat >= W.Lo + Size)
+      grow(W, Flat, Extent);
+    IntT Off = Flat - W.Lo;
+    if (!W.Has[Off]) {
+      W.Has[Off] = 1;
+      ++Held;
+    }
+    W.Vals[Off] = Val;
+  }
+
+  /// Elements held (never window slots): the checkpoint footprint.
+  uint64_t size() const { return Held; }
+
+  /// Visits every held element in ascending (ArrayId, Flat) order.
+  template <typename Fn> void forEach(Fn F) const {
+    for (unsigned A = 0, E = Windows.size(); A != E; ++A) {
+      const Window &W = Windows[A];
+      for (size_t Off = 0, N = W.Has.size(); Off != N; ++Off)
+        if (W.Has[Off])
+          F(A, W.Lo + static_cast<IntT>(Off), W.Vals[Off]);
+    }
+  }
+
+private:
+  struct Window {
+    IntT Lo = 0; ///< flat index of slot 0
+    std::vector<double> Vals;
+    std::vector<uint8_t> Has;
+  };
+
+  /// Re-windows \p W to cover \p Flat, growing toward it by at least the
+  /// current size (amortized O(1) per stored element).
+  static void grow(Window &W, IntT Flat, IntT Extent) {
+    IntT Size = static_cast<IntT>(W.Has.size());
+    IntT Lo = W.Lo, Hi = W.Lo + Size; // current window [Lo, Hi)
+    if (Size == 0) {
+      Lo = Flat;
+      Hi = Flat + 1;
+    } else if (Flat < Lo) {
+      Lo = std::max<IntT>(0, std::min(Flat, Lo - Size));
+    } else {
+      Hi = std::max(Flat + 1, Hi + std::min(Size, Extent - Hi));
+    }
+    std::vector<double> Vals(static_cast<size_t>(Hi - Lo));
+    std::vector<uint8_t> Has(static_cast<size_t>(Hi - Lo));
+    std::copy(W.Vals.begin(), W.Vals.end(), Vals.begin() + (W.Lo - Lo));
+    std::copy(W.Has.begin(), W.Has.end(), Has.begin() + (W.Lo - Lo));
+    W.Lo = Lo;
+    W.Vals.swap(Vals);
+    W.Has.swap(Has);
+  }
+
+  std::vector<Window> Windows; ///< indexed by ArrayId
+  uint64_t Held = 0;
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -48,7 +154,7 @@ unsigned countFlops(const Statement &S) {
 //===----------------------------------------------------------------------===//
 
 struct Simulator::Message {
-  std::vector<double> Data; ///< functional payload
+  Payload Data; ///< functional payload
   uint64_t WordCount = 0;
   double ReadyTime = 0;
   /// Multicast content is consumed directly from the communication
@@ -92,7 +198,7 @@ struct Simulator::VirtProc {
   /// What this processor was waiting for the last time it blocked; the
   /// deadlock detector reads it to build the structured diagnostic.
   PendingRecv LastBlock;
-  std::map<std::pair<unsigned, IntT>, double> Store;
+  ValueStore Store;
   int LastMulticastComm = -1;
   /// Physical destinations already served within the current multicast
   /// burst (one wire message per physical processor, Section 6.1.3).
@@ -101,7 +207,7 @@ struct Simulator::VirtProc {
   /// Cached packed content of the current multicast burst (the content is
   /// receiver-independent, so it is packed once per burst).
   int CachedPackComm = -1;
-  std::vector<double> CachedData;
+  Payload CachedData;
   uint64_t CachedCount = 0;
 };
 
@@ -117,12 +223,12 @@ struct Simulator::Checkpoint {
     std::vector<Frame> Stack;
     bool Finished = false;
     uint64_t Steps = 0;
-    std::map<std::pair<unsigned, IntT>, double> Store;
+    ValueStore Store;
     int LastMulticastComm = -1;
     std::set<unsigned> BurstPhys;
     double BurstReady = 0;
     int CachedPackComm = -1;
-    std::vector<double> CachedData;
+    Payload CachedData;
     uint64_t CachedCount = 0;
   };
   std::vector<ProcState> Procs;
@@ -609,6 +715,25 @@ Simulator::Simulator(const Program &P, const CompiledProgram &CP,
       fatalError("Simulator: missing parameter value");
     ParamEnv[I] = It->second;
   }
+  // Parameter values aligned to the program space, and each array's
+  // shape under them: resolved once, so no per-element path looks a
+  // parameter up by name.
+  std::vector<IntT> ProgParams(P.space().size(), 0);
+  for (unsigned I = 0, E = P.space().size(); I != E; ++I)
+    if (P.space().kind(I) == VarKind::Param)
+      ProgParams[I] = paramValue(this->Opts.ParamValues, P.space().name(I));
+  for (unsigned A = 0, E = P.numArrays(); A != E; ++A) {
+    std::vector<IntT> Dims;
+    IntT Extent = 1;
+    for (const AffineExpr &S : P.array(A).DimSizes) {
+      Dims.push_back(S.evaluate(ProgParams));
+      Extent = Dims.back() <= 0 ? 0 : mulChk(Extent, Dims.back());
+    }
+    ArrayDims.push_back(std::move(Dims));
+    ArrayExtent.push_back(Extent);
+  }
+  for (const auto &[ArrayId, D] : Spec.FinalData)
+    FinalSrc.emplace(ArrayId, sourceParams(D, this->Opts.ParamValues));
 
   // Instantiate the virtual processors.
   unsigned Dims = CP.Spmd.GridDims;
@@ -622,10 +747,8 @@ Simulator::Simulator(const Program &P, const CompiledProgram &CP,
     V.Env = ParamEnv;
     for (unsigned D = 0; D != Dims; ++D)
       V.Env[CP.Spmd.MyProcVars[D]] = Coord[D];
-    V.ProgEnv.assign(P.space().size(), 0);
-    for (unsigned I = 0, E = P.space().size(); I != E; ++I)
-      if (P.space().kind(I) == VarKind::Param)
-        V.ProgEnv[I] = paramValue(this->Opts.ParamValues, P.space().name(I));
+    V.ProgEnv = ProgParams;
+    V.Store = ValueStore(P.numArrays());
     Frame F;
     F.List = &CP.Spmd.Top;
     V.Stack.push_back(F);
@@ -830,56 +953,63 @@ void Simulator::computeVirtualGrid() {
 
 IntT Simulator::flatIndex(unsigned ArrayId,
                           const std::vector<IntT> &Idx) const {
-  const ArrayDecl &D = P.array(ArrayId);
-  std::vector<IntT> Env(P.space().size(), 0);
-  for (unsigned I = 0, E = P.space().size(); I != E; ++I)
-    if (P.space().kind(I) == VarKind::Param)
-      Env[I] = paramValue(Opts.ParamValues, P.space().name(I));
+  const std::vector<IntT> &Dims = ArrayDims[ArrayId];
+  if (Idx.size() != Dims.size())
+    return -1;
   IntT Flat = 0;
-  for (unsigned K = 0, E = Idx.size(); K != E; ++K)
-    Flat = addChk(mulChk(Flat, D.DimSizes[K].evaluate(Env)), Idx[K]);
+  for (unsigned K = 0, E = Idx.size(); K != E; ++K) {
+    if (Idx[K] < 0 || Idx[K] >= Dims[K])
+      return -1;
+    Flat = Flat * Dims[K] + Idx[K]; // below the extent: cannot overflow
+  }
   return Flat;
+}
+
+IntT Simulator::flatIndex(unsigned ArrayId,
+                          const std::vector<AffineExpr> &Indices,
+                          const std::vector<IntT> &Env) const {
+  const std::vector<IntT> &Dims = ArrayDims[ArrayId];
+  IntT Flat = 0;
+  for (unsigned K = 0, E = Indices.size(); K != E; ++K) {
+    IntT I = Indices[K].evaluate(Env);
+    if (I < 0 || I >= Dims[K])
+      return -1;
+    Flat = Flat * Dims[K] + I;
+  }
+  return Flat;
+}
+
+void Simulator::localityViolation(unsigned ArrayId, const char *What) const {
+  std::string Msg = std::string("locality violation: processor ") + What +
+                    " an element of " + P.array(ArrayId).Name +
+                    " that it does not hold or that lies outside the array";
+  fatalError(Msg.c_str());
 }
 
 void Simulator::initLocalStores() {
   for (const auto &[ArrayId, D] : Spec.InitialData) {
-    const ArrayDecl &AD = P.array(ArrayId);
-    std::vector<IntT> Sizes;
-    for (const AffineExpr &S : AD.DimSizes) {
-      std::vector<IntT> Env(P.space().size(), 0);
-      for (unsigned I = 0; I != P.space().size(); ++I)
-        if (P.space().kind(I) == VarKind::Param)
-          Env[I] = paramValue(Opts.ParamValues, P.space().name(I));
-      Sizes.push_back(S.evaluate(Env));
-    }
+    const std::vector<IntT> &Sizes = ArrayDims[ArrayId];
     // Source values for ownership tests: element indices then params in
     // the decomposition's source-space order.
-    std::vector<IntT> Src(D.sourceSpace().size(), 0);
-    std::vector<int> DataPos, ParamPos;
-    for (unsigned I = 0; I != D.sourceSpace().size(); ++I) {
-      if (D.sourceSpace().kind(I) == VarKind::Param)
-        Src[I] = paramValue(Opts.ParamValues, D.sourceSpace().name(I));
-      else
+    std::vector<IntT> Src = sourceParams(D, Opts.ParamValues);
+    std::vector<int> DataPos;
+    for (unsigned I = 0; I != D.sourceSpace().size(); ++I)
+      if (D.sourceSpace().kind(I) != VarKind::Param)
         DataPos.push_back(static_cast<int>(I));
-    }
+    // Row-major odometer: the flat index is the visit count.
     std::vector<IntT> Idx(Sizes.size(), 0);
-    bool Done = Sizes.empty();
-    for (IntT S : Sizes)
-      if (S <= 0)
-        Done = true;
-    while (!Done) {
+    for (IntT Flat = 0, E = Sizes.empty() ? 0 : ArrayExtent[ArrayId];
+         Flat != E; ++Flat) {
       for (unsigned K = 0; K != Idx.size(); ++K)
         Src[DataPos[K]] = Idx[K];
-      IntT Flat = flatIndex(ArrayId, Idx);
       for (VirtProc &V : Procs)
         if (D.owns(Src, V.Coord))
-          V.Store[{ArrayId, Flat}] = initialArrayValue(ArrayId, Flat);
+          V.Store.set(ArrayId, Flat, initialArrayValue(ArrayId, Flat),
+                      ArrayExtent[ArrayId]);
       for (unsigned K = Idx.size(); K-- > 0;) {
         if (++Idx[K] < Sizes[K])
           break;
         Idx[K] = 0;
-        if (K == 0)
-          Done = true;
       }
     }
   }
@@ -932,6 +1062,37 @@ double Simulator::statementCost(const Statement &S) const {
   return Opts.Cost.IterOverhead + countFlops(S) * Opts.Cost.FlopTime;
 }
 
+double Simulator::evalRVal(const VirtProc &V, const Statement &S,
+                           int Node) const {
+  const RVal &R = S.RPool[Node];
+  switch (R.K) {
+  case RVal::Kind::ReadRef: {
+    const Access &A = S.Reads[R.ReadIdx];
+    IntT Flat = flatIndex(A.ArrayId, A.Indices, V.ProgEnv);
+    const double *Val = Flat < 0 ? nullptr : V.Store.find(A.ArrayId, Flat);
+    if (!Val)
+      localityViolation(A.ArrayId, "reads");
+    return *Val;
+  }
+  case RVal::Kind::ConstF:
+    return R.Const;
+  case RVal::Kind::AffineVal:
+    return static_cast<double>(R.Aff.evaluate(V.ProgEnv));
+  case RVal::Kind::Add:
+    return evalRVal(V, S, R.Lhs) + evalRVal(V, S, R.Rhs);
+  case RVal::Kind::Sub:
+    return evalRVal(V, S, R.Lhs) - evalRVal(V, S, R.Rhs);
+  case RVal::Kind::Mul:
+    return evalRVal(V, S, R.Lhs) * evalRVal(V, S, R.Rhs);
+  case RVal::Kind::Div:
+    return evalRVal(V, S, R.Lhs) / evalRVal(V, S, R.Rhs);
+  case RVal::Kind::Select:
+    return evalRVal(V, S, R.Cond) >= 0 ? evalRVal(V, S, R.Lhs)
+                                       : evalRVal(V, S, R.Rhs);
+  }
+  return 0;
+}
+
 void Simulator::execComputeIter(VirtProc &V, const SpmdStmt &St) {
   const Statement &S = P.statement(St.StmtId);
   if (!Opts.Functional)
@@ -939,48 +1100,90 @@ void Simulator::execComputeIter(VirtProc &V, const SpmdStmt &St) {
   for (unsigned K = 0, E = S.Loops.size(); K != E; ++K)
     V.ProgEnv[P.loop(S.Loops[K]).VarIndex] =
         St.IterExprs[K].evaluate(V.Env);
+  double Val = evalRVal(V, S, S.RRoot);
+  unsigned A = S.Write.ArrayId;
+  IntT Flat = flatIndex(A, S.Write.Indices, V.ProgEnv);
+  if (Flat < 0)
+    localityViolation(A, "writes");
+  V.Store.set(A, Flat, Val, ArrayExtent[A]);
+}
 
-  // Evaluate the right-hand side against the local store.
-  std::function<double(int)> Eval = [&](int Node) -> double {
-    const RVal &R = S.RPool[Node];
-    switch (R.K) {
-    case RVal::Kind::ReadRef: {
-      const Access &A = S.Reads[R.ReadIdx];
-      std::vector<IntT> Idx;
-      for (const AffineExpr &E : A.Indices)
-        Idx.push_back(E.evaluate(V.ProgEnv));
-      IntT Flat = flatIndex(A.ArrayId, Idx);
-      auto It = V.Store.find({A.ArrayId, Flat});
-      if (It == V.Store.end()) {
-        std::string Msg = "locality violation: processor reads " +
-                          P.array(A.ArrayId).Name + " element it never " +
-                          "owned, wrote, or received";
-        fatalError(Msg.c_str());
+void Simulator::runItems(VirtProc &V, const std::vector<SpmdStmt> &List,
+                         std::vector<double> *PackOut,
+                         const std::vector<double> *UnpackIn,
+                         uint64_t &Cursor, uint64_t &Count) {
+  for (const SpmdStmt &S : List) {
+    switch (S.K) {
+    case SpmdStmt::Kind::Seq:
+      runItems(V, S.Body, PackOut, UnpackIn, Cursor, Count);
+      break;
+    case SpmdStmt::Kind::SetVar:
+      V.Env[S.Var] = S.ValueDen == 1
+                         ? S.Value.evaluate(V.Env)
+                         : floorDiv(S.Value.evaluate(V.Env), S.ValueDen);
+      break;
+    case SpmdStmt::Kind::If:
+      if (condsHold(S.Conds, V.Env))
+        runItems(V, S.Body, PackOut, UnpackIn, Cursor, Count);
+      break;
+    case SpmdStmt::Kind::For: {
+      IntT Lo = evalBoundList(S.Lower, V.Env, true);
+      IntT Hi = evalBoundList(S.Upper, V.Env, false);
+      if (!Opts.Functional && Opts.CollapseLoops && Hi >= Lo) {
+        // Collapsible when each iteration contributes exactly one item
+        // unconditionally.
+        unsigned Items = 0;
+        bool Simple = true;
+        for (const SpmdStmt &B : S.Body) {
+          if (B.K == SpmdStmt::Kind::PackElem ||
+              B.K == SpmdStmt::Kind::UnpackElem)
+            ++Items;
+          else if (B.K != SpmdStmt::Kind::SetVar)
+            Simple = false;
+        }
+        if (Simple && Items == 1) {
+          uint64_t Trip = static_cast<uint64_t>(addChk(subChk(Hi, Lo), 1));
+          Count += Trip;
+          Cursor += Trip;
+          break;
+        }
       }
-      return It->second;
+      for (IntT I = Lo; I <= Hi; ++I) {
+        V.Env[S.Var] = I;
+        runItems(V, S.Body, PackOut, UnpackIn, Cursor, Count);
+      }
+      break;
     }
-    case RVal::Kind::ConstF:
-      return R.Const;
-    case RVal::Kind::AffineVal:
-      return static_cast<double>(R.Aff.evaluate(V.ProgEnv));
-    case RVal::Kind::Add:
-      return Eval(R.Lhs) + Eval(R.Rhs);
-    case RVal::Kind::Sub:
-      return Eval(R.Lhs) - Eval(R.Rhs);
-    case RVal::Kind::Mul:
-      return Eval(R.Lhs) * Eval(R.Rhs);
-    case RVal::Kind::Div:
-      return Eval(R.Lhs) / Eval(R.Rhs);
-    case RVal::Kind::Select:
-      return Eval(R.Cond) >= 0 ? Eval(R.Lhs) : Eval(R.Rhs);
+    case SpmdStmt::Kind::PackElem: {
+      ++Count;
+      if (PackOut && Opts.Functional) {
+        IntT Flat = flatIndex(S.ArrayId, S.Indices, V.Env);
+        const double *Val =
+            Flat < 0 ? nullptr : V.Store.find(S.ArrayId, Flat);
+        if (!Val)
+          localityViolation(S.ArrayId, "sends");
+        PackOut->push_back(*Val);
+      }
+      break;
     }
-    return 0;
-  };
-  double Val = Eval(S.RRoot);
-  std::vector<IntT> WIdx;
-  for (const AffineExpr &E : S.Write.Indices)
-    WIdx.push_back(E.evaluate(V.ProgEnv));
-  V.Store[{S.Write.ArrayId, flatIndex(S.Write.ArrayId, WIdx)}] = Val;
+    case SpmdStmt::Kind::UnpackElem: {
+      ++Count;
+      if (UnpackIn && Opts.Functional) {
+        if (Cursor >= UnpackIn->size())
+          fatalError("message shorter than the receiver expects");
+        IntT Flat = flatIndex(S.ArrayId, S.Indices, V.Env);
+        if (Flat < 0)
+          localityViolation(S.ArrayId, "receives into");
+        V.Store.set(S.ArrayId, Flat, (*UnpackIn)[Cursor],
+                    ArrayExtent[S.ArrayId]);
+      }
+      ++Cursor;
+      break;
+    }
+    default:
+      fatalError("communication inside a message body");
+    }
+  }
 }
 
 bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
@@ -1000,93 +1203,6 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
   // Injected per-processor slowdown; exactly 1.0 (cost-neutral) unless
   // fault injection is configured.
   const double SF = SlowFactor[V.Phys];
-
-  // Inline executor for pack/unpack bodies (never blocks).
-  std::function<void(const std::vector<SpmdStmt> &,
-                     std::vector<double> *, const std::vector<double> *,
-                     uint64_t &, uint64_t &)>
-      RunItems = [&](const std::vector<SpmdStmt> &List,
-                     std::vector<double> *PackOut,
-                     const std::vector<double> *UnpackIn, uint64_t &Cursor,
-                     uint64_t &Count) {
-        for (const SpmdStmt &S : List) {
-          switch (S.K) {
-          case SpmdStmt::Kind::Seq:
-            RunItems(S.Body, PackOut, UnpackIn, Cursor, Count);
-            break;
-          case SpmdStmt::Kind::SetVar:
-            V.Env[S.Var] = S.ValueDen == 1
-                               ? S.Value.evaluate(V.Env)
-                               : floorDiv(S.Value.evaluate(V.Env),
-                                          S.ValueDen);
-            break;
-          case SpmdStmt::Kind::If:
-            if (condsHold(S.Conds, V.Env))
-              RunItems(S.Body, PackOut, UnpackIn, Cursor, Count);
-            break;
-          case SpmdStmt::Kind::For: {
-            IntT Lo = evalBoundList(S.Lower, V.Env, true);
-            IntT Hi = evalBoundList(S.Upper, V.Env, false);
-            if (!Opts.Functional && Opts.CollapseLoops && Hi >= Lo) {
-              // Collapsible when each iteration contributes exactly one
-              // item unconditionally.
-              unsigned Items = 0;
-              bool Simple = true;
-              for (const SpmdStmt &B : S.Body) {
-                if (B.K == SpmdStmt::Kind::PackElem ||
-                    B.K == SpmdStmt::Kind::UnpackElem)
-                  ++Items;
-                else if (B.K != SpmdStmt::Kind::SetVar)
-                  Simple = false;
-              }
-              if (Simple && Items == 1) {
-                uint64_t Trip =
-                    static_cast<uint64_t>(addChk(subChk(Hi, Lo), 1));
-                Count += Trip;
-                Cursor += Trip;
-                break;
-              }
-            }
-            for (IntT I = Lo; I <= Hi; ++I) {
-              V.Env[S.Var] = I;
-              RunItems(S.Body, PackOut, UnpackIn, Cursor, Count);
-            }
-            break;
-          }
-          case SpmdStmt::Kind::PackElem: {
-            ++Count;
-            if (PackOut && Opts.Functional) {
-              std::vector<IntT> Idx;
-              for (const AffineExpr &E : S.Indices)
-                Idx.push_back(E.evaluate(V.Env));
-              IntT Flat = flatIndex(S.ArrayId, Idx);
-              auto It = V.Store.find({S.ArrayId, Flat});
-              if (It == V.Store.end())
-                fatalError("locality violation: sending a value the "
-                           "processor does not hold");
-              PackOut->push_back(It->second);
-            }
-            break;
-          }
-          case SpmdStmt::Kind::UnpackElem: {
-            ++Count;
-            if (UnpackIn && Opts.Functional) {
-              if (Cursor >= UnpackIn->size())
-                fatalError("message shorter than the receiver expects");
-              std::vector<IntT> Idx;
-              for (const AffineExpr &E : S.Indices)
-                Idx.push_back(E.evaluate(V.Env));
-              V.Store[{S.ArrayId, flatIndex(S.ArrayId, Idx)}] =
-                  (*UnpackIn)[Cursor];
-            }
-            ++Cursor;
-            break;
-          }
-          default:
-            fatalError("communication inside a message body");
-          }
-        }
-      };
 
   while (!V.Stack.empty() && Slice-- > 0) {
     Frame &F = V.Stack.back();
@@ -1201,8 +1317,8 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       } else {
         uint64_t Cursor = 0, Count = 0;
         std::vector<double> Data;
-        RunItems(St.Body, &Data, nullptr, Cursor, Count);
-        M.Data = std::move(Data);
+        runItems(V, St.Body, &Data, nullptr, Cursor, Count);
+        M.Data = makePayload(std::move(Data));
         M.WordCount = Count;
         if (St.IsMulticast) {
           V.CachedPackComm = static_cast<int>(St.CommId);
@@ -1570,7 +1686,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       if (M.ReadyTime > Clock)
         Clock = M.ReadyTime; // waiting, not busy
       uint64_t Cursor = 0, Count = 0;
-      RunItems(St.Body, nullptr, &M.Data, Cursor, Count);
+      runItems(V, St.Body, nullptr, M.Data.get(), Cursor, Count);
       if (Count != M.WordCount)
         fatalError("message length mismatch between sender and receiver");
       double C = M.FromMulticast
@@ -1772,7 +1888,7 @@ void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
     // (4 words per live frame) + the cached multicast packing.
     WordsPerPhys[V.Phys] += V.Store.size() + V.Env.size() +
                             V.ProgEnv.size() + 4 * V.Stack.size() +
-                            V.CachedData.size();
+                            payloadSize(V.CachedData);
     CK->Procs.push_back(std::move(PS));
   }
   CK->Queues = Queues;
@@ -1991,6 +2107,21 @@ bool readF64Vec(ByteReader &Rd, std::vector<double> &V) {
   return Rd.ok();
 }
 
+void writePayload(ByteWriter &W, const Payload &D) {
+  W.u64(payloadSize(D));
+  if (D)
+    for (double X : *D)
+      W.f64(X);
+}
+
+bool readPayload(ByteReader &Rd, Payload &D) {
+  std::vector<double> V;
+  if (!readF64Vec(Rd, V))
+    return false;
+  D = makePayload(std::move(V));
+  return true;
+}
+
 void writeFailure(ByteWriter &W, const TransportFailure &F) {
   W.u32(F.CommId);
   writeI64Vec(W, F.Src);
@@ -2100,19 +2231,20 @@ void Simulator::persistDurable(const SimResult &R) {
     }
     W.u8(PS.Finished ? 1 : 0);
     W.u64(PS.Steps);
+    // Ascending (ArrayId, Flat), the order of the image format.
     W.u64(PS.Store.size());
-    for (const auto &[Key, Val] : PS.Store) {
-      W.u32(Key.first);
-      W.i64(Key.second);
+    PS.Store.forEach([&](unsigned ArrayId, IntT Flat, double Val) {
+      W.u32(ArrayId);
+      W.i64(Flat);
       W.f64(Val);
-    }
+    });
     W.i64(PS.LastMulticastComm);
     W.u64(PS.BurstPhys.size());
     for (unsigned Ph : PS.BurstPhys)
       W.u32(Ph);
     W.f64(PS.BurstReady);
     W.i64(PS.CachedPackComm);
-    writeF64Vec(W, PS.CachedData);
+    writePayload(W, PS.CachedData);
     W.u64(PS.CachedCount);
   }
 
@@ -2122,7 +2254,7 @@ void Simulator::persistDurable(const SimResult &R) {
     writeI64Vec(W, Key);
     W.u64(Q.size());
     for (const Message &M : Q) {
-      writeF64Vec(W, M.Data);
+      writePayload(W, M.Data);
       W.u64(M.WordCount);
       W.f64(M.ReadyTime);
       W.u8(M.FromMulticast ? 1 : 0);
@@ -2286,11 +2418,23 @@ bool Simulator::resumeFromDurable(SimResult &R) {
       uint64_t NStore = Rd.u64();
       if (!Rd.ok() || NStore > Rd.remaining() / 20)
         return false;
+      // Untrusted keys: each must name an element of a real array, in
+      // strictly ascending (ArrayId, Flat) order (so no duplicates),
+      // before it may size a store window.
+      PS.Store = ValueStore(P.numArrays());
+      unsigned PrevArray = 0;
+      IntT PrevFlat = -1;
       for (uint64_t K = 0; K != NStore; ++K) {
         unsigned ArrayId = Rd.u32();
         IntT Flat = Rd.i64();
         double Val = Rd.f64();
-        PS.Store.emplace(std::make_pair(ArrayId, Flat), Val);
+        if (!Rd.ok() || ArrayId >= P.numArrays() || Flat < 0 ||
+            Flat >= ArrayExtent[ArrayId] || ArrayId < PrevArray ||
+            (ArrayId == PrevArray && Flat <= PrevFlat))
+          return false;
+        PS.Store.set(ArrayId, Flat, Val, ArrayExtent[ArrayId]);
+        PrevArray = ArrayId;
+        PrevFlat = Flat;
       }
       PS.LastMulticastComm = static_cast<int>(Rd.i64());
       uint64_t NBurst = Rd.u64();
@@ -2300,7 +2444,7 @@ bool Simulator::resumeFromDurable(SimResult &R) {
         PS.BurstPhys.insert(Rd.u32());
       PS.BurstReady = Rd.f64();
       PS.CachedPackComm = static_cast<int>(Rd.i64());
-      if (!readF64Vec(Rd, PS.CachedData))
+      if (!readPayload(Rd, PS.CachedData))
         return false;
       PS.CachedCount = Rd.u64();
       if (!Rd.ok())
@@ -2319,7 +2463,7 @@ bool Simulator::resumeFromDurable(SimResult &R) {
         return false;
       std::vector<Message> Q(NMsgs);
       for (Message &M : Q) {
-        if (!readF64Vec(Rd, M.Data))
+        if (!readPayload(Rd, M.Data))
           return false;
         M.WordCount = Rd.u64();
         M.ReadyTime = Rd.f64();
@@ -2558,27 +2702,21 @@ void Simulator::reportStall(SimResult &R) const {
 std::optional<double> Simulator::finalValue(
     unsigned ArrayId, const std::vector<IntT> &Idx) const {
   auto It = Spec.FinalData.find(ArrayId);
-  IntT Flat = flatIndex(ArrayId, Idx);
-  if (It != Spec.FinalData.end() && It->second.isUnique()) {
-    const Decomposition &D = It->second;
-    std::vector<IntT> Src(D.sourceSpace().size(), 0);
-    unsigned K = 0;
-    for (unsigned I = 0; I != D.sourceSpace().size(); ++I) {
-      if (D.sourceSpace().kind(I) == VarKind::Param)
-        Src[I] = paramValue(Opts.ParamValues, D.sourceSpace().name(I));
-      else
-        Src[I] = Idx[K++];
-    }
-    std::vector<IntT> Owner = D.gridCoordinate(Src);
-    for (const VirtProc &V : Procs) {
-      if (V.Coord != Owner)
-        continue;
-      auto SIt = V.Store.find({ArrayId, Flat});
-      if (SIt == V.Store.end())
-        return std::nullopt;
-      return SIt->second;
-    }
+  if (It == Spec.FinalData.end() || !It->second.isUnique())
     return std::nullopt;
-  }
+  IntT Flat = flatIndex(ArrayId, Idx);
+  if (Flat < 0)
+    return std::nullopt;
+  const Decomposition &D = It->second;
+  std::vector<IntT> Src = FinalSrc.at(ArrayId);
+  unsigned K = 0;
+  for (unsigned I = 0; I != D.sourceSpace().size(); ++I)
+    if (D.sourceSpace().kind(I) != VarKind::Param)
+      Src[I] = Idx[K++];
+  unsigned Owner = 0;
+  if (!procIndexOf(D.gridCoordinate(Src), Owner))
+    return std::nullopt;
+  if (const double *Val = Procs[Owner].Store.find(ArrayId, Flat))
+    return *Val;
   return std::nullopt;
 }

@@ -426,10 +426,30 @@ private:
     bool Progress = false, AllDone = true, AnyDead = false;
   };
 
+  /// Row-major flat offset of an element from its index tuple (or from
+  /// index expressions evaluated in \p Env), or -1 when an index lies
+  /// outside its dimension. Uses the dimension sizes resolved at
+  /// construction; no parameter lookup.
   IntT flatIndex(unsigned ArrayId, const std::vector<IntT> &Idx) const;
+  IntT flatIndex(unsigned ArrayId, const std::vector<AffineExpr> &Indices,
+                 const std::vector<IntT> &Env) const;
+  /// Aborts the run with the locality-violation diagnostic: a processor
+  /// touched an element it does not hold, or one outside its array.
+  [[noreturn]] void localityViolation(unsigned ArrayId,
+                                      const char *What) const;
   void computeVirtualGrid();
   void initLocalStores();
   bool stepProc(VirtProc &V, StepCtx &Ctx);
+  /// Executes a pack/unpack message body inline (it never blocks):
+  /// appends packed values to \p PackOut on a send, stores values from
+  /// \p UnpackIn on a receive, and counts the elements either way.
+  void runItems(VirtProc &V, const std::vector<SpmdStmt> &List,
+                std::vector<double> *PackOut,
+                const std::vector<double> *UnpackIn, uint64_t &Cursor,
+                uint64_t &Count);
+  /// Evaluates node \p Node of a statement's right-hand side against
+  /// \p V's local store.
+  double evalRVal(const VirtProc &V, const Statement &S, int Node) const;
   /// One cooperative round of the sequential engine: every live
   /// processor runs one slice, in ascending processor order.
   RoundFlags runRoundSequential();
@@ -522,6 +542,13 @@ private:
   /// Outcome of the durable-resume scan (resumeInfo()).
   DurableResumeInfo ResumeInfo;
   std::vector<IntT> ParamEnv; ///< parameter values aligned to Spmd space
+  /// Per array: dimension sizes and total element count, evaluated once
+  /// from the parameter values.
+  std::vector<std::vector<IntT>> ArrayDims;
+  std::vector<IntT> ArrayExtent;
+  /// Per final-layout array: its decomposition's source-space values
+  /// with the parameters filled in (finalValue adds the indices).
+  std::map<unsigned, std::vector<IntT>> FinalSrc;
   uint64_t Events = 0;        ///< executed SPMD statements (budget guard)
   /// Canonical logical counters (see SimCounters); flushCounters copies
   /// them into the SimResult at every exit from run().

@@ -27,6 +27,11 @@ struct E2ECase {
   CompileSpec (*MakeSpec)(const Program &P);
 };
 
+// gtest's fallback printer dumps the raw bytes of a case, pointers
+// included, into every listed test name; ctest discovers tests by those
+// names, so they would change with the address-space layout of each run.
+void PrintTo(const E2ECase &C, std::ostream *OS) { *OS << C.Name; }
+
 CompileSpec shiftSpec(const Program &P) {
   CompileSpec Spec;
   // Iterations of the i loop in blocks of 4; X in matching blocks.

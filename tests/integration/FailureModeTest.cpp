@@ -9,6 +9,7 @@
 #include "math/LexOpt.h"
 #include "sim/Simulator.h"
 
+#include <functional>
 #include <gtest/gtest.h>
 
 using namespace dmcc;
@@ -66,6 +67,57 @@ TEST(FailureModeTest, LocalityViolationAborts) {
   EXPECT_DEATH(
       {
         Simulator Sim(P, CP, Lying, SO);
+        (void)Sim.run();
+      },
+      "locality violation");
+}
+
+TEST(FailureModeTest, OutOfRangePackIndexAborts) {
+  // Row blocks of 4: each processor sends its first row to the block
+  // above. Sabotage the packed column index to N + 1, one past the last
+  // column. Row-major, X[i][N + 1] aliases X[i + 1][0], which the
+  // sender holds; the simulator must check each index against its
+  // dimension and report a locality violation, not send X[i + 1][0].
+  Program P = parseProgramOrDie(R"(
+param N;
+array X[N + 1][N + 1];
+for i = 0 to N - 1 {
+  for j = 0 to N {
+    X[i][j] = X[i + 1][j];
+  }
+}
+)");
+  CompileSpec Spec;
+  Decomposition D = blockData(P, 0, 0, 4);
+  Spec.Stmts.push_back(StmtPlan{0, ownerComputes(P, 0, D)});
+  Spec.InitialData.emplace(0, D);
+  Spec.FinalData.emplace(0, D);
+  CompiledProgram CP = compile(P, Spec);
+  ASSERT_TRUE(CP.Ok) << CP.ErrorMessage;
+
+  const Space &Sp = CP.Spmd.Sp;
+  std::function<bool(std::vector<SpmdStmt> &)> Sabotage =
+      [&](std::vector<SpmdStmt> &List) {
+        for (SpmdStmt &S : List) {
+          if (S.K == SpmdStmt::Kind::PackElem) {
+            S.Indices[1] =
+                AffineExpr::var(Sp.size(), Sp.indexOf("N")).plusConst(1);
+            return true;
+          }
+          if (Sabotage(S.Body))
+            return true;
+        }
+        return false;
+      };
+  ASSERT_TRUE(Sabotage(CP.Spmd.Top)) << "no PackElem to sabotage";
+
+  SimOptions SO;
+  SO.PhysGrid = {2};
+  SO.ParamValues = {{"N", 15}};
+  SO.Functional = true;
+  EXPECT_DEATH(
+      {
+        Simulator Sim(P, CP, Spec, SO);
         (void)Sim.run();
       },
       "locality violation");

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/SpecParser.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
@@ -422,6 +423,50 @@ TEST(CrashRecoveryTest, CheckpointOnlyOverheadIsAccounted) {
   EXPECT_EQ(R.Messages, Base.Messages);
   EXPECT_EQ(R.Words, Base.Words);
   EXPECT_EQ(verifyArray0(P, Sim, Pv), 0u);
+}
+
+TEST(CrashRecoveryTest, CheckpointFootprintCountsHeldElements) {
+  // Functional Cholesky under packet loss and one crash schedule. Each
+  // checkpoint charges every processor's held array elements (plus
+  // environments, frames and buffers) to CheckpointBytes and to the
+  // simulated checkpoint time, so both pin the store's notion of size:
+  // held elements, never storage slots. The values were recorded with
+  // the map-based store that preceded the dense windows.
+  SpecParseOutput SP = parseWithSpec(R"(
+param N = 24;
+array A[N + 1][N + 1];
+decompose A cyclic(0);
+for k = 0 to N {
+  for i = k + 1 to N {
+    A[i][k] = A[i][k] / A[k][k];
+  }
+  for j = k + 1 to N {
+    for i2 = j to N {
+      A[i2][j] = A[i2][j] - A[i2][k] * A[j][k];
+    }
+  }
+}
+)");
+  ASSERT_TRUE(SP.ok()) << SP.Error;
+  const Program &P = *SP.Prog;
+  CompiledProgram CP = compile(P, SP.Spec);
+  ASSERT_TRUE(CP.Ok) << CP.ErrorMessage;
+  FaultOptions F;
+  F.Seed = 5;
+  F.DropRate = 0.01;
+  F.CrashRate = 1e-4;
+  F.CrashSeed = 1;
+  CheckpointOptions CK;
+  CK.IntervalSteps = 2000;
+  Simulator Sim(P, CP, SP.Spec, opts(8, SP.ParamDefaults, true, F, CK));
+  SimResult R = Sim.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Recovery.Crashes, 2u);
+  EXPECT_EQ(R.Recovery.Rollbacks, 2u);
+  EXPECT_EQ(R.Recovery.CheckpointsTaken, 12u);
+  EXPECT_EQ(R.Recovery.CheckpointBytes, 475416u);
+  EXPECT_EQ(R.MakespanSeconds, 0.13410298999999951);
+  EXPECT_EQ(verifyArray0(P, Sim, SP.ParamDefaults), 0u);
 }
 
 TEST(CrashRecoveryTest, DefaultPathReportsNoRecoveryTelemetry) {

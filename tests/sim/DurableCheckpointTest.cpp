@@ -4,18 +4,22 @@
 // primitives, and the kill/resume differential — a run restored from
 // the newest intact on-disk checkpoint must finish bit-identical to the
 // uninterrupted run, under clean, lossy, crash-recovery and threaded
-// schedules, with torn or bit-flipped images detected and skipped.
+// schedules, with torn or bit-flipped images and images whose store
+// entries name no real array element detected and skipped.
 //
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Parser.h"
+#include "ir/Interp.h"
 #include "sim/Simulator.h"
 #include "support/StableStore.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -473,6 +477,69 @@ TEST(DurableCheckpoint, BitFlippedImageIsSkippedOnResume) {
   EXPECT_TRUE(Res.resumeInfo().Resumed);
   EXPECT_EQ(Res.resumeInfo().CorruptSkipped, 1u);
   expectSameResult(RFull, RRes);
+}
+
+TEST(DurableCheckpoint, OutOfRangeStoreEntryIsSkippedOnResume) {
+  // CRC-valid images whose store entries lie: an element far outside
+  // the array (Flat = 2^40), an array that does not exist, and a key
+  // repeated. Each must be treated like a torn image — skipped, the run
+  // starting fresh — and no untrusted index may size an allocation.
+  DurableEnv E;
+  CheckpointOptions CK;
+  CK.IntervalSteps = 100;
+  TempDir Ref;
+  CK.DurableDir = Ref.Path;
+  Simulator Full(E.P, E.CP, E.Spec, opts(E.Pv, {}, CK));
+  SimResult RFull = Full.run();
+  ASSERT_TRUE(RFull.Ok) << RFull.Error;
+  std::vector<std::string> Files =
+      stable::listFiles(Ref.Path, "ckpt-", ".dmc");
+  ASSERT_FALSE(Files.empty());
+  // The step-0 image holds the initial layout, so X[1][5] (flat 30) and
+  // X[1][6] (flat 31) are stored with their initial values, adjacent.
+  stable::ReadFramesResult RF =
+      stable::readFrames(Ref.Path + "/" + Files.front());
+  ASSERT_EQ(RF.Frames.size(), 1u);
+  auto Entry = [](uint32_t ArrayId, int64_t Flat, double Val) {
+    stable::ByteWriter W;
+    W.u32(ArrayId);
+    W.i64(Flat);
+    W.f64(Val);
+    return W.take();
+  };
+  const std::vector<uint8_t> &Img = RF.Frames[0].Payload;
+  std::vector<uint8_t> Orig = Entry(0, 31, initialArrayValue(0, 31));
+  auto At = std::search(Img.begin(), Img.end(), Orig.begin(), Orig.end());
+  ASSERT_NE(At, Img.end()) << "X[1][6] not found in the step-0 image";
+  const size_t Off = At - Img.begin();
+  const std::vector<uint8_t> Tampered[] = {
+      Entry(0, int64_t(1) << 40, initialArrayValue(0, 31)),
+      Entry(7, 31, initialArrayValue(0, 31)),
+      Entry(0, 30, initialArrayValue(0, 31)),
+  };
+  for (const std::vector<uint8_t> &Bad : Tampered) {
+    std::vector<uint8_t> Payload = Img;
+    std::copy(Bad.begin(), Bad.end(), Payload.begin() + Off);
+    TempDir Cut;
+    spit(Cut.Path + "/" + Files.front(),
+         stable::encodeFrame(RF.Frames[0].Type, Payload));
+
+    struct rusage Before, After;
+    getrusage(RUSAGE_SELF, &Before);
+    CheckpointOptions Res = CK;
+    Res.DurableDir = Cut.Path;
+    Res.Resume = true;
+    Simulator Sim(E.P, E.CP, E.Spec, opts(E.Pv, {}, Res));
+    SimResult R = Sim.run();
+    getrusage(RUSAGE_SELF, &After);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(Sim.resumeInfo().FilesSeen, 1u);
+    EXPECT_EQ(Sim.resumeInfo().CorruptSkipped, 1u);
+    EXPECT_FALSE(Sim.resumeInfo().Resumed);
+    EXPECT_LT(After.ru_maxrss - Before.ru_maxrss, 64 * 1024)
+        << "peak RSS grew (KiB)";
+    expectSameResult(RFull, R);
+  }
 }
 
 TEST(DurableCheckpoint, EmptyDirectoryResumesAsAFreshRun) {
