@@ -5,7 +5,8 @@
 // the newest intact on-disk checkpoint must finish bit-identical to the
 // uninterrupted run, under clean, lossy, crash-recovery and threaded
 // schedules, with torn or bit-flipped images and images whose store
-// entries name no real array element detected and skipped.
+// entries name no real array element detected and skipped. The image
+// bytes themselves are pinned by CRC, so the format cannot drift.
 //
 //===----------------------------------------------------------------------===//
 
@@ -539,6 +540,111 @@ TEST(DurableCheckpoint, OutOfRangeStoreEntryIsSkippedOnResume) {
     EXPECT_LT(After.ru_maxrss - Before.ru_maxrss, 64 * 1024)
         << "peak RSS grew (KiB)";
     expectSameResult(RFull, R);
+  }
+}
+
+namespace {
+
+/// File name and CRC-32 of one durable image.
+struct PinnedImage {
+  std::string Name;
+  uint32_t Crc;
+};
+
+/// Every image in \p Dir with the CRC-32 of its whole file, in name
+/// order.
+std::vector<PinnedImage> imageCrcs(const std::string &Dir) {
+  std::vector<PinnedImage> Out;
+  for (const std::string &F : stable::listFiles(Dir, "ckpt-", ".dmc")) {
+    std::vector<uint8_t> Bytes = slurp(Dir + "/" + F);
+    Out.push_back({F, stable::crc32(Bytes.data(), Bytes.size())});
+  }
+  return Out;
+}
+
+/// Compares the images in \p Dir against \p Want; on a mismatch, prints
+/// the actual table in the source form of \p Want.
+void expectPinned(const std::string &Dir,
+                  const std::vector<PinnedImage> &Want) {
+  std::vector<PinnedImage> Got = imageCrcs(Dir);
+  bool Same = Got.size() == Want.size();
+  for (size_t I = 0; Same && I != Got.size(); ++I)
+    Same = Got[I].Name == Want[I].Name && Got[I].Crc == Want[I].Crc;
+  if (Same)
+    return;
+  std::string Table;
+  for (const PinnedImage &G : Got) {
+    char Line[96];
+    std::snprintf(Line, sizeof(Line), "      {\"%s\", 0x%08Xu},\n",
+                  G.Name.c_str(), G.Crc);
+    Table += Line;
+  }
+  ADD_FAILURE() << "durable images differ from the pinned table; "
+                << Got.size() << " image(s) written:\n"
+                << Table;
+}
+
+} // namespace
+
+TEST(DurableCheckpoint, ImageBytesArePinned) {
+  // The image layout is a format (version 1): the same run must write
+  // the same bytes. A lossy crashing functional run covers queues,
+  // transport cursors, failures and crash history across a rollback; a
+  // performance-mode run with early sends covers a busy NIC.
+  DurableEnv E;
+  CheckpointOptions CK;
+  CK.IntervalSteps = 1500;
+  {
+    FaultOptions F;
+    F.Seed = 42;
+    F.DropRate = 0.05;
+    F.CrashRate = 1e-3;
+    F.CrashSeed = 7;
+    TempDir D;
+    CK.DurableDir = D.Path;
+    SimResult R = Simulator(E.P, E.CP, E.Spec, opts(E.Pv, F, CK)).run();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    ASSERT_GE(R.Recovery.Rollbacks, 1u);
+    expectPinned(D.Path, {
+      {"ckpt-00000000000000000000.dmc", 0xE6BC6068u},
+      {"ckpt-00000000000000001500.dmc", 0x2FDDFF0Cu},
+      {"ckpt-00000000000000004500.dmc", 0x54F4B180u},
+      {"ckpt-00000000000000006000.dmc", 0x032C7C52u},
+      {"ckpt-00000000000000007500.dmc", 0x96161B3Au},
+      {"ckpt-00000000000000010500.dmc", 0x4CB31683u},
+      {"ckpt-00000000000000012000.dmc", 0x58E25F21u},
+      {"ckpt-00000000000000015000.dmc", 0xFDBAB98Bu},
+      {"ckpt-00000000000000016500.dmc", 0x3B4BA278u},
+      {"ckpt-00000000000000019500.dmc", 0xE85A2DCBu},
+      {"ckpt-00000000000000022500.dmc", 0x72B1E211u},
+      {"ckpt-00000000000000025500.dmc", 0x87D7787Bu},
+    });
+  }
+  {
+    CompilerOptions CO;
+    CO.EarlySends = true;
+    CompiledProgram Early = compile(E.P, E.Spec, CO);
+    TempDir D;
+    CK.DurableDir = D.Path;
+    SimOptions SO = opts(E.Pv, {}, CK);
+    SO.Functional = false;
+    SimResult R = Simulator(E.P, Early, E.Spec, SO).run();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    ASSERT_GT(R.Overlap.EarlySends, 0u);
+    expectPinned(D.Path, {
+      {"ckpt-00000000000000000000.dmc", 0xC1A960ECu},
+      {"ckpt-00000000000000001500.dmc", 0x841084F7u},
+      {"ckpt-00000000000000003000.dmc", 0x9F18FC66u},
+      {"ckpt-00000000000000004500.dmc", 0xDB8A4A42u},
+      {"ckpt-00000000000000006000.dmc", 0x693B9B04u},
+      {"ckpt-00000000000000007500.dmc", 0x03F3869Du},
+      {"ckpt-00000000000000009000.dmc", 0x9F893CBEu},
+      {"ckpt-00000000000000010500.dmc", 0x70988C0Eu},
+      {"ckpt-00000000000000012000.dmc", 0x6A7CB25Au},
+      {"ckpt-00000000000000013500.dmc", 0x96CF142Fu},
+      {"ckpt-00000000000000015000.dmc", 0x14A2C65Cu},
+      {"ckpt-00000000000000016500.dmc", 0x430CE898u},
+    });
   }
 }
 
