@@ -180,24 +180,18 @@ struct Simulator::Frame {
   IntT LoopCur = 0, LoopHi = 0;
 };
 
-struct Simulator::VirtProc {
-  std::vector<IntT> Coord;
-  unsigned Id = 0;   ///< flat index in Procs: crash-schedule identity
-  unsigned Phys = 0;
+/// One virtual processor's local memory, multicast-burst state and
+/// place in the SPMD program: everything a rollback restores (paper
+/// Section 5.5). A checkpoint holds one per processor, and the durable
+/// image serializes exactly these fields (Image::io).
+struct Simulator::ProcState {
   std::vector<IntT> Env;
   std::vector<IntT> ProgEnv;
   std::vector<Frame> Stack;
   bool Finished = false;
-  bool Blocked = false;
-  /// Killed by the crash-stop schedule and not yet rolled back: executes
-  /// nothing, and its volatile state below is considered lost.
-  bool Crashed = false;
   /// Logical time: statements this incarnation has executed. Restored on
   /// rollback, so replay passes through the same (proc, step) points.
   uint64_t Steps = 0;
-  /// What this processor was waiting for the last time it blocked; the
-  /// deadlock detector reads it to build the structured diagnostic.
-  PendingRecv LastBlock;
   ValueStore Store;
   int LastMulticastComm = -1;
   /// Physical destinations already served within the current multicast
@@ -209,37 +203,41 @@ struct Simulator::VirtProc {
   int CachedPackComm = -1;
   Payload CachedData;
   uint64_t CachedCount = 0;
+
+  /// Snapshot footprint in 8-byte words: array partition, environments,
+  /// loop cursors (4 words per live frame) and the cached multicast
+  /// packing.
+  uint64_t words() const {
+    return Store.size() + Env.size() + ProgEnv.size() + 4 * Stack.size() +
+           payloadSize(CachedData);
+  }
+};
+
+struct Simulator::VirtProc : ProcState {
+  std::vector<IntT> Coord;
+  unsigned Id = 0;   ///< flat index in Procs: crash-schedule identity
+  unsigned Phys = 0;
+  bool Blocked = false;
+  /// Killed by the crash-stop schedule and not yet rolled back: executes
+  /// nothing, and its ProcState is considered lost.
+  bool Crashed = false;
+  /// What this processor was waiting for the last time it blocked; the
+  /// deadlock detector reads it to build the structured diagnostic.
+  PendingRecv LastBlock;
 };
 
 /// One coordinated checkpoint in the stable store: everything a rollback
 /// must restore. Taken at statement boundaries between scheduler rounds,
 /// so it is a consistent cut by construction; the receive queues stand in
 /// for the channel state a distributed protocol would record with
-/// markers. Clocks and the monotonic overhead counters are deliberately
-/// absent — wall-model time and wasted wire traffic never rewind.
+/// markers. Clocks and the monotonic overhead counters never rewind, so
+/// a rollback reads only the logical group of Counters.
 struct Simulator::Checkpoint {
-  struct ProcState {
-    std::vector<IntT> Env, ProgEnv;
-    std::vector<Frame> Stack;
-    bool Finished = false;
-    uint64_t Steps = 0;
-    ValueStore Store;
-    int LastMulticastComm = -1;
-    std::set<unsigned> BurstPhys;
-    double BurstReady = 0;
-    int CachedPackComm = -1;
-    Payload CachedData;
-    uint64_t CachedCount = 0;
-  };
   std::vector<ProcState> Procs;
   std::map<std::vector<IntT>, std::vector<Message>> Queues;
   std::map<std::vector<IntT>, uint64_t> SendSeq, RecvSeq;
   std::vector<TransportFailure> Failures;
-  /// Logical counters at the checkpoint line; a rollback rewinds the
-  /// result's counters to these so recovered runs report the same
-  /// logical traffic as fault-free ones.
-  uint64_t Messages = 0, IntraMessages = 0, Words = 0, Flops = 0,
-           ComputeIterations = 0;
+  SimCounters Counters;
   /// Useful-work bucket values at the line; the delta at rollback is the
   /// undone work that moves into the recovery bucket.
   std::vector<double> BusyCompute, BusyProtocol, BusyCheckpoint;
@@ -1868,51 +1866,27 @@ SimResult Simulator::run() {
 void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
   const unsigned Dims = CP.Spmd.GridDims;
   auto CK = std::make_unique<Checkpoint>();
-  CK->Procs.reserve(Procs.size());
-  std::vector<uint64_t> WordsPerPhys(PhysClock.size(), 0);
-  for (const VirtProc &V : Procs) {
-    Checkpoint::ProcState PS;
-    PS.Env = V.Env;
-    PS.ProgEnv = V.ProgEnv;
-    PS.Stack = V.Stack;
-    PS.Finished = V.Finished;
-    PS.Steps = V.Steps;
-    PS.Store = V.Store;
-    PS.LastMulticastComm = V.LastMulticastComm;
-    PS.BurstPhys = V.BurstPhys;
-    PS.BurstReady = V.BurstReady;
-    PS.CachedPackComm = V.CachedPackComm;
-    PS.CachedData = V.CachedData;
-    PS.CachedCount = V.CachedCount;
-    // Snapshot footprint: array partition + environments + loop cursors
-    // (4 words per live frame) + the cached multicast packing.
-    WordsPerPhys[V.Phys] += V.Store.size() + V.Env.size() +
-                            V.ProgEnv.size() + 4 * V.Stack.size() +
-                            payloadSize(V.CachedData);
-    CK->Procs.push_back(std::move(PS));
-  }
-  CK->Queues = Queues;
+  CK->Procs.assign(Procs.begin(), Procs.end());
+  CK->WordsPerPhys.assign(PhysClock.size(), 0);
+  for (const VirtProc &V : Procs)
+    CK->WordsPerPhys[V.Phys] += V.words();
   for (const auto &[Key, Q] : Queues) {
     // Receive buffers are part of the channel state; they are
     // checkpointed where they live, on the receiver.
     std::vector<IntT> DstCoord(Key.end() - Dims, Key.end());
     unsigned Ph = physOf(DstCoord);
     for (const Message &M : Q)
-      WordsPerPhys[Ph] += M.WordCount + 2; // payload + header
+      CK->WordsPerPhys[Ph] += M.WordCount + 2; // payload + header
   }
+  CK->Queues = Queues;
   CK->SendSeq = SendSeq;
   CK->RecvSeq = RecvSeq;
   CK->Failures = Failures;
-  CK->Messages = Ctr.Messages;
-  CK->IntraMessages = Ctr.IntraMessages;
-  CK->Words = Ctr.Words;
-  CK->Flops = Ctr.Flops;
-  CK->ComputeIterations = Ctr.ComputeIterations;
+  CK->Counters = Ctr;
   CK->EventsAtTaken = Events;
-  CK->WordsPerPhys = WordsPerPhys;
 
   uint64_t TotalWords = 0;
-  for (uint64_t W : WordsPerPhys)
+  for (uint64_t W : CK->WordsPerPhys)
     TotalWords = addSat(TotalWords, W);
   ++R.Recovery.CheckpointsTaken;
   R.Recovery.CheckpointBytes =
@@ -1926,7 +1900,7 @@ void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
       Line = std::max(Line, C);
     for (unsigned Ph = 0, E = PhysClock.size(); Ph != E; ++Ph) {
       double C = Opts.Checkpoint.LatencySeconds +
-                 static_cast<double>(WordsPerPhys[Ph]) *
+                 static_cast<double>(CK->WordsPerPhys[Ph]) *
                      Opts.Checkpoint.PerWordSeconds;
       PhysClock[Ph] = Line + C;
       PhysBusy[Ph] += C;
@@ -1953,63 +1927,18 @@ void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
     persistDurable(R);
 }
 
-void Simulator::restoreCheckpoint(SimResult &R) {
-  const Checkpoint &CK = *Stable;
-  ++R.Recovery.Rollbacks;
-  R.Recovery.ReplayedSteps += Events - ReplayBaseEvents;
-  R.Recovery.ReplayedMessages +=
-      (Ctr.Messages + Ctr.IntraMessages) -
-      (CK.Messages + CK.IntraMessages);
-
-  // Work done past the line is undone: move it into the recovery bucket
-  // so Compute/Protocol/Checkpoint keep charging each useful unit once.
-  for (unsigned Ph = 0, E = PhysClock.size(); Ph != E; ++Ph)
-    RecoveryExtraSeconds += (BusyCompute[Ph] - CK.BusyCompute[Ph]) +
-                            (BusyProtocol[Ph] - CK.BusyProtocol[Ph]) +
-                            (BusyCheckpoint[Ph] - CK.BusyCheckpoint[Ph]);
-  BusyCompute = CK.BusyCompute;
-  BusyProtocol = CK.BusyProtocol;
-  BusyCheckpoint = CK.BusyCheckpoint;
-
-  // Rewind the logical counters: a recovered run reports the same
-  // logical traffic and arithmetic as a fault-free one. The wire-level
-  // transport counters stay monotonic.
-  Ctr.Messages = CK.Messages;
-  Ctr.IntraMessages = CK.IntraMessages;
-  Ctr.Words = CK.Words;
-  Ctr.Flops = CK.Flops;
-  Ctr.ComputeIterations = CK.ComputeIterations;
-  Failures = CK.Failures;
-
-  // Reincarnate every processor from its snapshot. HasCrashed is NOT
-  // restored: a processor's one scheduled crash stays spent, so replay
-  // passes through the crash point unharmed.
+void Simulator::loadLine(const Checkpoint &CK) {
   for (unsigned I = 0, E = Procs.size(); I != E; ++I) {
-    VirtProc &V = Procs[I];
-    const Checkpoint::ProcState &PS = CK.Procs[I];
-    V.Env = PS.Env;
-    V.ProgEnv = PS.ProgEnv;
-    V.Stack = PS.Stack;
-    V.Finished = PS.Finished;
-    V.Steps = PS.Steps;
-    V.Store = PS.Store;
-    V.LastMulticastComm = PS.LastMulticastComm;
-    V.BurstPhys = PS.BurstPhys;
-    V.BurstReady = PS.BurstReady;
-    V.CachedPackComm = PS.CachedPackComm;
-    V.CachedData = PS.CachedData;
-    V.CachedCount = PS.CachedCount;
-    V.Crashed = false;
-    V.Blocked = false;
+    static_cast<ProcState &>(Procs[I]) = CK.Procs[I];
+    Procs[I].Crashed = false;
+    Procs[I].Blocked = false;
   }
-
-  // Channel state: the checkpointed receive buffers, plus whatever was
-  // still in flight from sends made after the line (sequence number at
-  // or past the checkpointed sender cursor — those sends will NOT be
-  // replayed from a pre-line sender state, so their copies must
-  // survive). Copies below the line are replaced by the snapshot's own
-  // queue contents; replayed sends that the receiver already consumed
-  // are suppressed on arrival by the sequence-number window.
+  // Channel state: the line's receive buffers, plus whatever was still
+  // in flight from sends made after the line (sequence number at or past
+  // the line's sender cursor — a pre-line sender state will NOT replay
+  // those sends, so their copies must survive). Replayed sends that the
+  // receiver already consumed are suppressed on arrival by the
+  // sequence-number window. A resume has nothing in flight yet.
   std::map<std::vector<IntT>, std::vector<Message>> Merged = CK.Queues;
   for (auto &[Key, Q] : Queues) {
     auto It = CK.SendSeq.find(Key);
@@ -2021,6 +1950,34 @@ void Simulator::restoreCheckpoint(SimResult &R) {
   Queues = std::move(Merged);
   SendSeq = CK.SendSeq;
   RecvSeq = CK.RecvSeq;
+  Failures = CK.Failures;
+  BusyCompute = CK.BusyCompute;
+  BusyProtocol = CK.BusyProtocol;
+  BusyCheckpoint = CK.BusyCheckpoint;
+  // A recovered run reports the same logical traffic and arithmetic as
+  // a fault-free one; the wire-level counters stay monotonic.
+  Ctr.rewindTo(CK.Counters);
+  ReplayBaseEvents = Events;
+  NextCheckpointEvents = addSat(Events, Opts.Checkpoint.IntervalSteps);
+}
+
+void Simulator::restoreCheckpoint(SimResult &R) {
+  const Checkpoint &CK = *Stable;
+  ++R.Recovery.Rollbacks;
+  R.Recovery.ReplayedSteps += Events - ReplayBaseEvents;
+  R.Recovery.ReplayedMessages += Ctr.sent() - CK.Counters.sent();
+
+  // Work done past the line is undone: move it into the recovery bucket
+  // so Compute/Protocol/Checkpoint keep charging each useful unit once.
+  for (unsigned Ph = 0, E = PhysClock.size(); Ph != E; ++Ph)
+    RecoveryExtraSeconds += (BusyCompute[Ph] - CK.BusyCompute[Ph]) +
+                            (BusyProtocol[Ph] - CK.BusyProtocol[Ph]) +
+                            (BusyCheckpoint[Ph] - CK.BusyCheckpoint[Ph]);
+
+  // Reincarnate every processor from the line. HasCrashed is NOT
+  // restored: a processor's one scheduled crash stays spent, so replay
+  // passes through the crash point unharmed.
+  loadLine(CK);
 
   // Clocks never rewind: survivors sit through the failure-detection
   // window, then every processor reads the checkpoint back from the
@@ -2038,8 +1995,6 @@ void Simulator::restoreCheckpoint(SimResult &R) {
     PhysBusy[Ph] += C;
     RecoveryExtraSeconds += C;
   }
-  ReplayBaseEvents = Events;
-  NextCheckpointEvents = addSat(Events, Opts.Checkpoint.IntervalSteps);
 }
 
 //===----------------------------------------------------------------------===//
@@ -2048,96 +2003,149 @@ void Simulator::restoreCheckpoint(SimResult &R) {
 //
 // A durable image is one stable-store frame (type "CKPT") whose payload
 // is a versioned, self-validating serialization of the FULL machine
-// state at a checkpoint line — not just the logical Checkpoint contents:
-// clocks, busy buckets, NIC state, monotonic counters, crash history and
-// the partial SimResult accumulators all ride along, because a resumed
-// process must report telemetry bit-identical to the uninterrupted run.
-// Doubles travel as IEEE-754 bit patterns; call-stack frames are encoded
-// as (is-loop, position, loop cursor/bound) paths and re-anchored onto
-// the resumed process's deterministically recompiled SPMD tree.
+// state at a checkpoint line: the Checkpoint itself plus what never
+// rewinds — clocks, the NIC, crash history and the partial SimResult
+// accumulators — because a resumed process must report telemetry
+// bit-identical to the uninterrupted run. Doubles travel as IEEE-754 bit
+// patterns; call-stack frames are encoded as (is-loop, position, loop
+// cursor/bound) paths and re-anchored onto the resumed process's
+// deterministically recompiled SPMD tree.
+//
+// One io() per state type (Simulator::Image) drives both ImageWriter and
+// ImageReader, so the two directions share one field list. The reader
+// validates in its primitives: counts bounded by the bytes left, indices
+// and lengths checked against the machine.
 //
 // What is deliberately NOT serialized:
 //  - Message::SenderId/PushRound: at a checkpoint line every queued
-//    message was pushed in a strictly earlier round, so both are
-//    normalized to 0, which the threaded engine's wavefront rule treats
-//    as always-visible — exactly the visibility those messages had.
+//    message was pushed in a strictly earlier round, so both decode as
+//    0, which the threaded engine's wavefront rule treats as
+//    always-visible — exactly the visibility those messages had.
 //  - SlowFactor and the fault schedule: recomputed from the seed.
 //  - NextCheckpointEvents/ReplayBaseEvents: recomputed from Events.
 
 namespace {
-
-using stable::ByteReader;
-using stable::ByteWriter;
 
 /// Frame type tag of a checkpoint image ("CKPT").
 constexpr uint32_t CkptFrameType = 0x434B5054u;
 /// Bumped whenever the image payload layout changes; a mismatch makes
 /// the resume scan skip the file as incompatible.
 constexpr uint32_t CkptImageVersion = 1;
+/// ImageReader::vec's default: any length is acceptable.
+constexpr uint64_t AnyLength = ~uint64_t(0);
 
-void writeI64Vec(ByteWriter &W, const std::vector<IntT> &V) {
-  W.u64(V.size());
-  for (IntT X : V)
-    W.i64(X);
-}
+/// What a decoded sequence element is before it is inserted: a map's
+/// key must be writable while it is read.
+template <class C> struct ItemOf {
+  using type = typename C::value_type;
+};
+template <class K, class V> struct ItemOf<std::map<K, V>> {
+  using type = std::pair<K, V>;
+};
 
-bool readI64Vec(ByteReader &Rd, std::vector<IntT> &V) {
-  uint64_t N = Rd.u64();
-  if (!Rd.ok() || N > Rd.remaining() / 8)
-    return false;
-  V.resize(N);
-  for (uint64_t I = 0; I != N; ++I)
-    V[I] = Rd.i64();
-  return Rd.ok();
-}
+/// Encodes an image through Simulator::Image::io.
+class ImageWriter {
+public:
+  static constexpr bool Reading = false;
 
-void writeF64Vec(ByteWriter &W, const std::vector<double> &V) {
-  W.u64(V.size());
-  for (double X : V)
-    W.f64(X);
-}
+  template <class T> void u8(const T &X) { W.u8(static_cast<uint8_t>(X)); }
+  template <class T> void u32(const T &X) {
+    W.u32(static_cast<uint32_t>(X));
+  }
+  template <class T> void u64(const T &X) {
+    W.u64(static_cast<uint64_t>(X));
+  }
+  template <class T> void i64(const T &X) { W.i64(static_cast<int64_t>(X)); }
+  void f64(const double &X) { W.f64(X); }
+  void index(const unsigned &X, uint64_t /*Limit*/) { W.u32(X); }
+  void count(const uint64_t &N, size_t /*MinBytes*/) { W.u64(N); }
+  template <class T>
+  void vec(const std::vector<T> &V, uint64_t /*Exact*/ = AnyLength) {
+    W.u64(V.size());
+    for (const T &X : V)
+      elem(X);
+  }
+  template <class C, class Fn>
+  void each(C &Items, size_t /*MinBytes*/, Fn F) {
+    W.u64(Items.size());
+    for (auto &X : Items)
+      F(X);
+  }
+  void require(bool) {}
+  bool ok() const { return true; }
+  std::vector<uint8_t> take() { return W.take(); }
 
-bool readF64Vec(ByteReader &Rd, std::vector<double> &V) {
-  uint64_t N = Rd.u64();
-  if (!Rd.ok() || N > Rd.remaining() / 8)
-    return false;
-  V.resize(N);
-  for (uint64_t I = 0; I != N; ++I)
-    V[I] = Rd.f64();
-  return Rd.ok();
-}
+private:
+  void elem(const IntT &X) { W.i64(X); }
+  void elem(const uint64_t &X) { W.u64(X); }
+  void elem(const double &X) { W.f64(X); }
 
-void writePayload(ByteWriter &W, const Payload &D) {
-  W.u64(payloadSize(D));
-  if (D)
-    for (double X : *D)
-      W.f64(X);
-}
+  stable::ByteWriter W;
+};
 
-bool readPayload(ByteReader &Rd, Payload &D) {
-  std::vector<double> V;
-  if (!readF64Vec(Rd, V))
-    return false;
-  D = makePayload(std::move(V));
-  return true;
-}
+/// Decodes an image through Simulator::Image::io. Every primitive
+/// validates what it reads, and the first failure is sticky: later
+/// counts read as zero, so a damaged image can neither index out of
+/// range nor size an allocation past the bytes it holds.
+class ImageReader {
+public:
+  static constexpr bool Reading = true;
 
-void writeFailure(ByteWriter &W, const TransportFailure &F) {
-  W.u32(F.CommId);
-  writeI64Vec(W, F.Src);
-  writeI64Vec(W, F.Dst);
-  W.u64(F.Seq);
-  W.u32(F.Attempts);
-}
+  explicit ImageReader(const std::vector<uint8_t> &Bytes) : R(Bytes) {}
 
-bool readFailure(ByteReader &Rd, TransportFailure &F) {
-  F.CommId = Rd.u32();
-  if (!readI64Vec(Rd, F.Src) || !readI64Vec(Rd, F.Dst))
-    return false;
-  F.Seq = Rd.u64();
-  F.Attempts = Rd.u32();
-  return Rd.ok();
-}
+  template <class T> void u8(T &X) { X = static_cast<T>(R.u8()); }
+  template <class T> void u32(T &X) { X = static_cast<T>(R.u32()); }
+  template <class T> void u64(T &X) { X = static_cast<T>(R.u64()); }
+  template <class T> void i64(T &X) { X = static_cast<T>(R.i64()); }
+  void f64(double &X) { X = R.f64(); }
+  /// An index that must lie below \p Limit.
+  void index(unsigned &X, uint64_t Limit) {
+    X = R.u32();
+    require(X < Limit);
+  }
+  /// A count of items that follow, each at least \p MinBytes long, so
+  /// it can never exceed what the remaining bytes could hold.
+  void count(uint64_t &N, size_t MinBytes) {
+    N = R.u64();
+    require(N <= R.remaining() / MinBytes);
+    if (!ok())
+      N = 0;
+  }
+  /// A count-prefixed vector of 8-byte elements, of length \p Exact
+  /// unless that is AnyLength.
+  template <class T>
+  void vec(std::vector<T> &V, uint64_t Exact = AnyLength) {
+    uint64_t N;
+    count(N, 8);
+    require(Exact == AnyLength || N == Exact);
+    V.resize(ok() ? N : 0);
+    for (T &X : V)
+      elem(X);
+  }
+  /// A counted sequence: \p F decodes each item, which is then inserted
+  /// at the end of \p Items (duplicate set and map keys are dropped).
+  template <class C, class Fn> void each(C &Items, size_t MinBytes, Fn F) {
+    uint64_t N;
+    count(N, MinBytes);
+    for (uint64_t K = 0; K != N && ok(); ++K) {
+      typename ItemOf<C>::type X{};
+      F(X);
+      Items.insert(Items.end(), std::move(X));
+    }
+  }
+  void require(bool Cond) { Bad = Bad || !Cond; }
+  bool ok() const { return !Bad && R.ok(); }
+  /// Every check passed and the whole payload was consumed.
+  bool done() const { return !Bad && R.atEnd(); }
+
+private:
+  void elem(IntT &X) { X = R.i64(); }
+  void elem(uint64_t &X) { X = R.u64(); }
+  void elem(double &X) { X = R.f64(); }
+
+  stable::ByteReader R;
+  bool Bad = false;
+};
 
 /// The on-disk filename of the image at global step \p Events,
 /// zero-padded so lexicographic directory order is numeric order.
@@ -2150,127 +2158,225 @@ std::string ckptFileName(uint64_t Events) {
 
 } // namespace
 
-void Simulator::persistDurable(const SimResult &R) {
-  const Checkpoint &CK = *Stable;
-  ByteWriter W;
-  W.u32(CkptImageVersion);
-  // Identity: a resumed process must be running the same deterministic
-  // compilation with the same grid and parameters, or the encoded
-  // call-stack paths and environments are meaningless.
-  W.u64(Procs.size());
-  W.u64(PhysClock.size());
-  W.u32(CP.Spmd.GridDims);
-  writeI64Vec(W, ParamEnv);
-
-  // Machine position and counters.
-  W.u64(Events);
-  W.u64(Ctr.Messages);
-  W.u64(Ctr.IntraMessages);
-  W.u64(Ctr.Words);
-  W.u64(Ctr.Flops);
-  W.u64(Ctr.ComputeIterations);
-  W.u64(Ctr.Retransmissions);
-  W.u64(Ctr.DroppedPackets);
-  W.u64(Ctr.DuplicatesSuppressed);
-  W.u64(Ctr.AcksSent);
-  W.u64(Ctr.CorruptedPackets);
-  W.u64(Ctr.NacksSent);
-  W.u64(Ctr.PartitionDrops);
-  W.u64(Ctr.SlowLinkMessages);
-  W.u64(Ctr.Crashes);
-  W.u64(Ctr.EarlySends);
-
-  // Partial SimResult accumulators: the run-so-far telemetry a fresh
-  // SimResult in the resumed process has to inherit.
-  W.u64(R.Recovery.CheckpointsTaken);
-  W.u64(R.Recovery.CheckpointBytes);
-  W.u64(R.Recovery.Rollbacks);
-  W.u64(R.Recovery.ReplayedSteps);
-  W.u64(R.Recovery.ReplayedMessages);
-  W.f64(RecoveryExtraSeconds);
-
-  // Clocks, busy buckets and NIC state (monotonic — never rewound, so
-  // the in-memory Checkpoint omits them, but a resumed process needs
-  // their values at the line).
-  writeF64Vec(W, PhysClock);
-  writeF64Vec(W, PhysBusy);
-  writeF64Vec(W, BusyCompute);
-  writeF64Vec(W, BusyProtocol);
-  writeF64Vec(W, BusyCheckpoint);
-  writeF64Vec(W, NetFree);
-  writeF64Vec(W, NetDeferred);
-  writeF64Vec(W, NetExposed);
-
-  // Crash history: spent crash budgets and the event log.
-  for (char C : HasCrashed)
-    W.u8(static_cast<uint8_t>(C));
-  W.u64(CrashLog.size());
-  for (const CrashEvent &C : CrashLog) {
-    writeI64Vec(W, C.Coord);
-    W.u32(C.Phys);
-    W.u64(C.AtStep);
-    W.f64(C.AtTime);
-  }
-  W.u64(Failures.size());
-  for (const TransportFailure &F : Failures)
-    writeFailure(W, F);
-  W.u64(CK.WordsPerPhys.size());
-  for (uint64_t X : CK.WordsPerPhys)
-    W.u64(X);
-
-  // Per-processor logical state, exactly the in-memory Checkpoint's.
-  for (const Checkpoint::ProcState &PS : CK.Procs) {
-    writeI64Vec(W, PS.Env);
-    writeI64Vec(W, PS.ProgEnv);
-    W.u64(PS.Stack.size());
-    for (const Frame &F : PS.Stack) {
-      W.u8(F.LoopStmt ? 1 : 0);
-      W.u64(F.Pos);
-      W.i64(F.LoopCur);
-      W.i64(F.LoopHi);
-    }
-    W.u8(PS.Finished ? 1 : 0);
-    W.u64(PS.Steps);
-    // Ascending (ArrayId, Flat), the order of the image format.
-    W.u64(PS.Store.size());
-    PS.Store.forEach([&](unsigned ArrayId, IntT Flat, double Val) {
-      W.u32(ArrayId);
-      W.i64(Flat);
-      W.f64(Val);
-    });
-    W.i64(PS.LastMulticastComm);
-    W.u64(PS.BurstPhys.size());
-    for (unsigned Ph : PS.BurstPhys)
-      W.u32(Ph);
-    W.f64(PS.BurstReady);
-    W.i64(PS.CachedPackComm);
-    writePayload(W, PS.CachedData);
-    W.u64(PS.CachedCount);
-  }
-
-  // Channel state: receive queues and transport cursors.
-  W.u64(CK.Queues.size());
-  for (const auto &[Key, Q] : CK.Queues) {
-    writeI64Vec(W, Key);
-    W.u64(Q.size());
-    for (const Message &M : Q) {
-      writePayload(W, M.Data);
-      W.u64(M.WordCount);
-      W.f64(M.ReadyTime);
-      W.u8(M.FromMulticast ? 1 : 0);
-      W.u64(M.Seq);
-    }
-  }
-  auto WriteSeqMap = [&](const std::map<std::vector<IntT>, uint64_t> &M) {
-    W.u64(M.size());
-    for (const auto &[Key, Seq] : M) {
-      writeI64Vec(W, Key);
-      W.u64(Seq);
-    }
+struct Simulator::Image {
+  /// What an image holds beyond the rollback line: state that never
+  /// rewinds, and the run-so-far telemetry a fresh SimResult in the
+  /// resumed process has to inherit.
+  struct Monotonic {
+    std::vector<double> PhysClock, PhysBusy, NetFree, NetDeferred,
+        NetExposed;
+    std::vector<char> HasCrashed;
+    std::vector<CrashEvent> CrashLog;
+    double RecoveryExtraSeconds = 0;
+    RecoveryStats Recovery;
   };
-  WriteSeqMap(CK.SendSeq);
-  WriteSeqMap(CK.RecvSeq);
 
+  const Simulator &S;
+
+  /// The whole image, in its version-1 byte order.
+  template <class Ar> void io(Ar &A, Checkpoint &CK, Monotonic &M) const {
+    // Identity: a resumed process must be running the same deterministic
+    // compilation with the same grid and parameters, or the encoded
+    // call-stack paths and environments are meaningless.
+    const unsigned Dims = S.CP.Spmd.GridDims;
+    const uint64_t NPhys = S.PhysClock.size();
+    uint32_t Version = CkptImageVersion, ImgDims = Dims;
+    uint64_t ImgProcs = S.Procs.size(), ImgPhys = NPhys;
+    std::vector<IntT> ImgParams = S.ParamEnv;
+    A.u32(Version);
+    A.u64(ImgProcs);
+    A.u64(ImgPhys);
+    A.u32(ImgDims);
+    A.vec(ImgParams);
+    A.require(Version == CkptImageVersion && ImgProcs == S.Procs.size() &&
+              ImgPhys == NPhys && ImgDims == Dims &&
+              ImgParams == S.ParamEnv);
+    if (!A.ok())
+      return;
+
+    A.u64(CK.EventsAtTaken);
+    io(A, CK.Counters);
+    io(A, M.Recovery);
+    A.f64(M.RecoveryExtraSeconds);
+    for (std::vector<double> *V :
+         {&M.PhysClock, &M.PhysBusy, &CK.BusyCompute, &CK.BusyProtocol,
+          &CK.BusyCheckpoint, &M.NetFree, &M.NetDeferred, &M.NetExposed})
+      A.vec(*V, NPhys);
+    // Per-processor sections carry no count: the machine fixes it.
+    M.HasCrashed.resize(S.Procs.size());
+    for (char &C : M.HasCrashed)
+      A.u8(C);
+    A.each(M.CrashLog, 28, [&](CrashEvent &C) { io(A, C); });
+    A.each(CK.Failures, 32, [&](TransportFailure &F) { io(A, F); });
+    A.vec(CK.WordsPerPhys, NPhys);
+    CK.Procs.resize(S.Procs.size());
+    for (ProcState &PS : CK.Procs)
+      io(A, PS);
+
+    // Channel state: receive queues and transport cursors, keyed by
+    // (comm id, sender coordinate, receiver coordinate).
+    const uint64_t KeyLen = 1 + 2 * uint64_t(Dims);
+    A.each(CK.Queues, 16, [&](auto &KV) {
+      A.vec(KV.first, KeyLen);
+      A.each(KV.second, 33, [&](Message &Msg) { io(A, Msg); });
+    });
+    for (auto *Seq : {&CK.SendSeq, &CK.RecvSeq})
+      A.each(*Seq, 16, [&](auto &KV) {
+        A.vec(KV.first, KeyLen);
+        A.u64(KV.second);
+      });
+  }
+
+  template <class Ar> void io(Ar &A, SimCounters &C) const {
+    for (uint64_t SimCounters::*F : SimCounters::Fields)
+      A.u64(C.*F);
+  }
+
+  template <class Ar> void io(Ar &A, RecoveryStats &R) const {
+    A.u64(R.CheckpointsTaken);
+    A.u64(R.CheckpointBytes);
+    A.u64(R.Rollbacks);
+    A.u64(R.ReplayedSteps);
+    A.u64(R.ReplayedMessages);
+  }
+
+  template <class Ar> void io(Ar &A, CrashEvent &C) const {
+    A.vec(C.Coord, S.CP.Spmd.GridDims);
+    A.index(C.Phys, S.PhysClock.size());
+    A.u64(C.AtStep);
+    A.f64(C.AtTime);
+  }
+
+  template <class Ar> void io(Ar &A, TransportFailure &F) const {
+    A.u32(F.CommId);
+    A.vec(F.Src, S.CP.Spmd.GridDims);
+    A.vec(F.Dst, S.CP.Spmd.GridDims);
+    A.u64(F.Seq);
+    A.u32(F.Attempts);
+  }
+
+  template <class Ar> void io(Ar &A, ProcState &PS) const {
+    A.vec(PS.Env, S.ParamEnv.size());
+    A.vec(PS.ProgEnv, S.P.space().size());
+    io(A, PS.Stack);
+    A.u8(PS.Finished);
+    A.u64(PS.Steps);
+    io(A, PS.Store);
+    A.i64(PS.LastMulticastComm);
+    A.each(PS.BurstPhys, 4,
+           [&](auto &Ph) { A.index(Ph, S.PhysClock.size()); });
+    A.f64(PS.BurstReady);
+    A.i64(PS.CachedPackComm);
+    io(A, PS.CachedData);
+    A.u64(PS.CachedCount);
+  }
+
+  template <class Ar> void io(Ar &A, std::vector<Frame> &Stack) const {
+    A.each(Stack, 25, [&](Frame &F) {
+      uint8_t IsLoop = F.LoopStmt != nullptr;
+      uint64_t Pos = F.Pos;
+      A.u8(IsLoop);
+      A.u64(Pos);
+      A.i64(F.LoopCur);
+      A.i64(F.LoopHi);
+      if constexpr (Ar::Reading)
+        A.require(anchor(Stack, F, IsLoop, Pos));
+    });
+  }
+
+  /// Reader hook: re-anchors decoded frame \p F onto this process's SPMD
+  /// tree below the frames already decoded. Each frame's list is the
+  /// body of the statement its parent frame stands at (children are
+  /// pushed after the parent's cursor advanced, so parent.Pos - 1 names
+  /// that statement); the root frame is the Top sequence.
+  bool anchor(const std::vector<Frame> &Stack, Frame &F, bool IsLoop,
+              uint64_t Pos) const {
+    if (Stack.empty()) {
+      if (IsLoop)
+        return false;
+      F.List = &S.CP.Spmd.Top;
+    } else {
+      const Frame &Par = Stack.back();
+      if (Par.Pos < 1 || Par.Pos > Par.List->size())
+        return false;
+      const SpmdStmt &St = (*Par.List)[Par.Pos - 1];
+      if (IsLoop && St.K != SpmdStmt::Kind::For)
+        return false;
+      F.List = &St.Body;
+      F.LoopStmt = IsLoop ? &St : nullptr;
+    }
+    if (Pos > F.List->size())
+      return false;
+    F.Pos = static_cast<unsigned>(Pos);
+    return true;
+  }
+
+  /// Held elements as (array, flat index, value) in ascending (array,
+  /// flat index) order.
+  template <class Ar> void io(Ar &A, ValueStore &Store) const {
+    uint64_t N = Store.size();
+    A.count(N, 20);
+    auto Entry = [&](unsigned &ArrayId, IntT &Flat, double &Val) {
+      A.index(ArrayId, S.P.numArrays());
+      A.i64(Flat);
+      A.f64(Val);
+    };
+    if constexpr (Ar::Reading) {
+      // Reader hook: each key must name an element of a real array, in
+      // strictly ascending order (so no duplicates), before it may size
+      // a store window.
+      Store = ValueStore(S.P.numArrays());
+      unsigned PrevArray = 0;
+      IntT PrevFlat = -1;
+      for (uint64_t K = 0; K != N && A.ok(); ++K) {
+        unsigned ArrayId = 0;
+        IntT Flat = 0;
+        double Val = 0;
+        Entry(ArrayId, Flat, Val);
+        // A.ok() first: a failed index leaves ArrayId out of range.
+        A.require(A.ok() && Flat >= 0 && Flat < S.ArrayExtent[ArrayId] &&
+                  (ArrayId > PrevArray ||
+                   (ArrayId == PrevArray && Flat > PrevFlat)));
+        if (!A.ok())
+          return;
+        Store.set(ArrayId, Flat, Val, S.ArrayExtent[ArrayId]);
+        PrevArray = ArrayId;
+        PrevFlat = Flat;
+      }
+    } else {
+      Store.forEach([&](unsigned ArrayId, IntT Flat, double Val) {
+        Entry(ArrayId, Flat, Val);
+      });
+    }
+  }
+
+  template <class Ar> void io(Ar &A, Message &M) const {
+    io(A, M.Data);
+    A.u64(M.WordCount);
+    A.f64(M.ReadyTime);
+    A.u8(M.FromMulticast);
+    A.u64(M.Seq);
+  }
+
+  /// A payload travels as a vector of doubles; decoding shares it.
+  template <class Ar> void io(Ar &A, Payload &D) const {
+    if constexpr (Ar::Reading) {
+      std::vector<double> V;
+      A.vec(V);
+      D = makePayload(std::move(V));
+    } else {
+      static const std::vector<double> None;
+      A.vec(D ? *D : None);
+    }
+  }
+};
+
+void Simulator::persistDurable(const SimResult &R) {
+  Image::Monotonic M{PhysClock,   PhysBusy,   NetFree,
+                     NetDeferred, NetExposed, HasCrashed,
+                     CrashLog,    RecoveryExtraSeconds, R.Recovery};
+  ImageWriter W;
+  Image{*this}.io(W, *Stable, M);
   std::vector<uint8_t> Bytes = stable::encodeFrame(CkptFrameType, W.take());
   const std::string &Dir = Opts.Checkpoint.DurableDir;
   std::string Err;
@@ -2288,288 +2394,43 @@ bool Simulator::resumeFromDurable(SimResult &R) {
   std::vector<std::string> Files = stable::listFiles(Dir, "ckpt-", ".dmc");
   ResumeInfo.FilesSeen = static_cast<unsigned>(Files.size());
 
-  // Parses one image payload and, only if EVERY field validates,
-  // applies it to the machine. Returns false (state untouched) on any
-  // structural damage or incompatibility.
-  auto TryLoad = [&](const std::vector<uint8_t> &Payload) -> bool {
-    ByteReader Rd(Payload);
-    if (Rd.u32() != CkptImageVersion)
-      return false;
-    if (Rd.u64() != Procs.size() || Rd.u64() != PhysClock.size() ||
-        Rd.u32() != CP.Spmd.GridDims)
-      return false;
-    std::vector<IntT> ImgParamEnv;
-    if (!readI64Vec(Rd, ImgParamEnv) || ImgParamEnv != ParamEnv)
-      return false;
-
-    uint64_t ImgEvents = Rd.u64();
-    SimCounters C;
-    C.Messages = Rd.u64();
-    C.IntraMessages = Rd.u64();
-    C.Words = Rd.u64();
-    C.Flops = Rd.u64();
-    C.ComputeIterations = Rd.u64();
-    C.Retransmissions = Rd.u64();
-    C.DroppedPackets = Rd.u64();
-    C.DuplicatesSuppressed = Rd.u64();
-    C.AcksSent = Rd.u64();
-    C.CorruptedPackets = Rd.u64();
-    C.NacksSent = Rd.u64();
-    C.PartitionDrops = Rd.u64();
-    C.SlowLinkMessages = Rd.u64();
-    C.Crashes = Rd.u64();
-    C.EarlySends = Rd.u64();
-
-    uint64_t CkTaken = Rd.u64(), CkBytes = Rd.u64(), Rollbacks = Rd.u64(),
-             ReplayedSteps = Rd.u64(), ReplayedMessages = Rd.u64();
-    double RecoveryExtra = Rd.f64();
-
-    std::vector<double> Clock, Busy, BCompute, BProtocol, BCheckpoint,
-        NFree, NDeferred, NExposed;
-    if (!readF64Vec(Rd, Clock) || !readF64Vec(Rd, Busy) ||
-        !readF64Vec(Rd, BCompute) || !readF64Vec(Rd, BProtocol) ||
-        !readF64Vec(Rd, BCheckpoint) || !readF64Vec(Rd, NFree) ||
-        !readF64Vec(Rd, NDeferred) || !readF64Vec(Rd, NExposed))
-      return false;
-    const size_t NPhys = PhysClock.size();
-    if (Clock.size() != NPhys || Busy.size() != NPhys ||
-        BCompute.size() != NPhys || BProtocol.size() != NPhys ||
-        BCheckpoint.size() != NPhys || NFree.size() != NPhys ||
-        NDeferred.size() != NPhys || NExposed.size() != NPhys)
-      return false;
-
-    std::vector<char> Crashed(Procs.size());
-    for (char &Ch : Crashed)
-      Ch = static_cast<char>(Rd.u8());
-    uint64_t NCrash = Rd.u64();
-    if (!Rd.ok() || NCrash > Rd.remaining() / 21)
-      return false;
-    std::vector<CrashEvent> Log(NCrash);
-    for (CrashEvent &CE : Log) {
-      if (!readI64Vec(Rd, CE.Coord))
-        return false;
-      CE.Phys = Rd.u32();
-      CE.AtStep = Rd.u64();
-      CE.AtTime = Rd.f64();
-    }
-    uint64_t NFail = Rd.u64();
-    if (!Rd.ok() || NFail > Rd.remaining() / 24)
-      return false;
-    std::vector<TransportFailure> Fails(NFail);
-    for (TransportFailure &F : Fails)
-      if (!readFailure(Rd, F))
-        return false;
-    uint64_t NWpp = Rd.u64();
-    if (NWpp != NPhys || !Rd.ok())
-      return false;
-    std::vector<uint64_t> Wpp(NWpp);
-    for (uint64_t &X : Wpp)
-      X = Rd.u64();
-
-    auto Img = std::make_unique<Checkpoint>();
-    Img->Procs.resize(Procs.size());
-    for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E;
-         ++I) {
-      Checkpoint::ProcState &PS = Img->Procs[I];
-      if (!readI64Vec(Rd, PS.Env) || PS.Env.size() != Procs[I].Env.size())
-        return false;
-      if (!readI64Vec(Rd, PS.ProgEnv) ||
-          PS.ProgEnv.size() != Procs[I].ProgEnv.size())
-        return false;
-      // Re-anchor the call stack onto this process's SPMD tree: each
-      // frame's list is the body of the statement its parent frame
-      // stands at (children are pushed after the parent's cursor
-      // advanced, so parent.Pos - 1 names that statement).
-      uint64_t NFrames = Rd.u64();
-      if (!Rd.ok() || NFrames > Rd.remaining() / 25)
-        return false;
-      PS.Stack.reserve(NFrames);
-      for (uint64_t K = 0; K != NFrames; ++K) {
-        bool IsLoop = Rd.u8() != 0;
-        uint64_t Pos = Rd.u64();
-        IntT LoopCur = Rd.i64(), LoopHi = Rd.i64();
-        if (!Rd.ok())
-          return false;
-        Frame F;
-        if (K == 0) {
-          if (IsLoop)
-            return false; // the root frame is the Top sequence
-          F.List = &CP.Spmd.Top;
-        } else {
-          const Frame &Par = PS.Stack.back();
-          if (Par.Pos < 1 || Par.Pos > Par.List->size())
-            return false;
-          const SpmdStmt &St = (*Par.List)[Par.Pos - 1];
-          if (IsLoop && St.K != SpmdStmt::Kind::For)
-            return false;
-          F.List = &St.Body;
-          if (IsLoop)
-            F.LoopStmt = &St;
-        }
-        if (Pos > F.List->size())
-          return false;
-        F.Pos = static_cast<unsigned>(Pos);
-        F.LoopCur = LoopCur;
-        F.LoopHi = LoopHi;
-        PS.Stack.push_back(F);
-      }
-      PS.Finished = Rd.u8() != 0;
-      PS.Steps = Rd.u64();
-      uint64_t NStore = Rd.u64();
-      if (!Rd.ok() || NStore > Rd.remaining() / 20)
-        return false;
-      // Untrusted keys: each must name an element of a real array, in
-      // strictly ascending (ArrayId, Flat) order (so no duplicates),
-      // before it may size a store window.
-      PS.Store = ValueStore(P.numArrays());
-      unsigned PrevArray = 0;
-      IntT PrevFlat = -1;
-      for (uint64_t K = 0; K != NStore; ++K) {
-        unsigned ArrayId = Rd.u32();
-        IntT Flat = Rd.i64();
-        double Val = Rd.f64();
-        if (!Rd.ok() || ArrayId >= P.numArrays() || Flat < 0 ||
-            Flat >= ArrayExtent[ArrayId] || ArrayId < PrevArray ||
-            (ArrayId == PrevArray && Flat <= PrevFlat))
-          return false;
-        PS.Store.set(ArrayId, Flat, Val, ArrayExtent[ArrayId]);
-        PrevArray = ArrayId;
-        PrevFlat = Flat;
-      }
-      PS.LastMulticastComm = static_cast<int>(Rd.i64());
-      uint64_t NBurst = Rd.u64();
-      if (!Rd.ok() || NBurst > Rd.remaining() / 4)
-        return false;
-      for (uint64_t K = 0; K != NBurst; ++K)
-        PS.BurstPhys.insert(Rd.u32());
-      PS.BurstReady = Rd.f64();
-      PS.CachedPackComm = static_cast<int>(Rd.i64());
-      if (!readPayload(Rd, PS.CachedData))
-        return false;
-      PS.CachedCount = Rd.u64();
-      if (!Rd.ok())
-        return false;
-    }
-
-    uint64_t NQueues = Rd.u64();
-    if (!Rd.ok() || NQueues > Rd.remaining() / 16)
-      return false;
-    for (uint64_t K = 0; K != NQueues; ++K) {
-      std::vector<IntT> Key;
-      if (!readI64Vec(Rd, Key))
-        return false;
-      uint64_t NMsgs = Rd.u64();
-      if (!Rd.ok() || NMsgs > Rd.remaining() / 26)
-        return false;
-      std::vector<Message> Q(NMsgs);
-      for (Message &M : Q) {
-        if (!readPayload(Rd, M.Data))
-          return false;
-        M.WordCount = Rd.u64();
-        M.ReadyTime = Rd.f64();
-        M.FromMulticast = Rd.u8() != 0;
-        M.Seq = Rd.u64();
-        // Normalized visibility: at a checkpoint line every queued
-        // message was pushed in a strictly earlier round, which the
-        // wavefront rule reads as always-visible — encoded as sender 0,
-        // round 0.
-        M.SenderId = 0;
-        M.PushRound = 0;
-      }
-      Img->Queues.emplace(std::move(Key), std::move(Q));
-    }
-    auto ReadSeqMap = [&](std::map<std::vector<IntT>, uint64_t> &M) {
-      uint64_t N = Rd.u64();
-      if (!Rd.ok() || N > Rd.remaining() / 16)
-        return false;
-      for (uint64_t K = 0; K != N; ++K) {
-        std::vector<IntT> Key;
-        if (!readI64Vec(Rd, Key))
-          return false;
-        M.emplace(std::move(Key), Rd.u64());
-      }
-      return Rd.ok();
-    };
-    if (!ReadSeqMap(Img->SendSeq) || !ReadSeqMap(Img->RecvSeq))
-      return false;
-    if (!Rd.atEnd())
-      return false;
-
-    // Everything validated: apply. Live processor state first.
-    for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E;
-         ++I) {
-      VirtProc &V = Procs[I];
-      const Checkpoint::ProcState &PS = Img->Procs[I];
-      V.Env = PS.Env;
-      V.ProgEnv = PS.ProgEnv;
-      V.Stack = PS.Stack;
-      V.Finished = PS.Finished;
-      V.Steps = PS.Steps;
-      V.Store = PS.Store;
-      V.LastMulticastComm = PS.LastMulticastComm;
-      V.BurstPhys = PS.BurstPhys;
-      V.BurstReady = PS.BurstReady;
-      V.CachedPackComm = PS.CachedPackComm;
-      V.CachedData = PS.CachedData;
-      V.CachedCount = PS.CachedCount;
-      V.Crashed = false; // checkpoints are never taken with dead procs
-      V.Blocked = false;
-    }
-    Queues = Img->Queues;
-    SendSeq = Img->SendSeq;
-    RecvSeq = Img->RecvSeq;
-    Failures = Fails;
-    Ctr = C;
-    Events = ImgEvents;
-    PhysClock = Clock;
-    PhysBusy = Busy;
-    BusyCompute = BCompute;
-    BusyProtocol = BProtocol;
-    BusyCheckpoint = BCheckpoint;
-    NetFree = NFree;
-    NetDeferred = NDeferred;
-    NetExposed = NExposed;
-    RecoveryExtraSeconds = RecoveryExtra;
-    HasCrashed = Crashed;
-    CrashLog = Log;
-    R.Recovery.CheckpointsTaken = CkTaken;
-    R.Recovery.CheckpointBytes = CkBytes;
-    R.Recovery.Rollbacks = Rollbacks;
-    R.Recovery.ReplayedSteps = ReplayedSteps;
-    R.Recovery.ReplayedMessages = ReplayedMessages;
-
-    // Rebuild the in-memory stable store from the image so the next
-    // in-simulation rollback has its line, exactly as the uninterrupted
-    // run would.
-    Img->SendSeq = SendSeq;
-    Img->RecvSeq = RecvSeq;
-    Img->Failures = Failures;
-    Img->Messages = Ctr.Messages;
-    Img->IntraMessages = Ctr.IntraMessages;
-    Img->Words = Ctr.Words;
-    Img->Flops = Ctr.Flops;
-    Img->ComputeIterations = Ctr.ComputeIterations;
-    Img->BusyCompute = BusyCompute;
-    Img->BusyProtocol = BusyProtocol;
-    Img->BusyCheckpoint = BusyCheckpoint;
-    Img->EventsAtTaken = Events;
-    Img->WordsPerPhys = Wpp;
-    Stable = std::move(Img);
-    NextCheckpointEvents = addSat(Events, Opts.Checkpoint.IntervalSteps);
-    ReplayBaseEvents = Events;
-    return true;
-  };
-
-  // Newest first; skip (and count) anything torn, bit-damaged or
-  // incompatible. First intact image wins.
+  // Newest first; skip (and count) anything torn, bit-damaged,
+  // incompatible or failing validation. First intact image wins, and
+  // the machine is touched only once every field has decoded.
   for (auto It = Files.rbegin(); It != Files.rend(); ++It) {
     std::string Path = Dir + "/" + *It;
     stable::ReadFramesResult RF = stable::readFrames(Path);
-    if (!RF.Error.empty() || RF.TornTail || RF.Frames.size() != 1 ||
-        RF.Frames[0].Type != CkptFrameType || !TryLoad(RF.Frames[0].Payload)) {
+    auto Line = std::make_unique<Checkpoint>();
+    Image::Monotonic M;
+    bool Ok = RF.Error.empty() && !RF.TornTail && RF.Frames.size() == 1 &&
+              RF.Frames[0].Type == CkptFrameType;
+    if (Ok) {
+      ImageReader A(RF.Frames[0].Payload);
+      Image{*this}.io(A, *Line, M);
+      Ok = A.done();
+    }
+    if (!Ok) {
       ++ResumeInfo.CorruptSkipped;
       continue;
     }
+    // Checkpoints are never taken with dead processors, so every
+    // processor comes back alive. Unlike a rollback, a resume also
+    // restores the monotonic counters, clocks, NIC and crash history.
+    Events = Line->EventsAtTaken;
+    Ctr = Line->Counters;
+    loadLine(*Line);
+    PhysClock = std::move(M.PhysClock);
+    PhysBusy = std::move(M.PhysBusy);
+    NetFree = std::move(M.NetFree);
+    NetDeferred = std::move(M.NetDeferred);
+    NetExposed = std::move(M.NetExposed);
+    HasCrashed = std::move(M.HasCrashed);
+    CrashLog = std::move(M.CrashLog);
+    RecoveryExtraSeconds = M.RecoveryExtraSeconds;
+    R.Recovery = M.Recovery;
+    // The decoded line is the in-memory stable store, so the next
+    // in-simulation rollback has it, exactly as the uninterrupted run.
+    Stable = std::move(Line);
     ResumeInfo.Resumed = true;
     ResumeInfo.ResumedAtEvents = Events;
     ResumeInfo.File = Path;

@@ -71,6 +71,7 @@
 #include "ir/Program.h"
 #include "sim/FaultModel.h"
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -220,24 +221,34 @@ struct SimCounters {
   /// Retransmissions: replayed issues after a rollback count again.
   uint64_t EarlySends = 0;
 
+  /// Every counter in declaration order, which is also the durable
+  /// image's order; the first NumLogical are the rollback group.
+  static const std::array<uint64_t SimCounters::*, 15> Fields;
+  static constexpr unsigned NumLogical = 5;
+
   void add(const SimCounters &O) {
-    Messages += O.Messages;
-    IntraMessages += O.IntraMessages;
-    Words += O.Words;
-    Flops += O.Flops;
-    ComputeIterations += O.ComputeIterations;
-    Retransmissions += O.Retransmissions;
-    DroppedPackets += O.DroppedPackets;
-    DuplicatesSuppressed += O.DuplicatesSuppressed;
-    AcksSent += O.AcksSent;
-    CorruptedPackets += O.CorruptedPackets;
-    NacksSent += O.NacksSent;
-    PartitionDrops += O.PartitionDrops;
-    SlowLinkMessages += O.SlowLinkMessages;
-    Crashes += O.Crashes;
-    EarlySends += O.EarlySends;
+    for (uint64_t SimCounters::*F : Fields)
+      this->*F += O.*F;
   }
+  /// Rewinds the logical counters to their values at a rollback line;
+  /// the monotonic ones keep counting.
+  void rewindTo(const SimCounters &Line) {
+    for (unsigned I = 0; I != NumLogical; ++I)
+      this->*Fields[I] = Line.*Fields[I];
+  }
+  /// Logical messages sent, over the network or folded away.
+  uint64_t sent() const { return Messages + IntraMessages; }
 };
+
+inline const std::array<uint64_t SimCounters::*, 15> SimCounters::Fields = {
+    &SimCounters::Messages,        &SimCounters::IntraMessages,
+    &SimCounters::Words,           &SimCounters::Flops,
+    &SimCounters::ComputeIterations, &SimCounters::Retransmissions,
+    &SimCounters::DroppedPackets,  &SimCounters::DuplicatesSuppressed,
+    &SimCounters::AcksSent,        &SimCounters::CorruptedPackets,
+    &SimCounters::NacksSent,       &SimCounters::PartitionDrops,
+    &SimCounters::SlowLinkMessages, &SimCounters::Crashes,
+    &SimCounters::EarlySends};
 
 /// One virtual processor stuck on a receive when the deadlock detector
 /// gave up: where it is, and exactly what it is waiting for.
@@ -409,9 +420,16 @@ public:
 
 private:
   struct Frame;
+  /// What a rollback restores of one virtual processor.
+  struct ProcState;
   struct VirtProc;
   struct Message;
+  /// A rollback line: every ProcState plus the channel state and the
+  /// counters at the line.
   struct Checkpoint;
+  /// The durable image codec: one io() per state type, shared by the
+  /// image writer and reader (DESIGN.md §13).
+  struct Image;
   /// Per-slice execution context: counter sink, exact-events base for
   /// the checkpoint gate, and the threaded engine's wavefront hooks.
   struct StepCtx;
@@ -477,6 +495,12 @@ private:
   /// the recovery bucket, and advance the clocks past detection and
   /// stable-store restore costs.
   void restoreCheckpoint(SimResult &R);
+  /// Loads a rollback line into the machine (shared by a rollback and a
+  /// durable resume): every processor's state, alive and unblocked; the
+  /// line's receive queues plus copies still in flight from sends made
+  /// after it; transport cursors and failures; busy buckets; logical
+  /// counters; and the next checkpoint trigger, counted from Events.
+  void loadLine(const Checkpoint &CK);
   /// Durable stable store (DESIGN.md §13): serialize the machine state
   /// at the checkpoint line just drawn into DurableDir (CRC32-framed,
   /// temp+fsync+rename). Fatal on host I/O failure — a run that cannot

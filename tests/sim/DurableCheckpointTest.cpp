@@ -648,6 +648,276 @@ TEST(DurableCheckpoint, ImageBytesArePinned) {
   }
 }
 
+TEST(DurableCheckpoint, ResumeFromEachImageRewritesLaterImagesIdentically) {
+  // The kill-resume tests compare results and final arrays. This one
+  // compares every later image byte for byte, so a field that an image
+  // carries but a resume fails to restore (a busy bucket, the crash log,
+  // the per-physical checkpoint words) cannot slip through.
+  DurableEnv E;
+  CompilerOptions CO;
+  CO.EarlySends = true;
+  CompiledProgram Early = compile(E.P, E.Spec, CO);
+  FaultOptions Lossy;
+  Lossy.Seed = 42;
+  Lossy.DropRate = 0.05;
+  Lossy.CrashRate = 1e-3;
+  Lossy.CrashSeed = 7;
+  struct Leg {
+    const CompiledProgram &CP;
+    FaultOptions F;
+    bool Functional;
+  };
+  for (const Leg &L : {Leg{E.CP, Lossy, true}, Leg{Early, {}, false}}) {
+    CheckpointOptions CK;
+    CK.IntervalSteps = 1500;
+    TempDir Ref;
+    CK.DurableDir = Ref.Path;
+    SimOptions SO = opts(E.Pv, L.F, CK);
+    SO.Functional = L.Functional;
+    SimResult RFull = Simulator(E.P, L.CP, E.Spec, SO).run();
+    ASSERT_TRUE(RFull.Ok) << RFull.Error;
+    std::vector<std::string> Files =
+        stable::listFiles(Ref.Path, "ckpt-", ".dmc");
+    ASSERT_GE(Files.size(), 4u);
+    for (size_t K = 0; K != Files.size(); ++K) {
+      TempDir Cut;
+      spit(Cut.Path + "/" + Files[K], slurp(Ref.Path + "/" + Files[K]));
+      SO.Checkpoint.DurableDir = Cut.Path;
+      SO.Checkpoint.Resume = true;
+      Simulator Res(E.P, L.CP, E.Spec, SO);
+      SimResult RRes = Res.run();
+      ASSERT_TRUE(RRes.Ok) << RRes.Error;
+      ASSERT_TRUE(Res.resumeInfo().Resumed) << Files[K];
+      std::vector<std::string> Written =
+          stable::listFiles(Cut.Path, "ckpt-", ".dmc");
+      EXPECT_EQ(Written,
+                std::vector<std::string>(Files.begin() + K, Files.end()))
+          << "resumed from " << Files[K];
+      for (const std::string &F : Written)
+        EXPECT_TRUE(slurp(Cut.Path + "/" + F) == slurp(Ref.Path + "/" + F))
+            << F << " differs after resuming from " << Files[K];
+    }
+  }
+}
+
+namespace {
+
+/// Byte offsets of a few sections of a version-1 image payload, found by
+/// walking the layout (DESIGN.md §13) independently of the simulator.
+struct ImageOffsets {
+  uint64_t NumPhys = 0;
+  size_t CrashLog = 0; ///< the crash-event count
+  size_t Burst0 = 0;   ///< processor 0's BurstPhys count
+  size_t Queues = 0;   ///< the queue count
+  size_t SendSeq = 0;  ///< the SendSeq entry count
+};
+
+ImageOffsets walkImage(const std::vector<uint8_t> &Img) {
+  stable::ByteReader R(Img);
+  ImageOffsets O;
+  auto At = [&] { return Img.size() - R.remaining(); };
+  auto Skip = [&](uint64_t Bytes) {
+    for (uint64_t I = 0; I != Bytes && R.ok(); ++I)
+      R.u8();
+  };
+  auto Vec = [&] { Skip(8 * R.u64()); };
+  R.u32(); // version
+  uint64_t NProcs = R.u64();
+  O.NumPhys = R.u64();
+  R.u32(); // grid dimensions
+  Vec();   // parameter values
+  Skip(8 * (1 + 15 + 5 + 1)); // events, counters, recovery totals
+  for (int I = 0; I != 8; ++I)
+    Vec(); // clocks, busy buckets, NIC
+  Skip(NProcs); // spent crash budgets
+  O.CrashLog = At();
+  for (uint64_t N = R.u64(); N-- && R.ok();) {
+    Vec();
+    Skip(4 + 8 + 8);
+  }
+  for (uint64_t N = R.u64(); N-- && R.ok();) {
+    Skip(4);
+    Vec();
+    Vec();
+    Skip(8 + 4);
+  }
+  Vec(); // checkpoint words per physical processor
+  for (uint64_t I = 0; I != NProcs && R.ok(); ++I) {
+    Vec();              // Env
+    Vec();              // ProgEnv
+    Skip(25 * R.u64()); // frames
+    Skip(1 + 8);        // Finished, Steps
+    Skip(20 * R.u64()); // store entries
+    Skip(8);            // LastMulticastComm
+    if (I == 0)
+      O.Burst0 = At();
+    Skip(4 * R.u64()); // BurstPhys
+    Skip(8 + 8);       // BurstReady, CachedPackComm
+    Vec();             // cached payload
+    Skip(8);           // CachedCount
+  }
+  O.Queues = At();
+  for (uint64_t N = R.u64(); N-- && R.ok();) {
+    Vec(); // key
+    for (uint64_t M = R.u64(); M-- && R.ok();) {
+      Vec(); // payload
+      Skip(8 + 8 + 1 + 8);
+    }
+  }
+  O.SendSeq = At();
+  EXPECT_TRUE(R.ok());
+  return O;
+}
+
+uint64_t getU64(const std::vector<uint8_t> &B, size_t Off) {
+  stable::ByteReader R(B.data() + Off, B.size() - Off);
+  return R.u64();
+}
+
+void putU64(std::vector<uint8_t> &B, size_t Off, uint64_t V) {
+  stable::ByteWriter W;
+  W.u64(V);
+  std::copy(W.bytes().begin(), W.bytes().end(), B.begin() + Off);
+}
+
+/// Cuts the first key of the map whose count sits at \p Off (a queue or
+/// sequence map) from 1 + 2 * GridDims coordinates to one.
+void cutFirstKey(std::vector<uint8_t> &B, size_t Off) {
+  ASSERT_GT(getU64(B, Off), 0u);
+  ASSERT_EQ(getU64(B, Off + 8), 3u) << "a 1-D grid key is (comm, src, dst)";
+  putU64(B, Off + 8, 1);
+  B.erase(B.begin() + Off + 24, B.begin() + Off + 40);
+}
+
+/// Inserts \p Bytes after the count at \p Off and bumps the count.
+void insertEntry(std::vector<uint8_t> &B, size_t Off,
+                 const std::vector<uint8_t> &Bytes) {
+  putU64(B, Off, getU64(B, Off) + 1);
+  B.insert(B.begin() + Off + 8, Bytes.begin(), Bytes.end());
+}
+
+std::vector<uint8_t> crashEvent(std::vector<int64_t> Coord, uint32_t Phys) {
+  stable::ByteWriter W;
+  W.u64(Coord.size());
+  for (int64_t C : Coord)
+    W.i64(C);
+  W.u32(Phys);
+  W.u64(0);
+  W.f64(0);
+  return W.take();
+}
+
+std::vector<uint8_t> u32Bytes(uint32_t V) {
+  stable::ByteWriter W;
+  W.u32(V);
+  return W.take();
+}
+
+/// Resumes from \p Payload, re-framed so its CRC is valid, as the only
+/// image of a fresh directory. Returns whether the image was restored;
+/// a skipped image must leave a fresh run identical to \p Fresh.
+bool resumesFrom(DurableEnv &E, const SimOptions &Base,
+                 const std::string &Name, const std::vector<uint8_t> &Payload,
+                 const SimResult &Fresh) {
+  TempDir Cut;
+  spit(Cut.Path + "/" + Name, stable::encodeFrame(0x434B5054u, Payload));
+  SimOptions SO = Base;
+  SO.Checkpoint.DurableDir = Cut.Path;
+  SO.Checkpoint.Resume = true;
+  Simulator Sim(E.P, E.CP, E.Spec, SO);
+  SimResult R = Sim.run();
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Sim.resumeInfo().FilesSeen, 1u);
+  if (Sim.resumeInfo().Resumed)
+    return true;
+  EXPECT_EQ(Sim.resumeInfo().CorruptSkipped, 1u);
+  expectSameResult(Fresh, R);
+  return false;
+}
+
+} // namespace
+
+TEST(DurableCheckpoint, MalformedChannelKeyIsSkippedOnResume) {
+  // A CRC-valid image from a lossy run whose first queue key (and, in a
+  // second case, first SendSeq key) is cut to one coordinate. The next
+  // checkpoint reads the receiver coordinate off the tail of every queue
+  // key, so such an image must be skipped like a torn one.
+  DurableEnv E;
+  FaultOptions F;
+  F.Seed = 42;
+  F.DropRate = 0.05;
+  F.DupRate = 0.02;
+  CheckpointOptions CK;
+  CK.IntervalSteps = 1500;
+  TempDir Ref;
+  CK.DurableDir = Ref.Path;
+  SimOptions SO = opts(E.Pv, F, CK);
+  SimResult RFull = Simulator(E.P, E.CP, E.Spec, SO).run();
+  ASSERT_TRUE(RFull.Ok) << RFull.Error;
+  std::vector<std::string> Files =
+      stable::listFiles(Ref.Path, "ckpt-", ".dmc");
+  // The first image with a queued message that is not the last, so the
+  // resumed run takes another checkpoint.
+  for (size_t K = 0; K + 1 < Files.size(); ++K) {
+    stable::ReadFramesResult RF = stable::readFrames(Ref.Path + "/" + Files[K]);
+    ASSERT_EQ(RF.Frames.size(), 1u);
+    const std::vector<uint8_t> &Img = RF.Frames[0].Payload;
+    ImageOffsets O = walkImage(Img);
+    if (getU64(Img, O.Queues) == 0)
+      continue;
+    EXPECT_TRUE(resumesFrom(E, SO, Files[K], Img, RFull));
+    std::vector<uint8_t> Queue = Img, Send = Img;
+    cutFirstKey(Queue, O.Queues);
+    EXPECT_FALSE(resumesFrom(E, SO, Files[K], Queue, RFull));
+    cutFirstKey(Send, O.SendSeq);
+    EXPECT_FALSE(resumesFrom(E, SO, Files[K], Send, RFull));
+    return;
+  }
+  FAIL() << "no image with a queued message";
+}
+
+TEST(DurableCheckpoint, OutOfRangePhysicalIndexIsSkippedOnResume) {
+  // Physical indices and coordinates an image carries are checked
+  // against the machine: a BurstPhys entry or a CrashEvent::Phys at or
+  // beyond the physical processor count, or a crash coordinate of the
+  // wrong arity, makes the image corrupt. An in-range entry inserted at
+  // the same offset is accepted, which shows the offsets are right.
+  DurableEnv E;
+  CheckpointOptions CK;
+  CK.IntervalSteps = 1500;
+  TempDir Ref;
+  CK.DurableDir = Ref.Path;
+  SimOptions SO = opts(E.Pv, {}, CK);
+  SimResult RFull = Simulator(E.P, E.CP, E.Spec, SO).run();
+  ASSERT_TRUE(RFull.Ok) << RFull.Error;
+  std::vector<std::string> Files =
+      stable::listFiles(Ref.Path, "ckpt-", ".dmc");
+  ASSERT_GE(Files.size(), 2u);
+  stable::ReadFramesResult RF = stable::readFrames(Ref.Path + "/" + Files[1]);
+  ASSERT_EQ(RF.Frames.size(), 1u);
+  const std::vector<uint8_t> &Img = RF.Frames[0].Payload;
+  ImageOffsets O = walkImage(Img);
+  ASSERT_EQ(O.NumPhys, 4u);
+  const uint32_t Beyond = static_cast<uint32_t>(O.NumPhys);
+
+  auto WithBurst = [&](uint32_t Phys) {
+    std::vector<uint8_t> B = Img;
+    insertEntry(B, O.Burst0, u32Bytes(Phys));
+    return B;
+  };
+  EXPECT_TRUE(resumesFrom(E, SO, Files[1], WithBurst(Beyond - 1), RFull));
+  EXPECT_FALSE(resumesFrom(E, SO, Files[1], WithBurst(Beyond), RFull));
+
+  auto WithCrash = [&](std::vector<int64_t> Coord, uint32_t Phys) {
+    std::vector<uint8_t> B = Img;
+    insertEntry(B, O.CrashLog, crashEvent(std::move(Coord), Phys));
+    return B;
+  };
+  EXPECT_TRUE(resumesFrom(E, SO, Files[1], WithCrash({1}, 1), RFull));
+  EXPECT_FALSE(resumesFrom(E, SO, Files[1], WithCrash({1}, Beyond), RFull));
+  EXPECT_FALSE(resumesFrom(E, SO, Files[1], WithCrash({1, 1}, 1), RFull));
+}
+
 TEST(DurableCheckpoint, EmptyDirectoryResumesAsAFreshRun) {
   // A kill/restart loop passes --resume unconditionally; before the
   // first image lands that must behave exactly like a fresh start.
