@@ -820,7 +820,8 @@ bool resumesFrom(DurableEnv &E, const SimOptions &Base,
                  const std::string &Name, const std::vector<uint8_t> &Payload,
                  const SimResult &Fresh) {
   TempDir Cut;
-  spit(Cut.Path + "/" + Name, stable::encodeFrame(0x434B5054u, Payload));
+  constexpr uint32_t CkptFrameType = 0x434B5054u; // "CKPT"
+  spit(Cut.Path + "/" + Name, stable::encodeFrame(CkptFrameType, Payload));
   SimOptions SO = Base;
   SO.Checkpoint.DurableDir = Cut.Path;
   SO.Checkpoint.Resume = true;
