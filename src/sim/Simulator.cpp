@@ -1878,7 +1878,10 @@ SimResult Simulator::run() {
 
 void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
   const unsigned Dims = CP.Spmd.GridDims;
-  auto CK = std::make_unique<Checkpoint>();
+  // The new line is copied into the old one's storage: every field is
+  // overwritten, and the copies reuse its allocations.
+  std::unique_ptr<Checkpoint> CK =
+      Stable ? std::move(Stable) : std::make_unique<Checkpoint>();
   CK->Procs.assign(Procs.begin(), Procs.end());
   CK->WordsPerPhys.assign(PhysClock.size(), 0);
   for (const VirtProc &V : Procs)

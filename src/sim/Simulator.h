@@ -241,12 +241,12 @@ struct SimCounters {
 };
 
 inline const std::array<uint64_t SimCounters::*, 15> SimCounters::Fields = {
-    &SimCounters::Messages,        &SimCounters::IntraMessages,
-    &SimCounters::Words,           &SimCounters::Flops,
+    &SimCounters::Messages,         &SimCounters::IntraMessages,
+    &SimCounters::Words,            &SimCounters::Flops,
     &SimCounters::ComputeIterations, &SimCounters::Retransmissions,
-    &SimCounters::DroppedPackets,  &SimCounters::DuplicatesSuppressed,
-    &SimCounters::AcksSent,        &SimCounters::CorruptedPackets,
-    &SimCounters::NacksSent,       &SimCounters::PartitionDrops,
+    &SimCounters::DroppedPackets,   &SimCounters::DuplicatesSuppressed,
+    &SimCounters::AcksSent,         &SimCounters::CorruptedPackets,
+    &SimCounters::NacksSent,        &SimCounters::PartitionDrops,
     &SimCounters::SlowLinkMessages, &SimCounters::Crashes,
     &SimCounters::EarlySends};
 
