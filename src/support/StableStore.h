@@ -59,14 +59,8 @@ uint32_t crc32(const void *Data, size_t N);
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(V); }
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  void u32(uint32_t V) { put(V, 4); }
+  void u64(uint64_t V) { put(V, 8); }
   void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
   /// Doubles are serialized as their raw bit pattern: the round-trip is
   /// bit-exact, which the durable differential tests rely on.
@@ -85,6 +79,17 @@ public:
   std::vector<uint8_t> take() { return std::move(Buf); }
 
 private:
+  /// Appends the low \p Bytes bytes of \p V, least significant first.
+  /// One resize per value, not one push_back per byte: checkpoint
+  /// images are mostly 8-byte fields, and per-byte growth checks made
+  /// encoding them measurably slower.
+  void put(uint64_t V, size_t Bytes) {
+    size_t At = Buf.size();
+    Buf.resize(At + Bytes);
+    for (size_t I = 0; I != Bytes; ++I)
+      Buf[At + I] = static_cast<uint8_t>(V >> (8 * I));
+  }
+
   std::vector<uint8_t> Buf;
 };
 
