@@ -58,6 +58,10 @@ struct GoldenCase {
   const char *Golden;     // snapshot, relative to the repo root
 };
 
+// Without this, gtest prints a case as its raw bytes, pointers included,
+// so the listed test names would change with each run's address layout.
+void PrintTo(const GoldenCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class Golden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(Golden, PrinterOutputMatchesSnapshot) {

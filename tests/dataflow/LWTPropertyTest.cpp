@@ -23,6 +23,10 @@ struct Case {
   std::map<std::string, IntT> Params;
 };
 
+// Without this, gtest prints a case as its raw bytes, pointers included,
+// so the listed test names would change with each run's address layout.
+void PrintTo(const Case &C, std::ostream *OS) { *OS << C.Name; }
+
 const Case Corpus[] = {
     {"shift3",
      R"(param T; param N; array X[N + 1];
