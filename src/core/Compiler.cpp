@@ -5,6 +5,7 @@
 #include "codegen/LoopSplit.h"
 #include "dataflow/LastWriteTree.h"
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 
@@ -259,6 +260,15 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
         return SP;
     fatalError("compile: missing computation decomposition");
   };
+  for (unsigned S = 0, E = P.numStatements(); S != E; ++S)
+    if (std::none_of(Spec.Stmts.begin(), Spec.Stmts.end(),
+                     [S](const StmtPlan &SP) { return SP.StmtId == S; })) {
+      Out.Ok = false;
+      Out.ErrorMessage = "no computation decomposition for S" +
+                         std::to_string(S) +
+                         ": every statement needs a plan";
+      return finish(Out);
+    }
   // A computation decomposition must map each iteration to exactly one
   // processor (Definition 2). A replicated dimension would silently run
   // every iteration on multiple processors, so reject the spec loudly

@@ -151,14 +151,7 @@ SearchResult dmcc::searchDecompositions(const Program &P,
   for (const DecompCandidate &C : Cands)
     Specs.push_back(C.Spec);
 
-  ScoreOptions SC;
-  SC.Procs = SO.Procs;
-  SC.Params = SO.Params;
-  SC.Compile = SO.Compile;
-  SC.Jobs = SO.Jobs;
-  SC.TimeoutSeconds = SO.TimeoutSeconds;
-  SC.Engine = SO.Engine;
-  std::vector<SpecScore> Scores = scoreSpecs(P, Specs, SC);
+  std::vector<SpecScore> Scores = scoreSpecs(P, Specs, SO);
 
   R.Candidates.reserve(Cands.size());
   for (size_t I = 0; I != Cands.size(); ++I)

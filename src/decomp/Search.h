@@ -10,8 +10,10 @@
 /// alignment/distribution phase. This subsystem supplies a bounded
 /// version of that phase: enumerate a candidate space of affine
 /// decompositions, compile every candidate through the full pipeline,
-/// score each by simulated makespan (sim/Score.h), and return the
-/// argmin.
+/// score each by simulated makespan on in-process worker threads
+/// (sim/Score.h), and return the argmin. A candidate that fails to
+/// compile, deadlocks or exhausts its simulated-event budget is scored
+/// infeasible, so the result depends only on the inputs.
 ///
 /// The candidate space, deliberately bounded so the search stays a few
 /// dozen compiles:
@@ -58,18 +60,12 @@ struct DecompCandidate {
   IntT Block = 0;   ///< block size (meaningless for hints)
 };
 
-/// Search tuning. Procs/Params/Jobs/TimeoutSeconds/Compile/Engine feed
-/// straight into the scorer (sim/Score.h).
-struct SearchOptions {
-  IntT Procs = 4;
-  std::map<std::string, IntT> Params;
-  CompilerOptions Compile;
-  unsigned Jobs = 4;
-  double TimeoutSeconds = 60;
+/// Search tuning: the scorer's options (sim/Score.h) plus the bound on
+/// the block-size axis.
+struct SearchOptions : ScoreOptions {
   /// Bound on the block-size axis per dimension (>= 2 keeps at least
   /// cyclic and pure block in the race).
   unsigned MaxBlockChoices = 4;
-  SimEngine Engine = SimEngine::Rounds;
 };
 
 /// A candidate with its score attached.
@@ -101,9 +97,9 @@ struct SearchResult {
 std::vector<DecompCandidate> enumerateDecompositions(
     const Program &P, const CompileSpec *Hint, const SearchOptions &SO);
 
-/// Enumerates, scores (forking; the caller must not hold live
-/// threads), and ranks. See SearchResult for the tie-breaking
-/// guarantee that makes the result never worse than the hint.
+/// Enumerates, scores (on SO.Jobs worker threads), and ranks. See
+/// SearchResult for the tie-breaking guarantee that makes the result
+/// never worse than the hint.
 SearchResult searchDecompositions(const Program &P, const CompileSpec *Hint,
                                   const SearchOptions &SO);
 

@@ -2,55 +2,25 @@
 
 #include "sim/Score.h"
 
-#include "sim/Fleet.h"
-
-#include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
-#include <deque>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 
 using namespace dmcc;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-enum ChildStatus : int32_t {
-  ChildOk = 0,
-  ChildCompileError = 1,
-  ChildSimError = 2,
-};
-
-/// Fixed-size record a scoring child writes to its pipe in one atomic
-/// write (well under PIPE_BUF); a short or unmagic read is a crash.
-struct WireScore {
-  uint32_t Magic = 0;
-  int32_t Status = 0;
-  double Makespan = 0;
-  uint64_t Messages = 0;
-  uint64_t Words = 0;
-  double CompileSeconds = 0;
-  uint32_t CommSets = 0;
-  char Error[96] = {};
-};
-
-constexpr uint32_t WireMagic = 0x53434F52; // "SCOR"
-
-/// Compiles and simulates one candidate in the child process.
-WireScore scoreOne(const Program &P, const CompileSpec &Spec,
+/// Compiles and simulates one candidate.
+SpecScore scoreOne(const Program &P, const CompileSpec &Spec,
                    const ScoreOptions &SO) {
-  WireScore W;
-  W.Magic = WireMagic;
+  SpecScore S;
   CompiledProgram CP = compile(P, Spec, SO.Compile);
-  W.CompileSeconds = CP.Stats.CompileSeconds;
-  W.CommSets = CP.Stats.NumCommSetsAfterSelfReuse;
+  S.CompileSeconds = CP.Stats.CompileSeconds;
+  S.CommSets = CP.Stats.NumCommSetsAfterSelfReuse;
   if (!CP.Ok) {
-    W.Status = ChildCompileError;
-    std::snprintf(W.Error, sizeof W.Error, "%s", CP.ErrorMessage.c_str());
-    return W;
+    S.Error = CP.ErrorMessage;
+    return S;
   }
   SimOptions Sim;
   Sim.PhysGrid = {SO.Procs};
@@ -61,31 +31,16 @@ WireScore scoreOne(const Program &P, const CompileSpec &Spec,
   Sim.Functional = false;
   Sim.CollapseLoops = true;
   Sim.Engine = SO.Engine;
-  Simulator S(P, CP, Spec, Sim);
-  SimResult R = S.run();
-  W.Makespan = R.MakespanSeconds;
-  W.Messages = R.Messages;
-  W.Words = R.Words;
-  if (!R.Ok) {
-    W.Status = ChildSimError;
-    std::snprintf(W.Error, sizeof W.Error, "%s", R.Error.c_str());
-  }
-  return W;
+  Sim.MaxEvents = SO.MaxEvents;
+  Simulator Sm(P, CP, Spec, Sim);
+  SimResult R = Sm.run();
+  S.Ok = R.Ok;
+  S.Error = R.Error;
+  S.MakespanSeconds = R.MakespanSeconds;
+  S.Messages = R.Messages;
+  S.Words = R.Words;
+  return S;
 }
-
-/// Per-shard supervision state, mirroring Fleet::Shard: shard k owns
-/// candidates k, k+Jobs, ... and scores them in order, one child at a
-/// time.
-struct Shard {
-  std::deque<unsigned> Queue;
-  bool HasCur = false;
-  unsigned Cur = 0;
-  unsigned Attempt = 0;
-  pid_t Pid = -1;
-  int Fd = -1;
-  Clock::time_point Deadline;
-  Clock::time_point NextSpawn;
-};
 
 } // namespace
 
@@ -93,156 +48,38 @@ std::vector<SpecScore>
 dmcc::scoreSpecs(const Program &P, const std::vector<CompileSpec> &Specs,
                  const ScoreOptions &SO) {
   std::vector<SpecScore> Out(Specs.size());
-  if (Specs.empty())
+  // The simulator needs every parameter bound; without one no candidate
+  // can run, so each is reported infeasible up front.
+  for (unsigned I = 0; I != P.space().size(); ++I) {
+    const std::string &Name = P.space().name(I);
+    if (P.space().kind(I) != VarKind::Param || SO.Params.count(Name))
+      continue;
+    for (SpecScore &S : Out)
+      S.Error = "parameter '" + Name + "' has no value";
     return Out;
-  unsigned Jobs = SO.Jobs == 0 ? 1 : SO.Jobs;
+  }
 
-  std::vector<Shard> Shards(Jobs);
-  for (size_t I = 0; I != Specs.size(); ++I)
-    Shards[I % Jobs].Queue.push_back(static_cast<unsigned>(I));
-
-  signal(SIGPIPE, SIG_IGN);
-
-  auto Spawn = [&](Shard &Sh) {
-    int Fds[2];
-    if (pipe(Fds) != 0) {
-      Sh.NextSpawn = Clock::now() + std::chrono::milliseconds(10);
-      return;
-    }
-    ++Sh.Attempt;
-    pid_t Pid = fork();
-    if (Pid == 0) {
-      // --- child ---
-      close(Fds[0]);
-      WireScore W = scoreOne(P, Specs[Sh.Cur], SO);
-      ssize_t N = write(Fds[1], &W, sizeof W);
-      (void)N;
-      _exit(0); // no stdio flush: the parent owns the terminal
-    }
-    // --- parent ---
-    close(Fds[1]);
-    if (Pid < 0) {
-      close(Fds[0]);
-      --Sh.Attempt;
-      Sh.NextSpawn = Clock::now() + std::chrono::milliseconds(10);
-      return;
-    }
-    Sh.Pid = Pid;
-    Sh.Fd = Fds[0];
-    Sh.Deadline = Clock::now() + boundedSeconds(SO.TimeoutSeconds);
-  };
-
-  unsigned Remaining = static_cast<unsigned>(Specs.size());
-
-  auto Finish = [&](Shard &Sh, SpecScore S) {
-    S.Attempts = Sh.Attempt;
-    Out[Sh.Cur] = std::move(S);
-    Sh.HasCur = false;
-    Sh.Attempt = 0;
-    --Remaining;
-  };
-
-  // A timeout or crash is retried within the budget (the failure may be
-  // environmental: OOM kill, machine pause); after that the candidate
-  // is scored infeasible with the last failure as the reason.
-  auto FailRetryable = [&](Shard &Sh, std::string Why) {
-    if (Sh.Attempt <= SO.MaxRetries) {
-      Sh.NextSpawn =
-          Clock::now() + boundedSeconds(clampedBackoffSeconds(
-                             SO.RetryBackoffSeconds, Sh.Attempt));
-      return;
-    }
-    SpecScore S;
-    S.Error = std::move(Why);
-    Finish(Sh, std::move(S));
-  };
-
-  auto Classify = [&](Shard &Sh, int WaitStatus, bool Timedout) {
-    WireScore W;
-    ssize_t N = 0;
-    if (!Timedout) {
-      char *Dst = reinterpret_cast<char *>(&W);
-      while (N < static_cast<ssize_t>(sizeof W)) {
-        ssize_t Got = read(Sh.Fd, Dst + N, sizeof W - N);
-        if (Got <= 0)
-          break;
-        N += Got;
+  // Each worker claims the next unscored index and owns its slot, so
+  // the scores do not depend on the pool size or the interleaving.
+  std::atomic<size_t> Next{0};
+  auto Work = [&] {
+    for (size_t I; (I = Next.fetch_add(1)) < Specs.size();) {
+      try {
+        Out[I] = scoreOne(P, Specs[I], SO);
+      } catch (const std::exception &E) {
+        // dmcc raises none itself; the standard library can (e.g.
+        // bad_alloc for a candidate too large to build). The candidate
+        // is infeasible, and the exception must not escape the thread.
+        Out[I] = SpecScore();
+        Out[I].Error = std::string("exception: ") + E.what();
       }
     }
-    close(Sh.Fd);
-    Sh.Fd = -1;
-    Sh.Pid = -1;
-    if (Timedout) {
-      char Buf[96];
-      std::snprintf(Buf, sizeof Buf,
-                    "watchdog timeout after %.3f s (attempt %u)",
-                    SO.TimeoutSeconds, Sh.Attempt);
-      FailRetryable(Sh, Buf);
-      return;
-    }
-    bool Structured = N == static_cast<ssize_t>(sizeof W) &&
-                      W.Magic == WireMagic && WIFEXITED(WaitStatus) &&
-                      WEXITSTATUS(WaitStatus) == 0;
-    if (!Structured) {
-      char Buf[96];
-      if (WIFSIGNALED(WaitStatus))
-        std::snprintf(Buf, sizeof Buf,
-                      "scoring worker killed by signal %d (attempt %u)",
-                      WTERMSIG(WaitStatus), Sh.Attempt);
-      else
-        std::snprintf(Buf, sizeof Buf,
-                      "scoring worker exited with status %d (attempt %u)",
-                      WIFEXITED(WaitStatus) ? WEXITSTATUS(WaitStatus) : -1,
-                      Sh.Attempt);
-      FailRetryable(Sh, Buf);
-      return;
-    }
-    SpecScore S;
-    S.Ok = W.Status == ChildOk;
-    S.Error = W.Error;
-    S.MakespanSeconds = W.Makespan;
-    S.Messages = W.Messages;
-    S.Words = W.Words;
-    S.CompileSeconds = W.CompileSeconds;
-    S.CommSets = W.CommSets;
-    Finish(Sh, std::move(S));
   };
-
-  while (Remaining) {
-    bool Progress = false;
-    for (Shard &Sh : Shards) {
-      if (Sh.Pid < 0) {
-        if (!Sh.HasCur) {
-          if (Sh.Queue.empty())
-            continue;
-          Sh.Cur = Sh.Queue.front();
-          Sh.Queue.pop_front();
-          Sh.HasCur = true;
-          Sh.Attempt = 0;
-          Sh.NextSpawn = Clock::now();
-        }
-        if (Clock::now() >= Sh.NextSpawn) {
-          Spawn(Sh);
-          Progress = true;
-        }
-        continue;
-      }
-      int WaitStatus = 0;
-      pid_t Got = waitpid(Sh.Pid, &WaitStatus, WNOHANG);
-      if (Got == Sh.Pid) {
-        Classify(Sh, WaitStatus, /*Timedout=*/false);
-        Progress = true;
-      } else if (Got == 0 && Clock::now() > Sh.Deadline) {
-        kill(Sh.Pid, SIGKILL);
-        waitpid(Sh.Pid, &WaitStatus, 0);
-        Classify(Sh, WaitStatus, /*Timedout=*/true);
-        Progress = true;
-      }
-    }
-    if (!Progress && Remaining) {
-      struct timespec TS = {0, 2 * 1000 * 1000}; // 2 ms sweep
-      nanosleep(&TS, nullptr);
-    }
+  size_t Jobs = std::min<size_t>(std::max(SO.Jobs, 1u), Specs.size());
+  {
+    std::vector<std::jthread> Pool; // joins every worker on scope exit
+    for (size_t J = 0; J != Jobs; ++J)
+      Pool.emplace_back(Work);
   }
   return Out;
 }

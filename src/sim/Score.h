@@ -13,13 +13,14 @@
 /// search replays that judgement mechanically, and the score is what it
 /// ranks by.
 ///
-/// Scoring reuses the fleet's supervision machinery (sim/Fleet.h): every
-/// candidate compiles and simulates in its own forked child under a
-/// wall-clock watchdog, so one pathological candidate (a compile blowup,
-/// a simulated deadlock, even a crash) costs one slot of the pool and a
-/// timeout — never the whole search. Candidates are deterministically
-/// sharded across the pool exactly like fleet scenarios, so reruns score
-/// in the same order.
+/// Candidates are scored in-process by a pool of worker threads; each
+/// thread claims the next candidate index and writes its score into
+/// that candidate's slot, so the result does not depend on the pool
+/// size. Every way a candidate can fail — a spec the compiler rejects,
+/// an unbound parameter, a simulated deadlock, an exhausted event
+/// budget — comes back as a structured infeasible score. The event
+/// budget (ScoreOptions::MaxEvents) bounds a runaway candidate
+/// deterministically, so a search result depends only on its inputs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,17 +41,17 @@ struct ScoreOptions {
   std::map<std::string, IntT> Params;
   /// Base compiler configuration shared by every candidate.
   CompilerOptions Compile;
-  unsigned Jobs = 4;           ///< concurrent scoring children
-  double TimeoutSeconds = 60;  ///< per-candidate watchdog deadline
-  unsigned MaxRetries = 1;     ///< respawns after a timeout/crash
-  double RetryBackoffSeconds = 0.05; ///< first respawn delay; doubles
+  unsigned Jobs = 4; ///< scoring worker threads
+  /// Per-candidate simulated-event budget (SimOptions::MaxEvents); a
+  /// candidate that exceeds it is scored infeasible.
+  uint64_t MaxEvents = 400000000ull;
   SimEngine Engine = SimEngine::Rounds;
 };
 
 /// What one candidate cost. Infeasible candidates (spec rejected by the
-/// compiler, simulated deadlock, watchdog timeout, worker crash) come
-/// back with Ok == false and the reason in Error — never an exception,
-/// so a search can simply skip them.
+/// compiler, unbound parameter, simulated deadlock, exhausted event
+/// budget) come back with Ok == false and the reason in Error — never
+/// an exception, so a search can simply skip them.
 struct SpecScore {
   bool Ok = false;
   std::string Error;
@@ -59,11 +60,10 @@ struct SpecScore {
   uint64_t Words = 0;
   double CompileSeconds = 0;
   unsigned CommSets = 0; ///< communication sets after self-reuse
-  unsigned Attempts = 0; ///< scoring children spawned (1 = clean)
 };
 
 /// Scores every candidate spec against \p P; result i corresponds to
-/// Specs[i]. The caller must not hold live threads (the scorer forks).
+/// Specs[i].
 std::vector<SpecScore> scoreSpecs(const Program &P,
                                   const std::vector<CompileSpec> &Specs,
                                   const ScoreOptions &SO);

@@ -276,6 +276,9 @@ struct Simulator::StepCtx {
   /// Statements executed by this slice (out-parameter; blocked receive
   /// attempts are not counted, matching the sequential engine).
   uint64_t Executed = 0;
+  /// Set when the slice stopped because the next statement would
+  /// exceed SimOptions::MaxEvents (out-parameter).
+  bool OverBudget = false;
   /// Whether the checkpoint gate may fire inside this slice. Parallel
   /// threaded rounds disable it — they are classified so the gate
   /// provably cannot trigger in the sequential engine either.
@@ -323,7 +326,8 @@ struct Simulator::ThreadEngine {
 
   struct WorkerOut {
     SimCounters C;
-    bool Progress = false, AllDone = true, AnyDead = false;
+    bool Progress = false, AllDone = true, AnyDead = false,
+         OverBudget = false;
   };
   std::vector<WorkerOut> Outs;
 
@@ -432,12 +436,13 @@ struct Simulator::ThreadEngine {
     } else {
       // Parallel rounds are classified so the gate cannot trigger (in
       // either engine); the stale base only delays the runaway-budget
-      // abort, which runRound re-checks at the barrier.
+      // stop, which runRound re-checks at the barrier.
       Ctx.EventsBase = EventsAtRoundStart;
       Ctx.GateCheckpoints = false;
     }
     if (S.stepProc(V, Ctx))
       Out.Progress = true;
+    Out.OverBudget = Out.OverBudget || Ctx.OverBudget;
     if (V.Crashed)
       Out.AnyDead = true;
     if (!V.Finished)
@@ -474,6 +479,7 @@ struct Simulator::ThreadEngine {
       F.Progress = F.Progress || O.Progress;
       F.AllDone = F.AllDone && O.AllDone;
       F.AnyDead = F.AnyDead || O.AnyDead;
+      F.OverBudget = F.OverBudget || O.OverBudget;
       S.Ctr.add(O.C);
       O = WorkerOut();
     }
@@ -487,8 +493,9 @@ struct Simulator::ThreadEngine {
         S.CrashLog.push_back(std::move(CE));
       ProcCrashes[J].clear();
     }
-    if (S.Events > S.Opts.MaxEvents)
-      fatalError("simulation event budget exhausted");
+    // Parallel slices count from the round-start base, so the budget
+    // is re-checked here against the merged total.
+    F.OverBudget = F.OverBudget || S.Events > S.Opts.MaxEvents;
     return F;
   }
 };
@@ -635,6 +642,7 @@ struct Simulator::EventEngine {
       Ctx.EE = this;
       if (S.stepProc(V, Ctx))
         F.Progress = true;
+      F.OverBudget = F.OverBudget || Ctx.OverBudget;
       S.Events += Ctx.Executed;
       if (V.Crashed) {
         ++DeadCount; // parked nowhere until the rollback reset
@@ -1244,9 +1252,11 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       ++Ctx.C.Crashes;
       return Ran;
     }
+    if (addSat(Ctx.EventsBase, Ctx.Executed) >= Opts.MaxEvents) {
+      Ctx.OverBudget = true;
+      return Ran;
+    }
     ++Ctx.Executed;
-    if (addSat(Ctx.EventsBase, Ctx.Executed) > Opts.MaxEvents)
-      fatalError("simulation event budget exhausted");
     ++V.Steps;
     switch (St.K) {
     case SpmdStmt::Kind::Seq: {
@@ -1752,6 +1762,7 @@ Simulator::RoundFlags Simulator::runRoundSequential() {
     Ctx.EventsBase = Events;
     if (stepProc(V, Ctx))
       F.Progress = true;
+    F.OverBudget = F.OverBudget || Ctx.OverBudget;
     Events += Ctx.Executed;
     if (V.Crashed)
       F.AnyDead = true;
@@ -1792,6 +1803,15 @@ SimResult Simulator::run() {
     RoundFlags F = TE   ? TE->runRound()
                    : EE ? EE->runRound()
                         : runRoundSequential();
+    if (F.OverBudget) {
+      R.Ok = false;
+      R.Diag.EventBudgetExhausted = true;
+      R.Error = "simulation event budget exhausted (" +
+                std::to_string(Opts.MaxEvents) + " events)";
+      fillRecoverySplit(R);
+      flushCounters(R);
+      return R;
+    }
     if (F.AllDone) {
       R.Ok = true;
       break;

@@ -184,7 +184,9 @@ struct SimOptions {
   /// Coordinated checkpoint/restart; defaults to disabled (zero
   /// overhead, no recovery from crash-stop failures).
   CheckpointOptions Checkpoint;
-  uint64_t MaxEvents = 6000000000ull; ///< runaway guard
+  /// Runaway guard: a run that would execute more statements ends with
+  /// Ok == false and SimDiagnostics::EventBudgetExhausted set.
+  uint64_t MaxEvents = 6000000000ull;
   /// Worker threads executing the physical processors (DESIGN.md §10).
   /// 1 (the default) is the sequential engine, byte-for-byte today's
   /// behavior; N > 1 runs physical processors on real OS threads
@@ -300,6 +302,8 @@ struct SimDiagnostics {
   unsigned RollbacksDone = 0; ///< recoveries performed before giving up
   uint64_t InFlightMessages = 0; ///< undelivered copies across channels
   uint64_t FinishedProcs = 0, TotalProcs = 0;
+  /// The run stopped at SimOptions::MaxEvents rather than stalling.
+  bool EventBudgetExhausted = false;
 
   /// Human-readable rendering ("deadlock: ... vp(1,2) waiting ...").
   std::string str() const;
@@ -441,7 +445,8 @@ private:
   struct EventEngine;
   /// Merged outcome of one scheduler round.
   struct RoundFlags {
-    bool Progress = false, AllDone = true, AnyDead = false;
+    bool Progress = false, AllDone = true, AnyDead = false,
+         OverBudget = false;
   };
 
   /// Row-major flat offset of an element from its index tuple (or from

@@ -66,7 +66,6 @@ SearchOptions fastOpts(std::map<std::string, IntT> Params) {
   SO.Procs = 4;
   SO.Params = std::move(Params);
   SO.Jobs = 4;
-  SO.TimeoutSeconds = 120; // generous: CI machines can be slow
   return SO;
 }
 
@@ -143,6 +142,82 @@ TEST(DecompSearch, InfeasibleCandidatesAreReportedNotFatal) {
   EXPECT_GT(Scores[0].MakespanSeconds, 0.0);
   EXPECT_FALSE(Scores[1].Ok);
   EXPECT_FALSE(Scores[1].Error.empty());
+}
+
+TEST(DecompSearch, ScoringKeepsTheWholeCompileError) {
+  // The compiler's non-unique-decomposition message is longer than the
+  // fixed-size record scores once travelled in; it must arrive whole.
+  Program P = lu();
+  CompileSpec Spec = luSpec(P);
+  Spec.Stmts[0].Comp.setReplicated(0);
+  std::string Expected = compile(P, Spec).ErrorMessage;
+  ASSERT_GT(Expected.size(), 95u);
+  ScoreOptions SO;
+  SO.Params = {{"N", 16}};
+  std::vector<SpecScore> Scores = scoreSpecs(P, {Spec}, SO);
+  ASSERT_EQ(Scores.size(), 1u);
+  EXPECT_FALSE(Scores[0].Ok);
+  EXPECT_EQ(Scores[0].Error, Expected);
+}
+
+TEST(DecompSearch, CompileRejectsAStatementWithoutAPlan) {
+  Program P = lu();
+  CompileSpec Spec = luSpec(P);
+  Spec.Stmts.pop_back(); // S1 loses its computation decomposition
+  CompiledProgram CP = compile(P, Spec);
+  EXPECT_FALSE(CP.Ok);
+  EXPECT_NE(CP.ErrorMessage.find("S1"), std::string::npos)
+      << CP.ErrorMessage;
+}
+
+TEST(DecompSearch, UnboundParameterIsReportedInfeasible) {
+  Program P = lu();
+  ScoreOptions SO; // N unbound: the simulator cannot size anything
+  std::vector<SpecScore> Scores = scoreSpecs(P, {luSpec(P)}, SO);
+  ASSERT_EQ(Scores.size(), 1u);
+  EXPECT_FALSE(Scores[0].Ok);
+  EXPECT_NE(Scores[0].Error.find("'N'"), std::string::npos)
+      << Scores[0].Error;
+}
+
+TEST(DecompSearch, TinyEventBudgetMarksEveryCandidateInfeasible) {
+  Program P = lu();
+  CompileSpec Hint = luSpec(P);
+  SearchOptions SO = fastOpts({{"N", 16}});
+  SO.MaxEvents = 10;
+  SearchResult SR = searchDecompositions(P, &Hint, SO);
+  EXPECT_FALSE(SR.ok());
+  ASSERT_FALSE(SR.Candidates.empty());
+  for (const ScoredCandidate &C : SR.Candidates) {
+    EXPECT_FALSE(C.Score.Ok) << C.Cand.Desc;
+    EXPECT_NE(C.Score.Error.find("event budget exhausted"),
+              std::string::npos)
+        << C.Cand.Desc << ": " << C.Score.Error;
+  }
+}
+
+TEST(DecompSearch, ScoresDoNotDependOnThePoolSize) {
+  Program P = lu();
+  CompileSpec Hint = luSpec(P);
+  SearchOptions SO = fastOpts({{"N", 16}});
+  std::vector<CompileSpec> Specs;
+  for (const DecompCandidate &C : enumerateDecompositions(P, &Hint, SO))
+    Specs.push_back(C.Spec);
+  SO.Jobs = 1;
+  std::vector<SpecScore> One = scoreSpecs(P, Specs, SO);
+  SO.Jobs = 4;
+  std::vector<SpecScore> Four = scoreSpecs(P, Specs, SO);
+  ASSERT_EQ(One.size(), Specs.size());
+  ASSERT_EQ(Four.size(), Specs.size());
+  for (size_t I = 0; I != Specs.size(); ++I) {
+    SCOPED_TRACE("candidate " + std::to_string(I));
+    EXPECT_EQ(One[I].Ok, Four[I].Ok);
+    EXPECT_EQ(One[I].Error, Four[I].Error);
+    EXPECT_EQ(One[I].MakespanSeconds, Four[I].MakespanSeconds);
+    EXPECT_EQ(One[I].Messages, Four[I].Messages);
+    EXPECT_EQ(One[I].Words, Four[I].Words);
+    EXPECT_EQ(One[I].CommSets, Four[I].CommSets);
+  }
 }
 
 TEST(DecompSearch, SearchOnLUFindsAFeasibleWinner) {

@@ -251,3 +251,41 @@ TEST(SimulatorTest, BusyTimeNeverExceedsMakespan) {
     EXPECT_LE(B, R.MakespanSeconds * (1 + 1e-9));
   }
 }
+
+TEST(SimulatorTest, EventBudgetEndsTheRunWithAStructuredError) {
+  // A run that needs more statements than SimOptions::MaxEvents allows
+  // must come back Ok == false with the budget flag, on every engine,
+  // instead of exiting the process.
+  Program P = shift();
+  CompileSpec Spec = shiftSpec(P, 8);
+  CompiledProgram CP = compile(P, Spec);
+  std::map<std::string, IntT> Params = {{"T", 2}, {"N", 63}};
+  SimResult Full = Simulator(P, CP, Spec, opts(2, Params)).run();
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  ASSERT_GT(Full.TotalEvents, 1u);
+  struct Engine {
+    SimEngine E;
+    unsigned Threads;
+  };
+  for (Engine En : {Engine{SimEngine::Rounds, 1},
+                    Engine{SimEngine::Rounds, 2},
+                    Engine{SimEngine::Event, 1}}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(En.E)) +
+                 ", threads " + std::to_string(En.Threads));
+    SimOptions SO = opts(2, Params);
+    SO.Engine = En.E;
+    SO.Threads = En.Threads;
+    SO.MaxEvents = Full.TotalEvents - 1;
+    SimResult R = Simulator(P, CP, Spec, SO).run();
+    EXPECT_FALSE(R.Ok);
+    EXPECT_TRUE(R.Diag.EventBudgetExhausted);
+    EXPECT_NE(R.Error.find("event budget exhausted"), std::string::npos)
+        << R.Error;
+    // Exactly the run's own event count still fits.
+    SO.MaxEvents = Full.TotalEvents;
+    SimResult Fits = Simulator(P, CP, Spec, SO).run();
+    EXPECT_TRUE(Fits.Ok) << Fits.Error;
+    EXPECT_FALSE(Fits.Diag.EventBudgetExhausted);
+    EXPECT_EQ(Fits.MakespanSeconds, Full.MakespanSeconds);
+  }
+}

@@ -589,9 +589,12 @@ int main(int Argc, char **Argv) {
     }
     if (!R.Ok) {
       std::fprintf(stderr, "simulation failed: %s\n", R.Error.c_str());
-      // Retry exhaustion (hostile network beat the retry budget) is a
-      // distinct, expected failure class; everything else that stalls
-      // the schedule reports as a deadlock.
+      // A runaway past the event budget is reported as an internal
+      // error. Retry exhaustion (hostile network beat the retry budget)
+      // is a distinct, expected failure class; everything else that
+      // stalls the schedule reports as a deadlock.
+      if (R.Diag.EventBudgetExhausted)
+        return ExitInternal;
       return R.Diag.RetryExhausted.empty() ? ExitDeadlock
                                            : ExitRetryExhausted;
     }
