@@ -326,20 +326,32 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
             Pieces.push_back(std::move(CS));
             continue;
           }
+          PhaseTimer Timer("comm.self_reuse");
           for (CommSet &Thin : eliminateSelfReuse(CS))
             Pieces.push_back(std::move(Thin));
         }
       }
     }
-    if (Opts.EliminateGroupReuse)
+    if (Opts.EliminateGroupReuse) {
+      PhaseTimer Timer("comm.group_reuse");
       eliminateGroupReuse(StmtPieces);
-    coalesceCommSets(StmtPieces);
+    }
+    {
+      PhaseTimer Timer("comm.coalesce");
+      coalesceCommSets(StmtPieces);
+    }
     for (CommSet &Piece : StmtPieces) {
       ++Out.Stats.NumCommSetsAfterSelfReuse;
-      if (Opts.DetectMulticast && detectMulticast(Piece))
-        ++Out.Stats.NumMulticastSets;
+      if (Opts.DetectMulticast) {
+        PhaseTimer Timer("comm.multicast");
+        if (detectMulticast(Piece))
+          ++Out.Stats.NumMulticastSets;
+      }
       Placed Pl;
-      Pl.Plan.AggLevel = chooseAggLevel(P, Piece, Opts, Out.Diagnostics);
+      {
+        PhaseTimer Timer("comm.agg_level");
+        Pl.Plan.AggLevel = chooseAggLevel(P, Piece, Opts, Out.Diagnostics);
+      }
       Pl.Plan.Multicast = Piece.Multicast;
       Pl.Plan.Set = std::move(Piece);
       Comms.push_back(std::move(Pl));

@@ -155,6 +155,7 @@ bool entails(const System &S, const AffineExpr &E) {
 
 std::optional<System> dmcc::coalesceSystems(const System &A,
                                             const System &B) {
+  PhaseTimer Timer("math.coalesce");
   if (A.space() != B.space())
     return std::nullopt;
   System NA = A, NB = B;
