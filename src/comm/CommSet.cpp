@@ -510,31 +510,18 @@ void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
 }
 
 void dmcc::coalesceCommSets(std::vector<CommSet> &Sets) {
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned I = 0; I < Sets.size() && !Changed; ++I) {
-      for (unsigned J = I + 1; J < Sets.size(); ++J) {
-        CommSet &A = Sets[I];
-        CommSet &B = Sets[J];
-        if (A.ArrayId != B.ArrayId ||
-            A.FromInitialData != B.FromInitialData ||
-            A.WriteStmtId != B.WriteStmtId ||
-            A.ReadStmtId != B.ReadStmtId || A.ReadIdx != B.ReadIdx ||
-            A.Level != B.Level || A.PsVars != B.PsVars ||
-            A.SVars != B.SVars || A.PrVars != B.PrVars ||
-            A.RVars != B.RVars || A.ElVars != B.ElVars)
-          continue;
-        auto U = coalesceSystems(A.Sys, B.Sys);
-        if (!U)
-          continue;
-        A.Sys = std::move(*U);
-        Sets.erase(Sets.begin() + J);
-        Changed = true;
-        break;
-      }
-    }
-  }
+  coalesceAll(
+      Sets,
+      [](const CommSet &A, const CommSet &B) {
+        return A.ArrayId == B.ArrayId &&
+               A.FromInitialData == B.FromInitialData &&
+               A.WriteStmtId == B.WriteStmtId &&
+               A.ReadStmtId == B.ReadStmtId && A.ReadIdx == B.ReadIdx &&
+               A.Level == B.Level && A.PsVars == B.PsVars &&
+               A.SVars == B.SVars && A.PrVars == B.PrVars &&
+               A.RVars == B.RVars && A.ElVars == B.ElVars;
+      },
+      [](CommSet &CS) -> System & { return CS.Sys; });
 }
 
 bool dmcc::detectMulticast(CommSet &CS) {

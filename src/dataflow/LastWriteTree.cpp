@@ -109,27 +109,14 @@ public:
   /// Undoes case splits: merges contexts with identical payloads whose
   /// domains union to a convex set.
   void coalesce() {
-    std::vector<LWTContext> &Cs = Result.Contexts;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (unsigned I = 0; I < Cs.size() && !Changed; ++I) {
-        for (unsigned J = I + 1; J < Cs.size(); ++J) {
-          if (Cs[I].HasWriter != Cs[J].HasWriter ||
-              Cs[I].WriteStmtId != Cs[J].WriteStmtId ||
-              Cs[I].Level != Cs[J].Level ||
-              Cs[I].WriteInstance != Cs[J].WriteInstance)
-            continue;
-          auto U = coalesceSystems(Cs[I].Domain, Cs[J].Domain);
-          if (!U)
-            continue;
-          Cs[I].Domain = std::move(*U);
-          Cs.erase(Cs.begin() + J);
-          Changed = true;
-          break;
-        }
-      }
-    }
+    coalesceAll(
+        Result.Contexts,
+        [](const LWTContext &A, const LWTContext &B) {
+          return A.HasWriter == B.HasWriter &&
+                 A.WriteStmtId == B.WriteStmtId && A.Level == B.Level &&
+                 A.WriteInstance == B.WriteInstance;
+        },
+        [](LWTContext &C) -> System & { return C.Domain; });
   }
 
 private:

@@ -151,6 +151,69 @@ bool entails(const System &S, const AffineExpr &E) {
          Feasibility::Empty;
 }
 
+/// True if some constraint of \p S implies E >= 0 on its face.
+bool impliedOnItsFace(const System &S, const AffineExpr &E) {
+  for (const Constraint &C : S.constraints())
+    if (impliesOnItsFace(C, E))
+      return true;
+  return false;
+}
+
+/// A constraint E >= 0 or E == 0 whose negation may cut points out of a
+/// hull: Below marks that E <= -1 may hold there, Above (equalities only)
+/// that E >= 1 may.
+struct Cut {
+  Constraint C;
+  bool Below, Above;
+};
+
+/// The constraints of \p S, with S's Aux variables eliminated (a point is
+/// outside S iff no witness exists) and rewritten over \p U's space, that
+/// \p U does not imply on its face. Returns false when the elimination is
+/// integer-inexact.
+bool cutsOf(const System &S, const System &U, std::vector<Cut> &Out) {
+  bool Exact = true;
+  System SB = eliminateAuxVars(S, &Exact);
+  if (!Exact)
+    return false;
+  bool Quick = projectionOptions().QuickChecks;
+  auto Implied = [&](const AffineExpr &E) {
+    return Quick && impliedOnItsFace(U, E);
+  };
+  for (const Constraint &C : SB.constraints()) {
+    AffineExpr E = mapExpr(C.Expr, SB.space(), U.space());
+    bool Below = !Implied(E);
+    bool Above = C.isEquality() && !Implied(E.negated());
+    if (Below || Above)
+      Out.push_back(Cut{Constraint(std::move(E), C.Rel), Below, Above});
+  }
+  return true;
+}
+
+/// Visits the pieces of  Prefix \ Cuts  in Region::subtract's order,
+/// Prefix /\ c_0 /\ ... /\ c_{j-1} /\ not c_j, and stops at the first
+/// piece for which \p Visit returns false. Returns false if it stopped.
+template <typename VisitFn>
+bool forEachPiece(System Prefix, const std::vector<Cut> &Cuts,
+                  VisitFn Visit) {
+  for (const Cut &K : Cuts) {
+    if (K.Below) {
+      System Piece = Prefix;
+      Piece.addGE(K.C.Expr.negated().plusConst(-1)); // E <= -1
+      if (!Visit(Piece))
+        return false;
+    }
+    if (K.Above) {
+      System Piece = Prefix;
+      Piece.addGE(K.C.Expr.plusConst(-1)); // E >= 1
+      if (!Visit(Piece))
+        return false;
+    }
+    Prefix.addConstraint(K.C);
+  }
+  return true;
+}
+
 } // namespace
 
 std::optional<System> dmcc::coalesceSystems(const System &A,
@@ -164,21 +227,41 @@ std::optional<System> dmcc::coalesceSystems(const System &A,
   if (!NB.normalize())
     return A;
   // The candidate hull: every face of one system that the other also
-  // satisfies.
+  // satisfies. A face the other system implies on its face needs no
+  // query.
+  bool Quick = projectionOptions().QuickChecks;
   System U(A.space());
-  for (const AffineExpr &E : asInequalities(NA))
-    if (entails(NB, E))
-      U.addGE(E);
-  for (const AffineExpr &E : asInequalities(NB))
-    if (entails(NA, E))
-      U.addGE(E);
+  auto addFacesOf = [&](const System &From, const System &Other) {
+    for (const AffineExpr &E : asInequalities(From))
+      if ((Quick && impliedOnItsFace(Other, E)) || entails(Other, E))
+        U.addGE(E);
+  };
+  addFacesOf(NA, NB);
+  addFacesOf(NB, NA);
   if (!U.normalize())
     return std::nullopt;
-  // Exactness: the hull must not contain points outside A union B.
-  Region R = Region::fromSystem(U);
-  R = R.subtract(Region::fromSystem(NA));
-  R = R.subtract(Region::fromSystem(NB));
-  if (!R.isExact() || !R.isIntegerEmpty())
+  // Exactness: U \ A \ B must hold no integer point. A constraint U
+  // implies on its face only yields empty pieces, so just the cut
+  // constraints are split on, and the first piece that may hold a point
+  // ends the test. B's cuts are built on first use, as Region::subtract
+  // only eliminates B's Aux variables when U \ A has a piece.
+  std::vector<Cut> CutsA, CutsB;
+  if (!cutsOf(NA, U, CutsA))
+    return std::nullopt;
+  bool HaveCutsB = false;
+  bool Empty = forEachPiece(U, CutsA, [&](const System &OutsideA) {
+    if (OutsideA.isIntegerEmpty())
+      return true;
+    if (!HaveCutsB) {
+      if (!cutsOf(NB, U, CutsB))
+        return false;
+      HaveCutsB = true;
+    }
+    return forEachPiece(OutsideA, CutsB, [](const System &Outside) {
+      return Outside.isIntegerEmpty();
+    });
+  });
+  if (!Empty)
     return std::nullopt;
   System Out = std::move(U);
   Out.removeRedundant();

@@ -19,7 +19,11 @@
 
 #include "math/System.h"
 
+#include <numeric>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dmcc {
@@ -89,6 +93,45 @@ System eliminateAuxVars(const System &S, bool *Exact);
 /// payloads. Returns nullopt when the union is not exactly convex (or the
 /// spaces differ).
 std::optional<System> coalesceSystems(const System &A, const System &B);
+
+/// Merges the items of \p Items pairwise with coalesceSystems until no
+/// pair merges. \p Compatible(X, Y) says whether two items' payloads allow
+/// a merge; \p SystemOf(X) returns a reference to an item's system. Pairs
+/// are visited as (I, J) with I < J, starting over at (0, 1) after every
+/// merge; the union replaces item I and item J is erased. A pair that
+/// failed is not tried again until one of its items has been merged into.
+template <typename T, typename CompatibleFn, typename SystemOfFn>
+void coalesceAll(std::vector<T> &Items, CompatibleFn Compatible,
+                 SystemOfFn SystemOf) {
+  // An item's version changes whenever its system does; a failed pair is
+  // remembered by the versions it was tried at.
+  std::vector<unsigned> Version(Items.size());
+  std::iota(Version.begin(), Version.end(), 0u);
+  unsigned NextVersion = Items.size();
+  std::set<std::pair<unsigned, unsigned>> Failed;
+  for (bool Merged = true; Merged;) {
+    Merged = false;
+    for (unsigned I = 0; I < Items.size() && !Merged; ++I) {
+      for (unsigned J = I + 1; J < Items.size(); ++J) {
+        if (!Compatible(Items[I], Items[J]) ||
+            Failed.count({Version[I], Version[J]}))
+          continue;
+        std::optional<System> U =
+            coalesceSystems(SystemOf(Items[I]), SystemOf(Items[J]));
+        if (!U) {
+          Failed.insert({Version[I], Version[J]});
+          continue;
+        }
+        SystemOf(Items[I]) = std::move(*U);
+        Version[I] = NextVersion++;
+        Items.erase(Items.begin() + J);
+        Version.erase(Version.begin() + J);
+        Merged = true;
+        break;
+      }
+    }
+  }
+}
 
 } // namespace dmcc
 

@@ -652,6 +652,19 @@ bool negCoeffRow(const AffineExpr &A, const AffineExpr &B) {
 
 } // namespace
 
+bool dmcc::impliesOnItsFace(const Constraint &C, const AffineExpr &E) {
+  // c + a >= 0 implies c + b >= 0 whenever b >= a; c + a == 0 forces
+  // c = -a, so it implies c + b >= 0 when b >= a and -c + b >= 0 when
+  // a + b >= 0.
+  IntT CA = C.Expr.constant(), CB = E.constant();
+  if (sameCoeffRow(C.Expr, E))
+    return CB >= CA;
+  if (!C.isEquality() || !negCoeffRow(E, C.Expr))
+    return false;
+  IntT Sum;
+  return !__builtin_add_overflow(CA, CB, &Sum) && Sum >= 0;
+}
+
 void System::removeRedundant(unsigned NodeBudget) {
   const ProjectionOptions &PO = projectionOptions();
   ProjectionStats &PS = projectionStats();
@@ -677,33 +690,17 @@ void System::removeRedundant(unsigned NodeBudget) {
   }
 
   if (PO.QuickChecks && Cons.size() > 1) {
-    // Syntactic accelerators: drop inequalities dominated over identical
-    // coefficient rows before paying for an exact feasibility test each.
-    //   e + a >= 0 dominates e + b >= 0 whenever b >= a;
-    //   e + a == 0 forces e = -a, so e + b >= 0 is implied when b >= a
-    //   and -e + b >= 0 is implied when a + b >= 0.
+    // Syntactic accelerators: drop inequalities another constraint
+    // implies on its face before paying for an exact feasibility test
+    // each. normalize() has removed duplicates, so two inequalities never
+    // imply each other.
     std::vector<bool> Drop(Cons.size(), false);
     for (unsigned J = 0; J != Cons.size(); ++J) {
       if (Cons[J].isEquality())
         continue;
-      for (unsigned I = 0; I != Cons.size() && !Drop[J]; ++I) {
-        if (I == J || Drop[I])
-          continue;
-        const Constraint &A = Cons[I];
-        const Constraint &B = Cons[J];
-        IntT CA = A.Expr.constant(), CB = B.Expr.constant();
-        if (A.isEquality()) {
-          if (sameCoeffRow(A.Expr, B.Expr) && CB >= CA)
-            Drop[J] = true;
-          else if (negCoeffRow(B.Expr, A.Expr)) {
-            IntT Sum;
-            if (!__builtin_add_overflow(CA, CB, &Sum) && Sum >= 0)
-              Drop[J] = true;
-          }
-        } else if (sameCoeffRow(A.Expr, B.Expr) && CB > CA) {
+      for (unsigned I = 0; I != Cons.size() && !Drop[J]; ++I)
+        if (I != J && !Drop[I] && impliesOnItsFace(Cons[I], Cons[J].Expr))
           Drop[J] = true;
-        }
-      }
     }
     std::vector<Constraint> Kept;
     Kept.reserve(Cons.size());

@@ -166,6 +166,12 @@ private:
   bool canonicalKey(detail::CacheKey &Key) const;
 };
 
+/// True when \p C alone implies  E >= 0  on its face, with no feasibility
+/// test: C is an inequality over E's coefficient row with a constant no
+/// larger, or an equality over E's row or its negation that pins E to a
+/// nonnegative value. These are removeRedundant's quick checks.
+bool impliesOnItsFace(const Constraint &C, const AffineExpr &E);
+
 /// Translates \p E from \p From to \p To, mapping variables by
 /// \p MapName(name); every mapped name must exist in \p To. Passing the
 /// identity function maps variables by equal name.

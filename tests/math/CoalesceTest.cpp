@@ -126,3 +126,41 @@ TEST(CoalesceTest, TwoDimensionalStripes) {
   U->enumeratePoints([&](const std::vector<IntT> &) { ++Count; });
   EXPECT_EQ(Count, 36u);
 }
+
+namespace {
+
+/// Runs the shared coalescing loop over plain systems, every pair
+/// compatible, and returns how many merge attempts it made.
+uint64_t coalesceIntervals(std::vector<System> &Items) {
+  resetPhaseProfiles();
+  coalesceAll(
+      Items, [](const System &, const System &) { return true; },
+      [](System &S) -> System & { return S; });
+  for (const PhaseProfile &P : phaseProfiles())
+    if (P.Name == "math.coalesce")
+      return P.Invocations;
+  return 0;
+}
+
+} // namespace
+
+TEST(CoalesceTest, FailedPairIsRetriedAfterAMerge) {
+  // ([0,3], [6,9]) fails first; once [4,5] has merged into [0,3] the
+  // pair must be tried again, giving the single piece [0,9].
+  std::vector<System> Items = {interval(0, 3), interval(6, 9),
+                               interval(4, 5)};
+  coalesceIntervals(Items);
+  ASSERT_EQ(Items.size(), 1u);
+  for (IntT I = -1; I <= 10; ++I)
+    EXPECT_EQ(Items[0].holds({I}), I >= 0 && I <= 9) << "at " << I;
+}
+
+TEST(CoalesceTest, UnchangedFailedPairIsNotRetried) {
+  // Six attempts find only ([0,3], [4,5]); afterwards the two far
+  // intervals are each tried once against the new [0,5], and their own
+  // failed pair is not tried again.
+  std::vector<System> Items = {interval(20, 21), interval(30, 31),
+                               interval(0, 3), interval(4, 5)};
+  EXPECT_EQ(coalesceIntervals(Items), 8u);
+  EXPECT_EQ(Items.size(), 3u);
+}
