@@ -4,19 +4,23 @@
 // the LU computation and communication code (on 1993 hardware). This
 // harness times the full pipeline — Last Write Trees, communication
 // sets, optimizations, SPMD generation — for several kernels, plus the
-// individual analysis stages.
+// individual analysis stages. The jacobi2d, jacobi3d and floyd cases
+// compile the shipped examples/*.dm specs, whose compiles are dominated
+// by comm-set coalescing.
 //
 // Each case runs a baseline leg (projection cache and accelerators off)
 // and an optimized leg (projectionOptions() defaults); the optimized leg
 // keeps its caches warm across iterations, which is exactly how repeated
 // compiles in one process behave. Output is one JSON object (same
-// convention as bench_checkpoint); the checked-in snapshot lives in
+// convention as bench_checkpoint), recording the build type and
+// hardware_concurrency; the checked-in snapshot lives in
 // BENCH_compile_time.json.
 //
 // Set DMCC_BENCH_SMALL=1 to run at reduced scale.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/SpecParser.h"
 #include "dataflow/LastWriteTree.h"
 #include "frontend/Parser.h"
 #include "sim/Simulator.h"
@@ -24,7 +28,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <sstream>
+#include <string>
+#include <thread>
 
 using namespace dmcc;
 
@@ -103,6 +111,23 @@ CompileSpec shiftSpec(const Program &P) {
   return Spec;
 }
 
+/// Parses examples/<Name>.dm with its decomposition directives; exits
+/// on a missing or malformed file.
+SpecParseOutput loadExample(const char *Name) {
+  std::string Path =
+      std::string(DMCC_REPO_ROOT) + "/examples/" + Name + ".dm";
+  std::ifstream In(Path);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  SpecParseOutput SP = parseWithSpec(Buf.str());
+  if (!In || !SP.ok()) {
+    std::fprintf(stderr, "%s: %s\n", Path.c_str(),
+                 In ? SP.Error.c_str() : "cannot open");
+    std::exit(1);
+  }
+  return SP;
+}
+
 /// Times \p Fn over \p Iters iterations and returns seconds/iteration.
 /// One extra warmup iteration runs first (it populates the caches on
 /// the optimized leg — deliberately, that persistence is the feature).
@@ -133,6 +158,9 @@ int main() {
   CompileSpec LUSpec = luSpec(LU);
   CompileSpec StSpec = stencilSpec(Stencil);
   CompileSpec ShSpec = shiftSpec(Shift);
+  SpecParseOutput Jacobi2d = loadExample("jacobi2d");
+  SpecParseOutput Jacobi3d = loadExample("jacobi3d");
+  SpecParseOutput Floyd = loadExample("floyd");
 
   ProjectionOptions Baseline;
   Baseline.Cache = false;
@@ -160,6 +188,12 @@ int main() {
       {"compile_lu", [&] { compileCase(LU, LUSpec); }, true},
       {"compile_stencil", [&] { compileCase(Stencil, StSpec); }, true},
       {"compile_shift", [&] { compileCase(Shift, ShSpec); }, true},
+      {"compile_jacobi2d",
+       [&] { compileCase(*Jacobi2d.Prog, Jacobi2d.Spec); }, true},
+      {"compile_jacobi3d",
+       [&] { compileCase(*Jacobi3d.Prog, Jacobi3d.Spec); }, true},
+      {"compile_floyd", [&] { compileCase(*Floyd.Prog, Floyd.Spec); },
+       true},
   };
   constexpr unsigned NumCases = sizeof(Cases) / sizeof(Cases[0]);
 
@@ -167,6 +201,9 @@ int main() {
   std::printf("  \"benchmark\": \"compile_time\",\n");
   std::printf("  \"small\": %s,\n", Small ? "true" : "false");
   std::printf("  \"iters\": %u,\n", Iters);
+  std::printf("  \"build_type\": \"%s\",\n", DMCC_BUILD_TYPE);
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"rows\": [\n");
   for (unsigned I = 0; I != NumCases; ++I) {
     const Case &C = Cases[I];
