@@ -17,6 +17,92 @@ System dmcc::eliminateAuxVars(const System &S, bool *Exact) {
   return R;
 }
 
+namespace {
+
+/// Expands equalities into inequality pairs.
+std::vector<AffineExpr> asInequalities(const System &S) {
+  std::vector<AffineExpr> Out;
+  for (const Constraint &C : S.constraints()) {
+    Out.push_back(C.Expr);
+    if (C.isEquality())
+      Out.push_back(C.Expr.negated());
+  }
+  return Out;
+}
+
+/// True if S entails E >= 0 (i.e. S and E <= -1 has no integer point).
+bool entails(const System &S, const AffineExpr &E) {
+  System Q = S;
+  Q.addGE(E.negated().plusConst(-1));
+  return Q.checkIntegerFeasible(projectionOptions().FeasibilityBudget) ==
+         Feasibility::Empty;
+}
+
+/// True if some constraint of \p S implies E >= 0 on its face.
+bool impliedOnItsFace(const System &S, const AffineExpr &E) {
+  for (const Constraint &C : S.constraints())
+    if (impliesOnItsFace(C, E))
+      return true;
+  return false;
+}
+
+/// A constraint E >= 0 or E == 0 of a system being subtracted, over the
+/// space of the system it is subtracted from. Below marks that the piece
+/// with E <= -1 is wanted, Above (equalities only) the piece with E >= 1.
+struct Cut {
+  Constraint C;
+  bool Below, Above;
+};
+
+/// The constraints of \p S as cuts over \p P's space, after eliminating
+/// S's Aux variables: a point is outside S iff no witness exists, which
+/// projection expresses. Sets *Exact to false if that elimination is
+/// integer-inexact. With \p SkipImplied, a side of a constraint that \p P
+/// implies on its face gets no piece, and a constraint with no piece left
+/// is dropped.
+std::vector<Cut> cutsOf(const System &S, const System &P, bool SkipImplied,
+                        bool *Exact) {
+  System SB = eliminateAuxVars(S, Exact);
+  auto Implied = [&](const AffineExpr &E) {
+    return SkipImplied && impliedOnItsFace(P, E);
+  };
+  std::vector<Cut> Out;
+  for (const Constraint &C : SB.constraints()) {
+    AffineExpr E = mapExpr(C.Expr, SB.space(), P.space());
+    bool Below = !Implied(E);
+    bool Above = C.isEquality() && !Implied(E.negated());
+    if (Below || Above)
+      Out.push_back(Cut{Constraint(std::move(E), C.Rel), Below, Above});
+  }
+  return Out;
+}
+
+/// Visits the pieces of  Prefix \ Cuts,  i.e. the union over j of
+/// Prefix /\ c_0 /\ ... /\ c_{j-1} /\ not(c_j), and stops at the first
+/// piece for which \p Visit returns false. Returns false if it stopped.
+template <typename VisitFn>
+bool forEachPiece(System Prefix, const std::vector<Cut> &Cuts,
+                  VisitFn Visit) {
+  for (const Cut &K : Cuts) {
+    if (K.Below) {
+      System Piece = Prefix;
+      Piece.addGE(K.C.Expr.negated().plusConst(-1)); // E <= -1
+      if (!Visit(std::move(Piece)))
+        return false;
+    }
+    if (K.Above) {
+      System Piece = Prefix;
+      Piece.addGE(K.C.Expr.plusConst(-1)); // E >= 1
+      if (!Visit(std::move(Piece)))
+        return false;
+    }
+    Prefix.addConstraint(K.C);
+  }
+  return true;
+}
+
+} // namespace
+
 Region Region::fromSystem(const System &S) {
   Space Base;
   for (unsigned I = 0, E = S.space().size(); I != E; ++I)
@@ -47,33 +133,12 @@ void Region::intersectWith(const System &S) {
 
 std::vector<System> Region::subtractSystem(const System &P, const System &S,
                                            bool *ExactOut) const {
-  // Existential witnesses in S must be eliminated before negating: a point
-  // is outside S iff no witness exists, which projection expresses.
-  bool ElimExact = true;
-  System SB = eliminateAuxVars(S, &ElimExact);
-  if (!ElimExact)
-    *ExactOut = false;
-
-  // P \ SB = union over j of  P /\ c_0 /\ ... /\ c_{j-1} /\ not(c_j).
   std::vector<System> Out;
-  System Prefix = P;
-  for (const Constraint &C : SB.constraints()) {
-    AffineExpr E = mapExpr(C.Expr, SB.space(), P.space());
-    if (C.isEquality()) {
-      System Lt = Prefix;
-      Lt.addGE(E.negated().plusConst(-1)); // E <= -1
-      Out.push_back(std::move(Lt));
-      System Gt = Prefix;
-      Gt.addGE(E.plusConst(-1)); // E >= 1
-      Out.push_back(std::move(Gt));
-      Prefix.addEQ(E);
-    } else {
-      System Neg = Prefix;
-      Neg.addGE(E.negated().plusConst(-1)); // E <= -1
-      Out.push_back(std::move(Neg));
-      Prefix.addGE(E);
-    }
-  }
+  forEachPiece(P, cutsOf(S, P, /*SkipImplied=*/false, ExactOut),
+               [&](System Piece) {
+                 Out.push_back(std::move(Piece));
+                 return true;
+               });
   return Out;
 }
 
@@ -130,92 +195,6 @@ bool Region::containsPoint(const std::vector<IntT> &Vals) const {
   return false;
 }
 
-namespace {
-
-/// Expands equalities into inequality pairs.
-std::vector<AffineExpr> asInequalities(const System &S) {
-  std::vector<AffineExpr> Out;
-  for (const Constraint &C : S.constraints()) {
-    Out.push_back(C.Expr);
-    if (C.isEquality())
-      Out.push_back(C.Expr.negated());
-  }
-  return Out;
-}
-
-/// True if S entails E >= 0 (i.e. S and E <= -1 has no integer point).
-bool entails(const System &S, const AffineExpr &E) {
-  System Q = S;
-  Q.addGE(E.negated().plusConst(-1));
-  return Q.checkIntegerFeasible(projectionOptions().FeasibilityBudget) ==
-         Feasibility::Empty;
-}
-
-/// True if some constraint of \p S implies E >= 0 on its face.
-bool impliedOnItsFace(const System &S, const AffineExpr &E) {
-  for (const Constraint &C : S.constraints())
-    if (impliesOnItsFace(C, E))
-      return true;
-  return false;
-}
-
-/// A constraint E >= 0 or E == 0 whose negation may cut points out of a
-/// hull: Below marks that E <= -1 may hold there, Above (equalities only)
-/// that E >= 1 may.
-struct Cut {
-  Constraint C;
-  bool Below, Above;
-};
-
-/// The constraints of \p S, with S's Aux variables eliminated (a point is
-/// outside S iff no witness exists) and rewritten over \p U's space, that
-/// \p U does not imply on its face. Returns false when the elimination is
-/// integer-inexact.
-bool cutsOf(const System &S, const System &U, std::vector<Cut> &Out) {
-  bool Exact = true;
-  System SB = eliminateAuxVars(S, &Exact);
-  if (!Exact)
-    return false;
-  bool Quick = projectionOptions().QuickChecks;
-  auto Implied = [&](const AffineExpr &E) {
-    return Quick && impliedOnItsFace(U, E);
-  };
-  for (const Constraint &C : SB.constraints()) {
-    AffineExpr E = mapExpr(C.Expr, SB.space(), U.space());
-    bool Below = !Implied(E);
-    bool Above = C.isEquality() && !Implied(E.negated());
-    if (Below || Above)
-      Out.push_back(Cut{Constraint(std::move(E), C.Rel), Below, Above});
-  }
-  return true;
-}
-
-/// Visits the pieces of  Prefix \ Cuts  in Region::subtract's order,
-/// Prefix /\ c_0 /\ ... /\ c_{j-1} /\ not c_j, and stops at the first
-/// piece for which \p Visit returns false. Returns false if it stopped.
-template <typename VisitFn>
-bool forEachPiece(System Prefix, const std::vector<Cut> &Cuts,
-                  VisitFn Visit) {
-  for (const Cut &K : Cuts) {
-    if (K.Below) {
-      System Piece = Prefix;
-      Piece.addGE(K.C.Expr.negated().plusConst(-1)); // E <= -1
-      if (!Visit(Piece))
-        return false;
-    }
-    if (K.Above) {
-      System Piece = Prefix;
-      Piece.addGE(K.C.Expr.plusConst(-1)); // E >= 1
-      if (!Visit(Piece))
-        return false;
-    }
-    Prefix.addConstraint(K.C);
-  }
-  return true;
-}
-
-} // namespace
-
 std::optional<System> dmcc::coalesceSystems(const System &A,
                                             const System &B) {
   PhaseTimer Timer("math.coalesce");
@@ -245,17 +224,19 @@ std::optional<System> dmcc::coalesceSystems(const System &A,
   // constraints are split on, and the first piece that may hold a point
   // ends the test. B's cuts are built on first use, as Region::subtract
   // only eliminates B's Aux variables when U \ A has a piece.
-  std::vector<Cut> CutsA, CutsB;
-  if (!cutsOf(NA, U, CutsA))
+  bool Exact = true;
+  std::vector<Cut> CutsA = cutsOf(NA, U, Quick, &Exact), CutsB;
+  if (!Exact)
     return std::nullopt;
   bool HaveCutsB = false;
   bool Empty = forEachPiece(U, CutsA, [&](const System &OutsideA) {
     if (OutsideA.isIntegerEmpty())
       return true;
     if (!HaveCutsB) {
-      if (!cutsOf(NB, U, CutsB))
-        return false;
+      CutsB = cutsOf(NB, U, Quick, &Exact);
       HaveCutsB = true;
+      if (!Exact)
+        return false;
     }
     return forEachPiece(OutsideA, CutsB, [](const System &Outside) {
       return Outside.isIntegerEmpty();
