@@ -222,8 +222,9 @@ std::optional<System> dmcc::coalesceSystems(const System &A,
   // Exactness: U \ A \ B must hold no integer point. A constraint U
   // implies on its face only yields empty pieces, so just the cut
   // constraints are split on, and the first piece that may hold a point
-  // ends the test. B's cuts are built on first use, as Region::subtract
-  // only eliminates B's Aux variables when U \ A has a piece.
+  // ends the test. B's cuts are built on first use: an inexact
+  // elimination of B's Aux variables refuses the merge only when some
+  // piece of U \ A may hold a point.
   bool Exact = true;
   std::vector<Cut> CutsA = cutsOf(NA, U, Quick, &Exact), CutsB;
   if (!Exact)
