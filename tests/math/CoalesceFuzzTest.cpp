@@ -144,11 +144,6 @@ System randomBase(const Space &Sp, std::mt19937 &Rng) {
   return P;
 }
 
-/// A constant range on loop variable \p I.
-void addBox(System &S, unsigned I, IntT BLo, IntT BHi) {
-  S.addRange(I, BLo, BHi);
-}
-
 struct Pair {
   System A, B;
   const char *Kind;
@@ -185,8 +180,8 @@ Pair randomPair(std::mt19937 &Rng) {
       IntT A1 = A0 + static_cast<IntT>(Rng() % 4);
       IntT B0 = A0 + static_cast<IntT>(Rng() % (A1 - A0 + 2));
       IntT B1 = B0 + static_cast<IntT>(Rng() % 3);
-      addBox(Out.A, I, A0, A1);
-      addBox(Out.B, I, B0, B1);
+      Out.A.addRange(I, A0, A1);
+      Out.B.addRange(I, B0, B1);
     }
     Out.Kind = "overlap";
     break;
@@ -195,11 +190,11 @@ Pair randomPair(std::mt19937 &Rng) {
     unsigned G = Rng() % NumLoops;
     IntT A1 = Lo + static_cast<IntT>(Rng() % 3);
     IntT B0 = A1 + 2 + static_cast<IntT>(Rng() % 2);
-    addBox(Out.A, G, Lo, A1);
-    addBox(Out.B, G, B0, Hi);
+    Out.A.addRange(G, Lo, A1);
+    Out.B.addRange(G, B0, Hi);
     for (unsigned I = 0; I != NumLoops; ++I)
       if (I != G && Rng() % 2)
-        addBox(Out.B, I, Lo + 1, Hi);
+        Out.B.addRange(I, Lo + 1, Hi);
     Out.Kind = "gap";
     break;
   }
