@@ -13,7 +13,8 @@
 // sustain the run — O(1) message matching and amortized checkpoint
 // gates keep it at parity with the round engine on compute-dominated
 // programs while never re-polling a blocked processor. Output is one
-// JSON object (committed as BENCH_sim_scale.json at the repo root).
+// JSON object (committed as BENCH_sim_scale.json at the repo root),
+// with the build type and hardware_concurrency it was measured under.
 //
 // Set DMCC_BENCH_SMALL=1 to run at reduced scale, or override the
 // sweep with DMCC_BENCH_CELLS="P:N,P:N,...".
@@ -26,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -130,6 +132,9 @@ int main() {
   std::printf("{\n");
   std::printf("  \"bench\": \"sim_scale\",\n");
   std::printf("  \"mode\": \"%s\",\n", Small ? "small" : "full");
+  std::printf("  \"build_type\": \"%s\",\n", DMCC_BUILD_TYPE);
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"program\": \"lu\",\n");
   std::printf("  \"functional\": false,\n");
   std::printf("  \"cells\": [\n");

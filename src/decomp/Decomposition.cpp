@@ -92,17 +92,25 @@ std::vector<IntT> Decomposition::gridCoordinate(
   return Out;
 }
 
+bool Decomposition::ownerRange(const std::vector<IntT> &SourceVals,
+                               unsigned D, IntT &Lo, IntT &Hi) const {
+  const DecompDim &Dim = Dims[D];
+  if (Dim.Replicated)
+    return false;
+  // Coordinate c holds V when Block*c - OverlapLo <= V and
+  // V <= Block*(c+1) - 1 + OverlapHi.
+  IntT V = Dim.Expr.evaluate(SourceVals);
+  Lo = floorDiv(subChk(V, Dim.OverlapHi), Dim.Block);
+  Hi = floorDiv(addChk(V, Dim.OverlapLo), Dim.Block);
+  return true;
+}
+
 bool Decomposition::owns(const std::vector<IntT> &SourceVals,
                          const std::vector<IntT> &Coord) const {
   assert(Coord.size() == Dims.size() && "wrong grid arity");
   for (unsigned D = 0, E = Dims.size(); D != E; ++D) {
-    const DecompDim &Dim = Dims[D];
-    if (Dim.Replicated)
-      continue;
-    IntT V = Dim.Expr.evaluate(SourceVals);
-    IntT Lo = Dim.Block * Coord[D] - Dim.OverlapLo;
-    IntT Hi = Dim.Block * (Coord[D] + 1) - 1 + Dim.OverlapHi;
-    if (V < Lo || V > Hi)
+    IntT Lo, Hi;
+    if (ownerRange(SourceVals, D, Lo, Hi) && (Coord[D] < Lo || Coord[D] > Hi))
       return false;
   }
   return true;

@@ -49,6 +49,8 @@ struct DecompDim {
   IntT Block = 1;
   /// Extra elements owned below/above the block (border replication).
   IntT OverlapLo = 0, OverlapHi = 0;
+
+  bool operator==(const DecompDim &O) const = default;
 };
 
 /// A mapping of a source index space onto a virtual processor grid.
@@ -97,12 +99,21 @@ public:
   std::vector<IntT> gridCoordinate(const std::vector<IntT> &SourceVals)
       const;
 
+  /// Concrete evaluation: the coordinates along grid dimension \p D
+  /// whose processors hold a copy of the given source point, [Lo, Hi]
+  /// (empty when Lo > Hi). Returns false for a replicated dimension,
+  /// where every coordinate does.
+  bool ownerRange(const std::vector<IntT> &SourceVals, unsigned D, IntT &Lo,
+                  IntT &Hi) const;
+
   /// Concrete evaluation: whether processor \p Coord holds a copy of the
   /// given source point (handles replication and overlap).
   bool owns(const std::vector<IntT> &SourceVals,
             const std::vector<IntT> &Coord) const;
 
   std::string str() const;
+
+  bool operator==(const Decomposition &O) const = default;
 
 private:
   AffineExpr mapInto(const AffineExpr &E, const System &S,

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dense integer affine expressions over a Space, and the single-relation
-/// constraints (Expr >= 0 / Expr == 0) that Section 4 of the paper uses to
-/// represent iteration domains, access functions, decompositions and
-/// last-write relations uniformly.
+/// Dense integer affine expressions over a Space, their sparse
+/// evaluation form, and the single-relation constraints (Expr >= 0 /
+/// Expr == 0) that Section 4 of the paper uses to represent iteration
+/// domains, access functions, decompositions and last-write relations
+/// uniformly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,6 +137,49 @@ public:
 private:
   std::vector<IntT> Coeffs;
   IntT Cst = 0;
+};
+
+/// One nonzero term of a LinearForm: Coeff * v_Var.
+struct LinearTerm {
+  unsigned Var = 0;
+  IntT Coeff = 0;
+};
+
+/// An AffineExpr in sparse form, for expressions evaluated many times:
+/// the constant plus the nonzero terms in ascending variable order. The
+/// terms live in a caller-owned pool, so the forms of a whole program
+/// share one allocation. evaluate() performs the same checked additions
+/// and multiplications as AffineExpr::evaluate, in the same order, so
+/// the two agree on every value and abort on the same overflow.
+class LinearForm {
+public:
+  LinearForm() = default;
+
+  /// Appends \p E's nonzero terms to \p Pool.
+  LinearForm(const AffineExpr &E, std::vector<LinearTerm> &Pool)
+      : Cst(E.constant()), Begin(Pool.size()) {
+    for (unsigned I = 0, N = E.size(); I != N; ++I)
+      if (E.coeff(I) != 0)
+        Pool.push_back({I, E.coeff(I)});
+    End = Pool.size();
+  }
+
+  /// Evaluates with Vals[i] as the value of v_i; \p Pool is the pool
+  /// the form was built in.
+  IntT evaluate(const std::vector<LinearTerm> &Pool,
+                const std::vector<IntT> &Vals) const {
+    IntT R = Cst;
+    for (size_t K = Begin; K != End; ++K) {
+      const LinearTerm &T = Pool[K];
+      assert(T.Var < Vals.size() && "too few values for evaluation");
+      R = addChk(R, mulChk(T.Coeff, Vals[T.Var]));
+    }
+    return R;
+  }
+
+private:
+  IntT Cst = 0;
+  size_t Begin = 0, End = 0; ///< the terms: Pool[Begin, End)
 };
 
 /// The relation a Constraint asserts about its expression.

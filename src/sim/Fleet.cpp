@@ -83,20 +83,12 @@ uint64_t hashFinalArrays(Simulator &Sim, const Program &P,
   return H;
 }
 
-/// Child-side terminal classification, shipped through the pipe.
-enum ChildStatus : int32_t {
-  ChildOk = 0,
-  ChildMismatch = 1,
-  ChildDeadlock = 2,
-  ChildTransportExhausted = 3,
-};
-
 /// Fixed-size result record a worker writes to its pipe in one atomic
 /// write (well under PIPE_BUF). Anything short of a full record with
 /// the right magic is treated as a worker crash.
 struct WireResult {
   uint32_t Magic = 0;
-  int32_t Status = 0;
+  uint32_t Status = 0; ///< a ScenarioStatus from runStatus()
   double Makespan = 0;
   uint64_t Retrans = 0;
   uint64_t Crashes = 0;
@@ -112,9 +104,6 @@ constexpr uint32_t JrnlMetaType = 0x464C4D54;    // "FLMT"
 constexpr uint32_t JrnlStartType = 0x464C5354;   // "FLST"
 constexpr uint32_t JrnlVerdictType = 0x464C5644; // "FLVD"
 constexpr uint32_t JournalVersion = 1;
-
-/// Number of ScenarioStatus values, for validating journaled verdicts.
-constexpr uint32_t NumScenarioStatuses = 7;
 
 /// Appends minimally-escaped JSON string content.
 void appendEscaped(std::string &Out, const std::string &S) {
@@ -148,8 +137,20 @@ const char *dmcc::scenarioStatusName(ScenarioStatus S) {
     return "worker-crash";
   case ScenarioStatus::RetryExhausted:
     return "retry-exhausted";
+  case ScenarioStatus::EventBudget:
+    return "event-budget";
   }
   return "unknown";
+}
+
+ScenarioStatus dmcc::runStatus(const SimResult &R, uint64_t Hash,
+                               uint64_t Golden) {
+  if (R.Ok)
+    return Hash == Golden ? ScenarioStatus::Ok : ScenarioStatus::Mismatch;
+  if (R.Diag.EventBudgetExhausted)
+    return ScenarioStatus::EventBudget;
+  return R.Diag.RetryExhausted.empty() ? ScenarioStatus::Deadlock
+                                       : ScenarioStatus::TransportExhausted;
 }
 
 unsigned FleetReport::count(ScenarioStatus S) const {
@@ -168,14 +169,10 @@ std::string FleetReport::json() const {
                 "  \"scenarios_total\": %zu,\n  \"counts\": {",
                 GoldenHash, ElapsedSeconds, Jobs, Outcomes.size());
   Out += Buf;
-  static const ScenarioStatus All[] = {
-      ScenarioStatus::Ok,       ScenarioStatus::Mismatch,
-      ScenarioStatus::Deadlock, ScenarioStatus::TransportExhausted,
-      ScenarioStatus::Timeout,  ScenarioStatus::WorkerCrash,
-      ScenarioStatus::RetryExhausted};
-  for (unsigned I = 0; I != 7; ++I) {
+  for (unsigned I = 0; I != NumScenarioStatuses; ++I) {
+    ScenarioStatus S = AllScenarioStatuses[I];
     std::snprintf(Buf, sizeof Buf, "%s\"%s\": %u", I ? ", " : "",
-                  scenarioStatusName(All[I]), count(All[I]));
+                  scenarioStatusName(S), count(S));
     Out += Buf;
   }
   Out += "},\n  \"scenarios\": [\n";
@@ -215,17 +212,12 @@ std::string
 dmcc::groupedFleetJson(const std::vector<NamedFleetReport> &Reports) {
   size_t Total = 0;
   double Elapsed = 0;
-  unsigned Counts[7] = {};
-  static const ScenarioStatus All[] = {
-      ScenarioStatus::Ok,       ScenarioStatus::Mismatch,
-      ScenarioStatus::Deadlock, ScenarioStatus::TransportExhausted,
-      ScenarioStatus::Timeout,  ScenarioStatus::WorkerCrash,
-      ScenarioStatus::RetryExhausted};
+  unsigned Counts[NumScenarioStatuses] = {};
   for (const NamedFleetReport &R : Reports) {
     Total += R.Report.Outcomes.size();
     Elapsed += R.Report.ElapsedSeconds;
-    for (unsigned I = 0; I != 7; ++I)
-      Counts[I] += R.Report.count(All[I]);
+    for (unsigned I = 0; I != NumScenarioStatuses; ++I)
+      Counts[I] += R.Report.count(AllScenarioStatuses[I]);
   }
 
   std::string Out = "{\n  \"programs\": [\n";
@@ -246,9 +238,9 @@ dmcc::groupedFleetJson(const std::vector<NamedFleetReport> &Reports) {
                 "\"counts\": {",
                 Reports.size(), Total, Elapsed);
   Out += Buf;
-  for (unsigned I = 0; I != 7; ++I) {
+  for (unsigned I = 0; I != NumScenarioStatuses; ++I) {
     std::snprintf(Buf, sizeof Buf, "%s\"%s\": %u", I ? ", " : "",
-                  scenarioStatusName(All[I]), Counts[I]);
+                  scenarioStatusName(AllScenarioStatuses[I]), Counts[I]);
     Out += Buf;
   }
   Out += "}}\n}\n";
@@ -500,15 +492,11 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
       W.Retrans = R.Retransmissions;
       W.Crashes = R.Recovery.Crashes;
       W.Rollbacks = R.Recovery.Rollbacks;
-      if (!R.Ok) {
-        W.Status = R.Diag.RetryExhausted.empty()
-                       ? ChildDeadlock
-                       : ChildTransportExhausted;
-        std::snprintf(W.Error, sizeof W.Error, "%s", R.Error.c_str());
-      } else {
+      if (R.Ok)
         W.Hash = hashFinalArrays(Sim, P, Spec, Params);
-        W.Status = W.Hash == Golden ? ChildOk : ChildMismatch;
-      }
+      else
+        std::snprintf(W.Error, sizeof W.Error, "%s", R.Error.c_str());
+      W.Status = static_cast<uint32_t>(runStatus(R, W.Hash, Golden));
       ssize_t N = write(Fds[1], &W, sizeof W);
       (void)N;
       _exit(0); // no stdio flush: the parent owns the terminal
@@ -605,7 +593,8 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
     }
     bool Structured = N == static_cast<ssize_t>(sizeof W) &&
                       W.Magic == WireMagic && WIFEXITED(WaitStatus) &&
-                      WEXITSTATUS(WaitStatus) == 0;
+                      WEXITSTATUS(WaitStatus) == 0 &&
+                      W.Status < NumScenarioStatuses;
     if (!Structured) {
       char Buf[96];
       if (WIFSIGNALED(WaitStatus))
@@ -627,22 +616,10 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
     O.Crashes = W.Crashes;
     O.Rollbacks = W.Rollbacks;
     O.ResultHash = W.Hash;
-    switch (W.Status) {
-    case ChildOk:
-      O.Status = ScenarioStatus::Ok;
-      break;
-    case ChildMismatch:
-      O.Status = ScenarioStatus::Mismatch;
-      break;
-    case ChildTransportExhausted:
-      O.Status = ScenarioStatus::TransportExhausted;
+    O.Status = static_cast<ScenarioStatus>(W.Status);
+    if (O.Status != ScenarioStatus::Ok &&
+        O.Status != ScenarioStatus::Mismatch)
       O.LastFailure = W.Error;
-      break;
-    default:
-      O.Status = ScenarioStatus::Deadlock;
-      O.LastFailure = W.Error;
-      break;
-    }
     Finish(Sh, std::move(O));
   };
 

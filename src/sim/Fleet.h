@@ -19,8 +19,8 @@
 ///    each shard processes its scenarios in order, so a rerun of the
 ///    same matrix replays the same assignment;
 ///  - every scenario is accounted for in the final report, with one of
-///    the statuses: ok / mismatch / deadlock / transport-exhausted /
-///    timeout / worker-crash / retry-exhausted.
+///    the statuses: ok / mismatch / deadlock / event-budget /
+///    transport-exhausted / timeout / worker-crash / retry-exhausted.
 ///
 /// Surviving scenarios are checked against the clean run: the parent
 /// executes the scenario matrix's program once, sequentially and
@@ -55,7 +55,8 @@ struct FleetScenario {
   SimEngine Engine = SimEngine::Rounds;
 };
 
-/// Final classification of one scenario after supervision.
+/// Final classification of one scenario after supervision. The values
+/// are journaled, so new ones go at the end.
 enum class ScenarioStatus {
   Ok,                 ///< completed, final arrays match the clean run
   Mismatch,           ///< completed but final arrays differ (dmcc bug)
@@ -64,10 +65,26 @@ enum class ScenarioStatus {
   Timeout,            ///< watchdog killed the worker (after retries)
   WorkerCrash,        ///< worker died abnormally (after retries)
   RetryExhausted,     ///< respawn budget spent on timeouts/crashes
+  EventBudget,        ///< stopped at SimOptions::MaxEvents (deterministic)
 };
+
+/// Every status, in the order reports list them.
+inline constexpr ScenarioStatus AllScenarioStatuses[] = {
+    ScenarioStatus::Ok,          ScenarioStatus::Mismatch,
+    ScenarioStatus::Deadlock,    ScenarioStatus::EventBudget,
+    ScenarioStatus::TransportExhausted, ScenarioStatus::Timeout,
+    ScenarioStatus::WorkerCrash, ScenarioStatus::RetryExhausted};
+inline constexpr unsigned NumScenarioStatuses =
+    sizeof(AllScenarioStatuses) / sizeof(AllScenarioStatuses[0]);
 
 /// Stable lower-case name used in the JSON report.
 const char *scenarioStatusName(ScenarioStatus S);
+
+/// The verdict a finished simulation earns: for a run that completed,
+/// ok or mismatch by its final-array \p Hash against the clean run's
+/// \p Golden; otherwise event-budget, transport-exhausted or deadlock
+/// by why it stopped.
+ScenarioStatus runStatus(const SimResult &R, uint64_t Hash, uint64_t Golden);
 
 /// What happened to one scenario, including supervision metadata.
 struct ScenarioOutcome {

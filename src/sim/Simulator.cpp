@@ -12,7 +12,6 @@
 #include <mutex>
 #include <set>
 #include <thread>
-#include <unordered_map>
 
 using namespace dmcc;
 
@@ -66,6 +65,17 @@ Payload makePayload(std::vector<double> Data) {
 
 uint64_t payloadSize(const Payload &D) { return D ? D->size() : 0; }
 
+std::string coordStr(const std::vector<IntT> &C) {
+  std::string S = "(";
+  for (unsigned I = 0; I != C.size(); ++I) {
+    if (I)
+      S += ",";
+    S += std::to_string(C[I]);
+  }
+  S += ")";
+  return S;
+}
+
 /// One virtual processor's local memory (paper Section 5.5; DESIGN.md
 /// §16). Per array, a dense window over the flat range the processor
 /// has touched so far, with a presence byte per slot: a slot is held
@@ -80,6 +90,8 @@ public:
   /// The held value of an element, or null when the processor does not
   /// hold it. \p Flat must lie in [0, extent).
   const double *find(unsigned ArrayId, IntT Flat) const {
+    if (ArrayId >= Windows.size())
+      return nullptr;
     const Window &W = Windows[ArrayId];
     IntT Off = Flat - W.Lo;
     if (Off < 0 || Off >= static_cast<IntT>(W.Has.size()) || !W.Has[Off])
@@ -173,10 +185,84 @@ struct Simulator::Message {
   uint64_t PushRound = 0;
 };
 
+/// One directed channel (DESIGN.md §17): its receive queue and the
+/// reliable transport's cursors (next sequence number to send and to
+/// receive), plus presence bits. Each bit says whether the channel has
+/// an entry in that part of the channel state: a queue from its first
+/// push, a send cursor from its first transport send, a receive cursor
+/// from its first transport send or transport receive attempt. The
+/// durable image lists the entries that are present, an empty queue
+/// or a zero cursor included. An absent part is empty or zero.
+struct Simulator::Channel {
+  std::vector<Message> Queue;
+  uint64_t SendSeq = 0, RecvSeq = 0;
+  ChanKey Key; // after the 8-byte fields: the record packs into 56 bytes
+  bool HasQueue = false, HasSendSeq = false, HasRecvSeq = false;
+};
+
+/// A lowered loop bound: ceil(Num / Den) (lower) or floor (upper).
+struct Simulator::ExecBound {
+  LinearForm Num;
+  IntT Den = 1;
+};
+
+/// A lowered guard: Expr == 0 when IsEq, otherwise Expr >= 0.
+struct Simulator::ExecCond {
+  LinearForm Expr;
+  bool IsEq = false;
+};
+
+/// One SpmdStmt lowered for execution (DESIGN.md §17): same kind and
+/// same position, with a Body that mirrors the SpmdStmt's, so call-stack
+/// frames and their durable encoding are unchanged. Lists are spans of
+/// the simulator's pools (Stmts, Bounds, Conds, Forms), affine
+/// expressions are sparse LinearForms over Terms, and what the
+/// interpreter would otherwise recompute on every execution is computed
+/// once here.
+struct Simulator::ExecStmt {
+  SpmdStmt::Kind K = SpmdStmt::Kind::Seq;
+  Span Body; ///< in Stmts
+
+  // For / SetVar.
+  unsigned Var = 0;
+  Span Lower, Upper; ///< in Bounds
+  LinearForm Value;
+  IntT ValueDen = 1;
+  /// For: the body is non-empty and holds only Compute and SetVar, so
+  /// performance mode may collapse the loop into a closed-form cost.
+  bool Collapsible = false;
+  /// For inside a message body: each iteration packs or unpacks exactly
+  /// one element unconditionally.
+  bool OneItem = false;
+  /// For, when Collapsible: one iteration's summed statement cost,
+  /// flops and compute statements.
+  double IterCost = 0;
+  uint64_t IterFlops = 0, IterComputes = 0;
+
+  // If.
+  Span Conds; ///< in Conds
+
+  // Compute: the statement, and the cost and flops of one execution.
+  unsigned StmtId = 0;
+  Span IterExprs; ///< in Forms
+  double Cost = 0;
+  unsigned Flops = 0;
+
+  // Send / Recv.
+  Span Peer; ///< in Forms
+  unsigned CommId = 0;
+  bool IsMulticast = false;
+  bool Nonblocking = false;
+
+  // PackElem / UnpackElem.
+  unsigned ArrayId = 0;
+  Span Indices; ///< in Forms
+};
+
 struct Simulator::Frame {
-  const std::vector<SpmdStmt> *List = nullptr;
+  Span List; ///< the statements this frame runs, in Stmts
   unsigned Pos = 0;
-  const SpmdStmt *LoopStmt = nullptr; ///< non-null for loop body frames
+  const ExecStmt *LoopStmt = nullptr; ///< non-null for loop body frames
   IntT LoopCur = 0, LoopHi = 0;
 };
 
@@ -237,6 +323,10 @@ struct Simulator::VirtProc : ProcIdentity, ProcState {
   /// What this processor was waiting for the last time it blocked; the
   /// deadlock detector reads it to build the structured diagnostic.
   PendingRecv LastBlock;
+  /// The channel of that receive, where the event engine parks it, or
+  /// NoChan when the peer lies outside the grid and nothing can wake it.
+  static constexpr unsigned NoChan = ~0u;
+  unsigned BlockChan = NoChan;
 };
 
 /// One coordinated checkpoint in the stable store: everything a rollback
@@ -247,8 +337,9 @@ struct Simulator::VirtProc : ProcIdentity, ProcState {
 /// a rollback reads only the logical group of Counters.
 struct Simulator::Checkpoint {
   std::vector<ProcState> Procs;
-  std::map<std::vector<IntT>, std::vector<Message>> Queues;
-  std::map<std::vector<IntT>, uint64_t> SendSeq, RecvSeq;
+  /// The channel table at the line, indexed by the live table's ids (a
+  /// channel interned after the line lies beyond its end).
+  std::vector<Channel> Chans;
   std::vector<TransportFailure> Failures;
   SimCounters Counters;
   /// Useful-work bucket values at the line; the delta at rollback is the
@@ -269,6 +360,9 @@ struct Simulator::StepCtx {
   SimCounters &C;
   std::vector<TransportFailure> &Failures;
   std::vector<CrashEvent> &Crashes;
+  /// Program error sink: the first error of the slice's processor
+  /// order wins (see sendOutsideGrid).
+  std::string &Error;
   /// Global Events immediately before this slice. Exact in the
   /// sequential engine and in serialized (checkpoint-imminent) threaded
   /// rounds; the round-start value otherwise.
@@ -323,6 +417,7 @@ struct Simulator::ThreadEngine {
   std::vector<uint64_t> ProcExecuted;
   std::vector<std::vector<TransportFailure>> ProcFailures;
   std::vector<std::vector<CrashEvent>> ProcCrashes;
+  std::vector<std::string> ProcErrors;
 
   struct WorkerOut {
     SimCounters C;
@@ -331,9 +426,10 @@ struct Simulator::ThreadEngine {
   };
   std::vector<WorkerOut> Outs;
 
-  /// Guards Queues, SendSeq and RecvSeq — the only state two workers
-  /// can touch concurrently. Message operations are rare next to
-  /// compute statements, so one lock suffices.
+  /// Guards the channel table (Chans, ChanSlots) — the only
+  /// state two workers can touch concurrently. Message operations are
+  /// rare next to compute statements, so one lock suffices. Interning
+  /// can grow Chans, so no reference into it is held across an unlock.
   std::mutex ChanMu;
 
   std::vector<std::thread> Threads;
@@ -343,6 +439,7 @@ struct Simulator::ThreadEngine {
     ProcExecuted.assign(S.Procs.size(), 0);
     ProcFailures.resize(S.Procs.size());
     ProcCrashes.resize(S.Procs.size());
+    ProcErrors.resize(S.Procs.size());
     Outs.resize(Workers);
     Threads.reserve(Workers);
     for (unsigned W = 0; W != Workers; ++W)
@@ -424,7 +521,7 @@ struct Simulator::ThreadEngine {
       return;
     }
     V.Blocked = false;
-    StepCtx Ctx{Out.C, ProcFailures[J], ProcCrashes[J]};
+    StepCtx Ctx{Out.C, ProcFailures[J], ProcCrashes[J], ProcErrors[J]};
     Ctx.TE = this;
     Ctx.Round = R;
     if (SerialRound) {
@@ -492,6 +589,9 @@ struct Simulator::ThreadEngine {
       for (CrashEvent &CE : ProcCrashes[J])
         S.CrashLog.push_back(std::move(CE));
       ProcCrashes[J].clear();
+      if (S.RunError.empty())
+        S.RunError = std::move(ProcErrors[J]);
+      ProcErrors[J].clear();
     }
     // Parallel slices count from the round-start base, so the budget
     // is re-checked here against the merged total.
@@ -505,8 +605,8 @@ struct Simulator::ThreadEngine {
 /// those slices are blocked receive attempts — pure no-ops that rewind
 /// their own step counters and touch nothing else. This engine executes
 /// the exact same statement sequence while skipping the provable
-/// no-ops: a blocked receiver parks in a per-channel hash bucket
-/// (WaitTable) and only the send that pushes onto its channel can make
+/// no-ops: a blocked receiver parks in its channel's slot of a wait
+/// array (Waiter) and only the send that pushes onto its channel can make
 /// its next attempt differ, so the push wakes it in O(1) and nothing
 /// else ever reschedules it. Ascending-index pops plus the wake rule
 /// below reproduce the sequential intra-round visibility exactly, which
@@ -515,33 +615,18 @@ struct Simulator::ThreadEngine {
 struct Simulator::EventEngine {
   Simulator &S;
 
-  /// SplitMix64-style hash over a channel key, for the wait buckets.
-  /// The durable Queues map stays an ordered std::map (serialization
-  /// order is part of the on-disk format); this hash is auxiliary.
-  struct KeyHash {
-    size_t operator()(const std::vector<IntT> &K) const {
-      uint64_t H = 0x9e3779b97f4a7c15ull;
-      for (IntT X : K) {
-        uint64_t V = static_cast<uint64_t>(X) + 0x9e3779b97f4a7c15ull;
-        V = (V ^ (V >> 30)) * 0xbf58476d1ce4e5b9ull;
-        V = (V ^ (V >> 27)) * 0x94d049bb133111ebull;
-        H ^= (V ^ (V >> 31)) + (H << 6) + (H >> 2);
-      }
-      return static_cast<size_t>(H);
-    }
-  };
+  static constexpr unsigned NoWaiter = ~0u;
 
   /// Processors runnable this round / next round. Ordered sets: the
   /// round drains RunQ in ascending flat index, which IS the sequential
   /// sweep order restricted to non-skippable slices.
   std::set<unsigned> RunQ, NextQ;
-  /// Channel key -> the one processor blocked receiving on it (a key
-  /// names its receiver coordinate, so at most one waiter per key).
-  std::unordered_map<std::vector<IntT>, unsigned, KeyHash> WaitTable;
-  /// Inverse of WaitTable for cleanup; empty when the proc is not
-  /// parked. Every live unfinished processor is in exactly one of
-  /// RunQ, NextQ or WaitTable.
-  std::vector<std::vector<IntT>> WaitKeyOf;
+  /// Channel id -> the one processor blocked receiving on it, or
+  /// NoWaiter (a channel names its receiver, so at most one waiter per
+  /// channel). Grows with the channel table. Every live unfinished
+  /// processor is in exactly one of RunQ, NextQ or Waiter, except one
+  /// blocked on a receive from outside the grid, which nothing wakes.
+  std::vector<unsigned> Waiter;
   unsigned Running = 0; ///< proc whose slice is executing
   bool InRound = false;
   uint64_t FinishedCount = 0, DeadCount = 0;
@@ -554,8 +639,7 @@ struct Simulator::EventEngine {
   void reset() {
     RunQ.clear();
     NextQ.clear();
-    WaitTable.clear();
-    WaitKeyOf.assign(S.Procs.size(), {});
+    Waiter.assign(S.Chans.size(), NoWaiter);
     FinishedCount = DeadCount = 0;
     InRound = false;
     for (const VirtProc &V : S.Procs) {
@@ -566,19 +650,17 @@ struct Simulator::EventEngine {
     }
   }
 
-  /// A message landed on \p Key: if its receiver is parked, its next
+  /// A message landed on channel \p Ch: if its receiver is parked, its next
   /// attempt is no longer a provable no-op — reschedule it. A waiter
   /// with an index above the running processor re-enters the CURRENT
   /// round (ascending pops have not reached it, exactly as the
   /// sequential sweep had not); at or below, it sees the message next
   /// round, matching the sequential engine's intra-round visibility.
-  void notifyPush(const std::vector<IntT> &Key) {
-    auto It = WaitTable.find(Key);
-    if (It == WaitTable.end())
+  void notifyPush(unsigned Ch) {
+    if (Ch >= Waiter.size() || Waiter[Ch] == NoWaiter)
       return;
-    unsigned W = It->second;
-    WaitTable.erase(It);
-    WaitKeyOf[W].clear();
+    unsigned W = Waiter[Ch];
+    Waiter[Ch] = NoWaiter;
     if (InRound && W > Running)
       RunQ.insert(W);
     else
@@ -596,7 +678,7 @@ struct Simulator::EventEngine {
   void gateVisit(unsigned Id) {
     VirtProc &V = S.Procs[Id];
     V.Blocked = false;
-    StepCtx Ctx{S.Ctr, S.Failures, S.CrashLog};
+    StepCtx Ctx{S.Ctr, S.Failures, S.CrashLog, S.RunError};
     Ctx.EventsBase = S.Events;
     Ctx.EE = this;
     S.stepProc(V, Ctx);
@@ -637,7 +719,7 @@ struct Simulator::EventEngine {
       RunQ.erase(RunQ.begin());
       VirtProc &V = S.Procs[Running];
       V.Blocked = false;
-      StepCtx Ctx{S.Ctr, S.Failures, S.CrashLog};
+      StepCtx Ctx{S.Ctr, S.Failures, S.CrashLog, S.RunError};
       Ctx.EventsBase = S.Events;
       Ctx.EE = this;
       if (S.stepProc(V, Ctx))
@@ -649,17 +731,13 @@ struct Simulator::EventEngine {
       } else if (V.Finished) {
         ++FinishedCount;
       } else if (V.Blocked) {
-        // Park on the channel the receive is stuck on; the key layout
-        // matches the one the Recv path builds (comm id, sender coord,
-        // own coord).
-        std::vector<IntT> Key;
-        Key.reserve(1 + V.LastBlock.Peer.size() + V.Coord.size());
-        Key.push_back(static_cast<IntT>(V.LastBlock.CommId));
-        Key.insert(Key.end(), V.LastBlock.Peer.begin(),
-                   V.LastBlock.Peer.end());
-        Key.insert(Key.end(), V.Coord.begin(), V.Coord.end());
-        WaitKeyOf[Running] = Key;
-        WaitTable.emplace(std::move(Key), Running);
+        // Park on the channel the receive is stuck on. A receive from
+        // outside the grid has none: no send can ever wake it.
+        if (V.BlockChan != VirtProc::NoChan) {
+          if (V.BlockChan >= Waiter.size())
+            Waiter.resize(S.Chans.size(), NoWaiter);
+          Waiter[V.BlockChan] = Running;
+        }
       } else {
         NextQ.insert(Running); // slice budget spent, still runnable
       }
@@ -699,6 +777,33 @@ struct Simulator::EventEngine {
 //===----------------------------------------------------------------------===//
 // Setup
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// How many entries lowering a statement list adds to each pool.
+struct PoolSizes {
+  size_t Stmts = 0, Bounds = 0, Conds = 0, Forms = 0;
+};
+
+void countPools(const std::vector<SpmdStmt> &List, PoolSizes &N) {
+  for (const SpmdStmt &S : List) {
+    ++N.Stmts;
+    N.Bounds += S.Lower.size() + S.Upper.size();
+    N.Conds += S.Conds.size();
+    N.Forms += S.IterExprs.size() + S.Peer.size() + S.Indices.size();
+    countPools(S.Body, N);
+  }
+}
+
+/// A pool index or length as a Span field. Pools hold one entry per
+/// statement or expression of a compiled program held in memory, far
+/// below 2^32.
+unsigned spanField(size_t N) {
+  assert(N <= std::numeric_limits<unsigned>::max() && "pool too large");
+  return static_cast<unsigned>(N);
+}
+
+} // namespace
 
 Simulator::~Simulator() = default;
 
@@ -754,24 +859,40 @@ Simulator::Simulator(const Program &P, const CompiledProgram &CP,
   for (const auto &[ArrayId, D] : Spec.FinalData)
     FinalSrc.emplace(ArrayId, sourceParams(D, this->Opts.ParamValues));
 
+  // Lower the SPMD program once; every engine executes the lowered
+  // tree. Done here, not at compile time, because the statement costs
+  // it folds in depend on this run's cost model. The pools are sized
+  // first (Terms by estimate), so they fill without reallocating.
+  PoolSizes N;
+  countPools(CP.Spmd.Top, N);
+  Stmts.reserve(N.Stmts);
+  Bounds.reserve(N.Bounds);
+  Conds.reserve(N.Conds);
+  Forms.reserve(N.Forms);
+  Terms.reserve(2 * (N.Bounds + N.Conds + N.Forms)); // ~2 terms each
+  Top = lowerList(CP.Spmd.Top);
+
   // Instantiate the virtual processors.
   unsigned Dims = CP.Spmd.GridDims;
+  Procs.reserve(static_cast<size_t>(
+      mulChk(VirtStride[0], addChk(subChk(VirtHi[0], VirtLo[0]), 1))));
   std::vector<IntT> Coord = VirtLo;
   bool Done = false;
   while (!Done) {
-    VirtProc V;
+    VirtProc &V = Procs.emplace_back();
     V.Coord = Coord;
-    V.Id = static_cast<unsigned>(Procs.size());
+    V.Id = static_cast<unsigned>(Procs.size() - 1);
     V.Phys = physOf(Coord);
     V.Env = ParamEnv;
     for (unsigned D = 0; D != Dims; ++D)
       V.Env[CP.Spmd.MyProcVars[D]] = Coord[D];
     V.ProgEnv = ProgParams;
-    V.Store = ValueStore(P.numArrays());
+    // Performance mode stores no values.
+    if (this->Opts.Functional)
+      V.Store = ValueStore(P.numArrays());
     Frame F;
-    F.List = &CP.Spmd.Top;
+    F.List = Top;
     V.Stack.push_back(F);
-    Procs.push_back(std::move(V));
     // Advance the coordinate odometer.
     for (unsigned D = Dims; D-- > 0;) {
       if (++Coord[D] <= VirtHi[D])
@@ -962,8 +1083,12 @@ void Simulator::computeVirtualGrid() {
   };
   for (const auto &[ArrayId, D] : Spec.InitialData)
     Widen(D, ArrayDomain(ArrayId));
-  for (const auto &[ArrayId, D] : Spec.FinalData)
-    Widen(D, ArrayDomain(ArrayId));
+  for (const auto &[ArrayId, D] : Spec.FinalData) {
+    // A final layout equal to the initial one widens by the same bounds.
+    auto Initial = Spec.InitialData.find(ArrayId);
+    if (Initial == Spec.InitialData.end() || !(Initial->second == D))
+      Widen(D, ArrayDomain(ArrayId));
+  }
 
   for (unsigned Dd = 0; Dd != Dims; ++Dd)
     if (VirtHi[Dd] < VirtLo[Dd])
@@ -998,6 +1123,19 @@ IntT Simulator::flatIndex(unsigned ArrayId,
   return Flat;
 }
 
+IntT Simulator::flatIndex(unsigned ArrayId, Span Indices,
+                          const std::vector<IntT> &Env) const {
+  const std::vector<IntT> &Dims = ArrayDims[ArrayId];
+  IntT Flat = 0;
+  for (unsigned K = 0; K != Indices.Size; ++K) {
+    IntT I = eval(Forms[Indices.Begin + K], Env);
+    if (I < 0 || I >= Dims[K])
+      return -1;
+    Flat = Flat * Dims[K] + I;
+  }
+  return Flat;
+}
+
 void Simulator::localityViolation(unsigned ArrayId, const char *What) const {
   std::string Msg = std::string("locality violation: processor ") + What +
                     " an element of " + P.array(ArrayId).Name +
@@ -1015,16 +1153,44 @@ void Simulator::initLocalStores() {
     for (unsigned I = 0; I != D.sourceSpace().size(); ++I)
       if (D.sourceSpace().kind(I) != VarKind::Param)
         DataPos.push_back(static_cast<int>(I));
+    const unsigned Dims = CP.Spmd.GridDims;
+    std::vector<IntT> Lo(Dims), Hi(Dims), Coord(Dims);
     // Row-major odometer: the flat index is the visit count.
     std::vector<IntT> Idx(Sizes.size(), 0);
     for (IntT Flat = 0, E = Sizes.empty() ? 0 : ArrayExtent[ArrayId];
          Flat != E; ++Flat) {
       for (unsigned K = 0; K != Idx.size(); ++K)
         Src[DataPos[K]] = Idx[K];
-      for (VirtProc &V : Procs)
-        if (D.owns(Src, V.Coord))
-          V.Store.set(ArrayId, Flat, initialArrayValue(ArrayId, Flat),
-                      ArrayExtent[ArrayId]);
+      // The element's holders form a box of the grid: per dimension the
+      // coordinates whose block (with its overlap) holds it, clipped to
+      // the grid. Visit the box in ascending processor order.
+      bool Empty = false;
+      for (unsigned G = 0; G != Dims; ++G) {
+        if (!D.ownerRange(Src, G, Lo[G], Hi[G])) {
+          Lo[G] = VirtLo[G];
+          Hi[G] = VirtHi[G];
+        }
+        Lo[G] = std::max(Lo[G], VirtLo[G]);
+        Hi[G] = std::min(Hi[G], VirtHi[G]);
+        Empty = Empty || Lo[G] > Hi[G];
+      }
+      if (!Empty) {
+        const double Val = initialArrayValue(ArrayId, Flat);
+        Coord = Lo;
+        for (bool More = true; More;) {
+          unsigned Id = 0;
+          procIndexOf(Coord, Id);
+          Procs[Id].Store.set(ArrayId, Flat, Val, ArrayExtent[ArrayId]);
+          More = false;
+          for (unsigned G = Dims; G-- > 0;) {
+            if (++Coord[G] <= Hi[G]) {
+              More = true;
+              break;
+            }
+            Coord[G] = Lo[G];
+          }
+        }
+      }
       for (unsigned K = Idx.size(); K-- > 0;) {
         if (++Idx[K] < Sizes[K])
           break;
@@ -1034,52 +1200,190 @@ void Simulator::initLocalStores() {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Execution
-//===----------------------------------------------------------------------===//
+Simulator::Span Simulator::lowerList(const std::vector<SpmdStmt> &List) {
+  // The list's statements take one contiguous block of Stmts; each
+  // statement's body is lowered into blocks appended after it. Stmts
+  // grows meanwhile, so statements are addressed by index.
+  const Span Block{spanField(Stmts.size()), spanField(List.size())};
+  Stmts.resize(Block.Begin + Block.Size);
+  // Appends Make(X) to Pool for every X in Items; returns where.
+  auto appendSpan = [](auto &Pool, const auto &Items, auto Make) {
+    Span Out{spanField(Pool.size()), spanField(Items.size())};
+    for (const auto &X : Items)
+      Pool.push_back(Make(X));
+    return Out;
+  };
+  auto Form = [&](const AffineExpr &X) { return LinearForm(X, Terms); };
+  auto Bound = [&](const SpmdBound &B) {
+    return ExecBound{LinearForm(B.Num, Terms), B.Den};
+  };
+  auto Cond = [&](const Constraint &C) {
+    return ExecCond{LinearForm(C.Expr, Terms), C.isEquality()};
+  };
+  using K = SpmdStmt::Kind;
+  for (unsigned I = 0; I != Block.Size; ++I) {
+    const SpmdStmt &S = List[I];
+    const Span Body = S.Body.empty() ? Span() : lowerList(S.Body);
+    ExecStmt &E = Stmts[Block.Begin + I];
+    E.K = S.K;
+    E.Body = Body;
+    E.Var = S.Var;
+    E.Lower = appendSpan(Bounds, S.Lower, Bound);
+    E.Upper = appendSpan(Bounds, S.Upper, Bound);
+    if (S.K == K::SetVar)
+      E.Value = LinearForm(S.Value, Terms);
+    E.ValueDen = S.ValueDen;
+    E.Conds = appendSpan(Conds, S.Conds, Cond);
+    E.StmtId = S.StmtId;
+    E.IterExprs = appendSpan(Forms, S.IterExprs, Form);
+    E.Peer = appendSpan(Forms, S.Peer, Form);
+    E.CommId = S.CommId;
+    E.IsMulticast = S.IsMulticast;
+    E.Nonblocking = S.Nonblocking;
+    E.ArrayId = S.ArrayId;
+    E.Indices = appendSpan(Forms, S.Indices, Form);
 
-namespace {
+    if (S.K == K::Compute) {
+      E.Flops = countFlops(P.statement(S.StmtId));
+      E.Cost = Opts.Cost.IterOverhead + E.Flops * Opts.Cost.FlopTime;
+    } else if (S.K == K::For) {
+      E.Collapsible = Body.Size != 0;
+      unsigned Items = 0;
+      bool OnlySetVars = true;
+      for (unsigned J = 0; J != Body.Size; ++J) {
+        const ExecStmt &B = Stmts[Body.Begin + J];
+        if (B.K != K::Compute && B.K != K::SetVar)
+          E.Collapsible = false;
+        if (B.K == K::Compute) {
+          E.IterCost += B.Cost;
+          E.IterFlops += B.Flops;
+          ++E.IterComputes;
+        }
+        if (B.K == K::PackElem || B.K == K::UnpackElem)
+          ++Items;
+        else if (B.K != K::SetVar)
+          OnlySetVars = false;
+      }
+      E.OneItem = OnlySetVars && Items == 1;
+    }
+  }
+  return Block;
+}
 
-IntT evalBoundList(const std::vector<SpmdBound> &Bs,
-                   const std::vector<IntT> &Env, bool IsLower) {
+IntT Simulator::eval(const LinearForm &F,
+                     const std::vector<IntT> &Env) const {
+  return F.evaluate(Terms, Env);
+}
+
+IntT Simulator::evalBounds(Span Bs, const std::vector<IntT> &Env,
+                           bool IsLower) const {
   IntT R = 0;
-  bool First = true;
-  for (const SpmdBound &B : Bs) {
-    IntT V = IsLower ? ceilDiv(B.Num.evaluate(Env), B.Den)
-                     : floorDiv(B.Num.evaluate(Env), B.Den);
-    if (First)
+  for (unsigned I = 0; I != Bs.Size; ++I) {
+    const ExecBound &B = Bounds[Bs.Begin + I];
+    IntT V = IsLower ? ceilDiv(eval(B.Num, Env), B.Den)
+                     : floorDiv(eval(B.Num, Env), B.Den);
+    if (I == 0)
       R = V;
     else
       R = IsLower ? std::max(R, V) : std::min(R, V);
-    First = false;
   }
   return R;
 }
 
-bool condsHold(const std::vector<Constraint> &Cs,
-               const std::vector<IntT> &Env) {
-  for (const Constraint &C : Cs) {
-    IntT V = C.Expr.evaluate(Env);
-    if (C.isEquality() ? V != 0 : V < 0)
+bool Simulator::condsHold(Span Cs, const std::vector<IntT> &Env) const {
+  for (unsigned I = 0; I != Cs.Size; ++I) {
+    const ExecCond &C = Conds[Cs.Begin + I];
+    IntT V = eval(C.Expr, Env);
+    if (C.IsEq ? V != 0 : V < 0)
       return false;
   }
   return true;
 }
 
-/// True if the loop body is free of communication and control that could
-/// block, making it collapsible in performance mode.
-bool isCollapsible(const SpmdStmt &For) {
-  for (const SpmdStmt &S : For.Body)
-    if (S.K != SpmdStmt::Kind::Compute && S.K != SpmdStmt::Kind::SetVar)
+IntT Simulator::setVarValue(const ExecStmt &St,
+                            const std::vector<IntT> &Env) const {
+  IntT V = eval(St.Value, Env);
+  return St.ValueDen == 1 ? V : floorDiv(V, St.ValueDen);
+}
+
+unsigned Simulator::channelOf(unsigned Comm, unsigned Src, unsigned Dst) {
+  constexpr unsigned Empty = ~0u;
+  // The slot holding K's id, or the empty slot where it belongs.
+  auto Probe = [&](const ChanKey &K) {
+    const size_t Mask = ChanSlots.size() - 1;
+    uint64_t H = (uint64_t(K.Comm) << 32 | K.Src) * 0x9e3779b97f4a7c15ull;
+    H = (H ^ (H >> 29) ^ K.Dst) * 0xbf58476d1ce4e5b9ull;
+    size_t I = static_cast<size_t>(H >> 32) & Mask;
+    while (ChanSlots[I] != Empty && Chans[ChanSlots[I]].Key != K)
+      I = (I + 1) & Mask;
+    return I;
+  };
+  const ChanKey Key{Comm, Src, Dst};
+  if (!ChanSlots.empty()) {
+    size_t I = Probe(Key);
+    if (ChanSlots[I] != Empty)
+      return ChanSlots[I];
+  }
+  const unsigned Id = static_cast<unsigned>(Chans.size());
+  Chans.emplace_back().Key = Key;
+  if (2 * Chans.size() > ChanSlots.size()) {
+    // Grow to keep the table at most half full, re-placing every id.
+    ChanSlots.assign(std::max<size_t>(64, 2 * ChanSlots.size()), Empty);
+    for (unsigned J = 0, E = Chans.size(); J != E; ++J)
+      ChanSlots[Probe(Chans[J].Key)] = J;
+  } else {
+    ChanSlots[Probe(Key)] = Id;
+  }
+  return Id;
+}
+
+void Simulator::push(unsigned Ch, Message M, StepCtx &Ctx) {
+  Channel &C = Chans[Ch];
+  C.Queue.push_back(std::move(M));
+  C.HasQueue = true;
+  if (Ctx.EE)
+    Ctx.EE->notifyPush(Ch);
+}
+
+bool Simulator::peerIndex(const ExecStmt &St, const std::vector<IntT> &Env,
+                          unsigned &Out) const {
+  if (St.Peer.Size != VirtLo.size())
+    return false;
+  IntT Flat = 0;
+  for (unsigned D = 0; D != St.Peer.Size; ++D) {
+    IntT C = eval(Forms[St.Peer.Begin + D], Env);
+    if (C < VirtLo[D] || C > VirtHi[D])
       return false;
-  return !For.Body.empty();
+    Flat = addChk(Flat, mulChk(VirtStride[D], subChk(C, VirtLo[D])));
+  }
+  Out = static_cast<unsigned>(Flat);
+  return true;
 }
 
-} // namespace
-
-double Simulator::statementCost(const Statement &S) const {
-  return Opts.Cost.IterOverhead + countFlops(S) * Opts.Cost.FlopTime;
+std::vector<IntT> Simulator::peerCoord(const VirtProc &V,
+                                       const ExecStmt &St) const {
+  std::vector<IntT> Peer;
+  for (unsigned D = 0; D != St.Peer.Size; ++D)
+    Peer.push_back(eval(Forms[St.Peer.Begin + D], V.Env));
+  return Peer;
 }
+
+void Simulator::sendOutsideGrid(const VirtProc &V, const ExecStmt &St,
+                                StepCtx &Ctx) const {
+  // Slices run in ascending processor order within a round in every
+  // engine (the threaded one merges per-processor errors that way), so
+  // keeping the first error reports the same one everywhere.
+  if (!Ctx.Error.empty())
+    return;
+  Ctx.Error = "send on comm " + std::to_string(St.CommId) + " from vp" +
+              coordStr(V.Coord) + " to vp" + coordStr(peerCoord(V, St)) +
+              ": peer outside the virtual processor grid vp" +
+              coordStr(VirtLo) + "..vp" + coordStr(VirtHi);
+}
+
+//===----------------------------------------------------------------------===//
+// Execution
+//===----------------------------------------------------------------------===//
 
 double Simulator::evalRVal(const VirtProc &V, const Statement &S,
                            int Node) const {
@@ -1112,13 +1416,13 @@ double Simulator::evalRVal(const VirtProc &V, const Statement &S,
   return 0;
 }
 
-void Simulator::execComputeIter(VirtProc &V, const SpmdStmt &St) {
+void Simulator::execComputeIter(VirtProc &V, const ExecStmt &St) {
   const Statement &S = P.statement(St.StmtId);
   if (!Opts.Functional)
     return;
   for (unsigned K = 0, E = S.Loops.size(); K != E; ++K)
     V.ProgEnv[P.loop(S.Loops[K]).VarIndex] =
-        St.IterExprs[K].evaluate(V.Env);
+        eval(Forms[St.IterExprs.Begin + K], V.Env);
   double Val = evalRVal(V, S, S.RRoot);
   unsigned A = S.Write.ArrayId;
   IntT Flat = flatIndex(A, S.Write.Indices, V.ProgEnv);
@@ -1127,48 +1431,35 @@ void Simulator::execComputeIter(VirtProc &V, const SpmdStmt &St) {
   V.Store.set(A, Flat, Val, ArrayExtent[A]);
 }
 
-void Simulator::runItems(VirtProc &V, const std::vector<SpmdStmt> &List,
+void Simulator::runItems(VirtProc &V, Span List,
                          std::vector<double> *PackOut,
                          const std::vector<double> *UnpackIn,
                          uint64_t &Cursor, uint64_t &Count) {
-  for (const SpmdStmt &S : List) {
+  for (unsigned I = 0; I != List.Size; ++I) {
+    const ExecStmt &S = Stmts[List.Begin + I];
     switch (S.K) {
     case SpmdStmt::Kind::Seq:
       runItems(V, S.Body, PackOut, UnpackIn, Cursor, Count);
       break;
     case SpmdStmt::Kind::SetVar:
-      V.Env[S.Var] = S.ValueDen == 1
-                         ? S.Value.evaluate(V.Env)
-                         : floorDiv(S.Value.evaluate(V.Env), S.ValueDen);
+      V.Env[S.Var] = setVarValue(S, V.Env);
       break;
     case SpmdStmt::Kind::If:
       if (condsHold(S.Conds, V.Env))
         runItems(V, S.Body, PackOut, UnpackIn, Cursor, Count);
       break;
     case SpmdStmt::Kind::For: {
-      IntT Lo = evalBoundList(S.Lower, V.Env, true);
-      IntT Hi = evalBoundList(S.Upper, V.Env, false);
-      if (!Opts.Functional && Opts.CollapseLoops && Hi >= Lo) {
-        // Collapsible when each iteration contributes exactly one item
-        // unconditionally.
-        unsigned Items = 0;
-        bool Simple = true;
-        for (const SpmdStmt &B : S.Body) {
-          if (B.K == SpmdStmt::Kind::PackElem ||
-              B.K == SpmdStmt::Kind::UnpackElem)
-            ++Items;
-          else if (B.K != SpmdStmt::Kind::SetVar)
-            Simple = false;
-        }
-        if (Simple && Items == 1) {
-          uint64_t Trip = static_cast<uint64_t>(addChk(subChk(Hi, Lo), 1));
-          Count += Trip;
-          Cursor += Trip;
-          break;
-        }
+      IntT Lo = evalBounds(S.Lower, V.Env, true);
+      IntT Hi = evalBounds(S.Upper, V.Env, false);
+      if (!Opts.Functional && Opts.CollapseLoops && Hi >= Lo && S.OneItem) {
+        // Each iteration contributes exactly one item unconditionally.
+        uint64_t Trip = static_cast<uint64_t>(addChk(subChk(Hi, Lo), 1));
+        Count += Trip;
+        Cursor += Trip;
+        break;
       }
-      for (IntT I = Lo; I <= Hi; ++I) {
-        V.Env[S.Var] = I;
+      for (IntT It = Lo; It <= Hi; ++It) {
+        V.Env[S.Var] = It;
         runItems(V, S.Body, PackOut, UnpackIn, Cursor, Count);
       }
       break;
@@ -1210,7 +1501,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
   const bool CrashActive = Opts.Faults.CrashRate > 0;
   unsigned Slice = sliceBudget();
   ThreadEngine *TE = Ctx.TE;
-  // Channel-state lock (Queues/SendSeq/RecvSeq): a real lock only under
+  // Channel-table lock (Chans/ChanSlots): a real lock only under
   // the threaded engine; the sequential engine constructs an unlocked
   // guard and pays nothing.
   auto ChanGuard = [TE]() {
@@ -1225,7 +1516,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
 
   while (!V.Stack.empty() && Slice-- > 0) {
     Frame &F = V.Stack.back();
-    if (F.Pos >= F.List->size()) {
+    if (F.Pos >= F.List.Size) {
       if (F.LoopStmt && ++F.LoopCur <= F.LoopHi) {
         V.Env[F.LoopStmt->Var] = F.LoopCur;
         F.Pos = 0;
@@ -1234,7 +1525,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       V.Stack.pop_back();
       continue;
     }
-    const SpmdStmt &St = (*F.List)[F.Pos];
+    const ExecStmt &St = Stmts[F.List.Begin + F.Pos];
     if (Ctx.GateCheckpoints && NextCheckpointEvents != 0 &&
         addSat(Ctx.EventsBase, Ctx.Executed) >= NextCheckpointEvents)
       // A checkpoint is due: pause at this statement boundary so the
@@ -1262,25 +1553,21 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
     case SpmdStmt::Kind::Seq: {
       ++F.Pos;
       Frame NF;
-      NF.List = &St.Body;
+      NF.List = St.Body;
       V.Stack.push_back(NF);
       break;
     }
     case SpmdStmt::Kind::For: {
       ++F.Pos;
-      IntT Lo = evalBoundList(St.Lower, V.Env, true);
-      IntT Hi = evalBoundList(St.Upper, V.Env, false);
+      IntT Lo = evalBounds(St.Lower, V.Env, true);
+      IntT Hi = evalBounds(St.Upper, V.Env, false);
       if (Lo > Hi)
         break;
-      if (!Opts.Functional && Opts.CollapseLoops && isCollapsible(St)) {
+      if (!Opts.Functional && Opts.CollapseLoops && St.Collapsible) {
         uint64_t Trip = static_cast<uint64_t>(addChk(subChk(Hi, Lo), 1));
-        double C = 0;
-        for (const SpmdStmt &B : St.Body)
-          if (B.K == SpmdStmt::Kind::Compute) {
-            C += statementCost(P.statement(B.StmtId));
-            Ctx.C.Flops += Trip * countFlops(P.statement(B.StmtId));
-            Ctx.C.ComputeIterations += Trip;
-          }
+        const double C = St.IterCost;
+        Ctx.C.Flops += Trip * St.IterFlops;
+        Ctx.C.ComputeIterations += Trip * St.IterComputes;
         Clock += Trip * C * SF;
         Busy += Trip * C * SF;
         BusyCompute[V.Phys] += Trip * C * SF;
@@ -1288,7 +1575,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       }
       V.Env[St.Var] = Lo;
       Frame NF;
-      NF.List = &St.Body;
+      NF.List = St.Body;
       NF.LoopStmt = &St;
       NF.LoopCur = Lo;
       NF.LoopHi = Hi;
@@ -1299,34 +1586,38 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       ++F.Pos;
       if (condsHold(St.Conds, V.Env)) {
         Frame NF;
-        NF.List = &St.Body;
+        NF.List = St.Body;
         V.Stack.push_back(NF);
       }
       break;
     }
     case SpmdStmt::Kind::SetVar:
-      V.Env[St.Var] = St.ValueDen == 1
-                          ? St.Value.evaluate(V.Env)
-                          : floorDiv(St.Value.evaluate(V.Env),
-                                     St.ValueDen);
+      V.Env[St.Var] = setVarValue(St, V.Env);
       ++F.Pos;
       break;
     case SpmdStmt::Kind::Compute: {
       execComputeIter(V, St);
-      double C = statementCost(P.statement(St.StmtId)) * SF;
+      double C = St.Cost * SF;
       Clock += C;
       Busy += C;
       BusyCompute[V.Phys] += C;
-      Ctx.C.Flops += countFlops(P.statement(St.StmtId));
+      Ctx.C.Flops += St.Flops;
       ++Ctx.C.ComputeIterations;
       V.LastMulticastComm = -1;
       ++F.Pos;
       break;
     }
     case SpmdStmt::Kind::Send: {
-      std::vector<IntT> Dst;
-      for (const AffineExpr &E : St.Peer)
-        Dst.push_back(E.evaluate(V.Env));
+      unsigned DstId = 0;
+      if (!peerIndex(St, V.Env, DstId)) {
+        // There is no channel to queue on: a run error, reported at the
+        // round boundary.
+        sendOutsideGrid(V, St, Ctx);
+        --Ctx.Executed;
+        --V.Steps;
+        return Ran;
+      }
+      const ProcIdentity &Dst = Procs[DstId];
       Message M;
       if (St.IsMulticast &&
           V.CachedPackComm == static_cast<int>(St.CommId) &&
@@ -1349,7 +1640,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
           V.CachedPackComm = -1;
         }
       }
-      unsigned DstPhys = physOf(Dst);
+      const unsigned DstPhys = Dst.Phys;
       bool Intra = DstPhys == V.Phys;
       // Straggler-link latency multiplier for this directed physical
       // link: exactly 1.0 (cost-neutral) unless slow-link injection is
@@ -1373,12 +1664,6 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       // engine never reads these.
       M.SenderId = V.Id;
       M.PushRound = Ctx.Round;
-      std::vector<IntT> Key;
-      Key.push_back(static_cast<IntT>(St.CommId));
-      for (IntT C2 : V.Coord)
-        Key.push_back(C2);
-      for (IntT C2 : Dst)
-        Key.push_back(C2);
       if (Intra && Opts.FreeIntraPhysical) {
         // A local memory move: never exposed to network faults, but
         // still sequenced when the transport is engaged — the receive
@@ -1387,37 +1672,39 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         ++Ctx.C.IntraMessages;
         M.ReadyTime = Clock;
         auto CG = ChanGuard();
+        const unsigned Ch = channelOf(St.CommId, V.Id, DstId);
         if (Faults.active()) {
-          M.Seq = SendSeq[Key]++;
-          if (M.Seq < RecvSeq[Key]) {
+          Channel &C = Chans[Ch];
+          M.Seq = C.SendSeq++;
+          C.HasSendSeq = C.HasRecvSeq = true;
+          if (M.Seq < C.RecvSeq) {
             // Replay of a send the receiver consumed before the
             // rollback line: suppressed on arrival.
             ++Ctx.C.DuplicatesSuppressed;
           } else {
-            Queues[Key].push_back(std::move(M));
-            if (Ctx.EE)
-              Ctx.EE->notifyPush(Key);
+            push(Ch, std::move(M), Ctx);
           }
         } else {
-          Queues[Key].push_back(std::move(M));
-          if (Ctx.EE)
-            Ctx.EE->notifyPush(Key);
+          push(Ch, std::move(M), Ctx);
         }
       } else if (Faults.active()) {
         // Reliable transport: stop-and-wait per packet with acks and
         // bounded exponential-backoff retransmission. Every receiver is
         // its own acknowledged channel, so the multicast burst
         // wire-sharing shortcut does not apply here.
-        uint64_t Chan = FaultModel::channelId(St.CommId, V.Coord, Dst);
+        // Chan keys the fault schedule; Ch indexes the channel table.
+        uint64_t Chan = FaultModel::channelId(St.CommId, V.Coord, Dst.Coord);
         auto CG = ChanGuard();
-        uint64_t Seq = SendSeq[Key]++;
+        const unsigned Ch = channelOf(St.CommId, V.Id, DstId);
+        uint64_t Seq = Chans[Ch].SendSeq++;
+        Chans[Ch].HasSendSeq = Chans[Ch].HasRecvSeq = true;
         M.Seq = Seq;
         // During post-rollback replay the receiver may already be past
         // this sequence number (it consumed the original before the
         // checkpoint line): deliveries are then acknowledged but
         // suppressed on arrival, never enqueued. Impossible outside
         // replay — a fresh sequence number is never below the window.
-        const bool BelowWindow = Seq < RecvSeq[Key];
+        const bool BelowWindow = Seq < Chans[Ch].RecvSeq;
         double SendCost =
             (Opts.Cost.MsgLatency + M.WordCount * Opts.Cost.SendPerWord) *
             SF;
@@ -1478,9 +1765,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
             Message Copy = M;
             Copy.ReadyTime = Start + Offset + SendCost + DeliverLat +
                              Faults.deliveryDelay(Chan, Seq, A, 0);
-            Queues[Key].push_back(std::move(Copy));
-            if (Ctx.EE)
-              Ctx.EE->notifyPush(Key);
+            push(Ch, std::move(Copy), Ctx);
           }
           ++Ctx.C.AcksSent; // the receiver acknowledges this copy
           if (Faults.duplicate(Chan, Seq, A)) {
@@ -1490,9 +1775,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
               Message Dup = M;
               Dup.ReadyTime = Start + Offset + SendCost + DeliverLat +
                               Faults.deliveryDelay(Chan, Seq, A, 1);
-              Queues[Key].push_back(std::move(Dup));
-              if (Ctx.EE)
-                Ctx.EE->notifyPush(Key);
+              push(Ch, std::move(Dup), Ctx);
             }
             ++Ctx.C.AcksSent;
           }
@@ -1522,16 +1805,14 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         }
         if (!Delivered)
           Ctx.Failures.push_back(
-              TransportFailure{St.CommId, V.Coord, Dst, Seq, Made});
+              TransportFailure{St.CommId, V.Coord, Dst.Coord, Seq, Made});
       } else if (InBurst && V.BurstPhys.count(DstPhys)) {
         // Same physical processor already got this content in the burst:
         // one wire message serves every folded virtual processor.
         ++Ctx.C.IntraMessages;
         M.ReadyTime = V.BurstReady;
         auto CG = ChanGuard();
-        Queues[Key].push_back(std::move(M));
-        if (Ctx.EE)
-          Ctx.EE->notifyPush(Key);
+        push(channelOf(St.CommId, V.Id, DstId), std::move(M), Ctx);
       } else {
         const bool ExtraDest = InBurst && !V.BurstPhys.empty();
         double C;
@@ -1577,9 +1858,7 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         V.BurstPhys.insert(DstPhys);
         V.BurstReady = M.ReadyTime;
         auto CG = ChanGuard();
-        Queues[Key].push_back(std::move(M));
-        if (Ctx.EE)
-          Ctx.EE->notifyPush(Key);
+        push(channelOf(St.CommId, V.Id, DstId), std::move(M), Ctx);
       }
       V.LastMulticastComm = St.IsMulticast ? static_cast<int>(St.CommId)
                                            : -1;
@@ -1587,15 +1866,20 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       break;
     }
     case SpmdStmt::Kind::Recv: {
-      std::vector<IntT> Src;
-      for (const AffineExpr &E : St.Peer)
-        Src.push_back(E.evaluate(V.Env));
-      std::vector<IntT> Key;
-      Key.push_back(static_cast<IntT>(St.CommId));
-      for (IntT C2 : Src)
-        Key.push_back(C2);
-      for (IntT C2 : V.Coord)
-        Key.push_back(C2);
+      unsigned SrcId = 0;
+      if (!peerIndex(St, V.Env, SrcId)) {
+        // No processor can ever send from outside the grid: the receive
+        // blocks for good, parked on no channel, and the stall report
+        // names the peer.
+        V.Blocked = true;
+        V.LastBlock = PendingRecv{V.Coord, V.Phys, St.CommId,
+                                  peerCoord(V, St)};
+        V.LastBlock.PeerOutsideGrid = true;
+        V.BlockChan = VirtProc::NoChan;
+        --Ctx.Executed;
+        --V.Steps;
+        return Ran;
+      }
       bool Transport = Faults.active();
       // Threaded wavefront rule: within a round the sequential scheduler
       // runs lower-index processors' slices first, so their pushes this
@@ -1606,17 +1890,20 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
       // in-flight copies with replayed same-sequence pushes, so even a
       // deliverable-looking queue is not decisive until the sender's
       // slice is complete.
-      unsigned SenderIdx = 0;
-      const bool SenderBelow =
-          TE && procIndexOf(Src, SenderIdx) && SenderIdx < V.Id;
+      const bool SenderBelow = TE && SrcId < V.Id;
       if (SenderBelow && Transport)
-        TE->waitProcDone(SenderIdx, Ctx.Round);
+        TE->waitProcDone(SrcId, Ctx.Round);
       Message M;
       uint64_t Expect = 0;
       for (;;) {
         auto CG = ChanGuard();
-        auto It = Queues.find(Key);
-        Expect = Transport ? RecvSeq[Key] : 0;
+        const unsigned Ch = channelOf(St.CommId, SrcId, V.Id);
+        Channel &C = Chans[Ch];
+        std::vector<Message> &Q = C.Queue;
+        if (Transport) {
+          Expect = C.RecvSeq;
+          C.HasRecvSeq = true;
+        }
         // A message is visible if the sequential engine would have
         // enqueued it by the time this receive runs: pushed in an
         // earlier round, or this round by a sender whose slice the
@@ -1633,35 +1920,32 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         // but must wait their turn.
         int Pick = -1;
         uint64_t Visible = 0;
-        if (It != Queues.end()) {
-          if (!Transport) {
-            for (const Message &Cand : It->second)
-              if (VisibleAt(Cand))
-                ++Visible;
-            if (Visible != 0)
-              Pick = 0;
-          } else {
-            for (unsigned I = 0; I != It->second.size(); ++I) {
-              const Message &Cand = It->second[I];
-              if (!VisibleAt(Cand))
-                continue;
+        if (!Transport) {
+          for (const Message &Cand : Q)
+            if (VisibleAt(Cand))
               ++Visible;
-              if (Cand.Seq != Expect)
-                continue;
-              if (Pick < 0 ||
-                  Cand.ReadyTime <
-                      It->second[static_cast<unsigned>(Pick)].ReadyTime)
-                Pick = static_cast<int>(I);
-            }
+          if (Visible != 0)
+            Pick = 0;
+        } else {
+          for (unsigned I = 0; I != Q.size(); ++I) {
+            const Message &Cand = Q[I];
+            if (!VisibleAt(Cand))
+              continue;
+            ++Visible;
+            if (Cand.Seq != Expect)
+              continue;
+            if (Pick < 0 ||
+                Cand.ReadyTime < Q[static_cast<unsigned>(Pick)].ReadyTime)
+              Pick = static_cast<int>(I);
           }
         }
         if (Pick < 0) {
           // Nothing deliverable. If a lower-index sender has not yet
           // finished its slice this round, its (visible) push may still
           // be coming: wait and re-poll rather than block.
-          if (SenderBelow && !TE->procDone(SenderIdx, Ctx.Round)) {
+          if (SenderBelow && !TE->procDone(SrcId, Ctx.Round)) {
             CG.unlock();
-            TE->waitProcDone(SenderIdx, Ctx.Round);
+            TE->waitProcDone(SrcId, Ctx.Round);
             continue;
           }
           // A blocked receive attempt is NOT progress: if every
@@ -1674,15 +1958,17 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
           V.LastBlock.Coord = V.Coord;
           V.LastBlock.Phys = V.Phys;
           V.LastBlock.CommId = St.CommId;
-          V.LastBlock.Peer = Src;
+          V.LastBlock.Peer = Procs[SrcId].Coord;
+          V.LastBlock.PeerOutsideGrid = false;
+          V.BlockChan = Ch;
           V.LastBlock.ExpectedSeq = Expect;
           V.LastBlock.BufferedAhead = Visible;
           --Ctx.Executed;
           --V.Steps;
           return Ran;
         }
-        M = std::move(It->second[static_cast<unsigned>(Pick)]);
-        It->second.erase(It->second.begin() + Pick);
+        M = std::move(Q[static_cast<unsigned>(Pick)]);
+        Q.erase(Q.begin() + Pick);
         if (Transport) {
           // Suppress every other copy of this packet (wire duplicates
           // and retransmissions whose ack was lost). Invisible copies
@@ -1691,16 +1977,20 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
           // (the receiver's cursor is already past them when the sender
           // runs later in the round), so totals and final queue state
           // agree either way.
-          for (unsigned I = 0; I != It->second.size();) {
-            if (It->second[I].Seq == Expect) {
-              It->second.erase(It->second.begin() + I);
+          for (unsigned I = 0; I != Q.size();) {
+            if (Q[I].Seq == Expect) {
+              Q.erase(Q.begin() + I);
               ++Ctx.C.DuplicatesSuppressed;
             } else {
               ++I;
             }
           }
-          RecvSeq[Key] = Expect + 1;
+          C.RecvSeq = Expect + 1;
         }
+        // A drained queue gives its buffer back, so the table's memory
+        // follows the messages in flight rather than every channel used.
+        if (Q.empty())
+          std::vector<Message>().swap(Q);
         break;
       }
       Ran = true;
@@ -1758,7 +2048,7 @@ Simulator::RoundFlags Simulator::runRoundSequential() {
     if (V.Finished)
       continue;
     V.Blocked = false;
-    StepCtx Ctx{Ctr, Failures, CrashLog};
+    StepCtx Ctx{Ctr, Failures, CrashLog, RunError};
     Ctx.EventsBase = Events;
     if (stepProc(V, Ctx))
       F.Progress = true;
@@ -1812,6 +2102,13 @@ SimResult Simulator::run() {
       flushCounters(R);
       return R;
     }
+    if (!RunError.empty()) {
+      R.Ok = false;
+      R.Error = RunError;
+      fillRecoverySplit(R);
+      flushCounters(R);
+      return R;
+    }
     if (F.AllDone) {
       R.Ok = true;
       break;
@@ -1844,8 +2141,8 @@ SimResult Simulator::run() {
   }
   // Undelivered messages indicate a send/receive mismatch.
   uint64_t Leftover = 0;
-  for (const auto &[Key, Q] : Queues)
-    Leftover += Q.size();
+  for (const Channel &C : Chans)
+    Leftover += C.Queue.size();
   if (Leftover != 0) {
     R.Ok = false;
     R.Diag.InFlightMessages = Leftover;
@@ -1897,7 +2194,6 @@ SimResult Simulator::run() {
 //===----------------------------------------------------------------------===//
 
 void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
-  const unsigned Dims = CP.Spmd.GridDims;
   // The new line is copied into the old one's storage: every field is
   // overwritten, and the copies reuse its allocations.
   std::unique_ptr<Checkpoint> CK =
@@ -1906,17 +2202,14 @@ void Simulator::takeCheckpoint(SimResult &R, bool Initial) {
   CK->WordsPerPhys.assign(PhysClock.size(), 0);
   for (const VirtProc &V : Procs)
     CK->WordsPerPhys[V.Phys] += V.words();
-  for (const auto &[Key, Q] : Queues) {
+  for (unsigned Ch = 0, E = Chans.size(); Ch != E; ++Ch) {
     // Receive buffers are part of the channel state; they are
     // checkpointed where they live, on the receiver.
-    std::vector<IntT> DstCoord(Key.end() - Dims, Key.end());
-    unsigned Ph = physOf(DstCoord);
-    for (const Message &M : Q)
+    unsigned Ph = Procs[Chans[Ch].Key.Dst].Phys;
+    for (const Message &M : Chans[Ch].Queue)
       CK->WordsPerPhys[Ph] += M.WordCount + 2; // payload + header
   }
-  CK->Queues = Queues;
-  CK->SendSeq = SendSeq;
-  CK->RecvSeq = RecvSeq;
+  CK->Chans = Chans;
   CK->Failures = Failures;
   CK->Counters = Ctr;
   CK->EventsAtTaken = Events;
@@ -1975,17 +2268,21 @@ void Simulator::loadLine(const Checkpoint &CK) {
   // those sends, so their copies must survive). Replayed sends that the
   // receiver already consumed are suppressed on arrival by the
   // sequence-number window. A resume has nothing in flight yet.
-  std::map<std::vector<IntT>, std::vector<Message>> Merged = CK.Queues;
-  for (auto &[Key, Q] : Queues) {
-    auto It = CK.SendSeq.find(Key);
-    uint64_t Line = It == CK.SendSeq.end() ? 0 : It->second;
-    for (Message &M : Q)
-      if (M.Seq >= Line)
-        Merged[Key].push_back(std::move(M));
+  const Channel Untouched; // a channel first used after the line
+  for (unsigned Ch = 0, E = Chans.size(); Ch != E; ++Ch) {
+    const Channel &Line = Ch < CK.Chans.size() ? CK.Chans[Ch] : Untouched;
+    Channel &C = Chans[Ch];
+    std::vector<Message> Merged = Line.Queue;
+    for (Message &M : C.Queue)
+      if (M.Seq >= Line.SendSeq)
+        Merged.push_back(std::move(M));
+    C.HasQueue = Line.HasQueue || Merged.size() != Line.Queue.size();
+    C.Queue = std::move(Merged);
+    C.SendSeq = Line.SendSeq;
+    C.RecvSeq = Line.RecvSeq;
+    C.HasSendSeq = Line.HasSendSeq;
+    C.HasRecvSeq = Line.HasRecvSeq;
   }
-  Queues = std::move(Merged);
-  SendSeq = CK.SendSeq;
-  RecvSeq = CK.RecvSeq;
   Failures = CK.Failures;
   BusyCompute = CK.BusyCompute;
   BusyProtocol = CK.BusyProtocol;
@@ -2070,15 +2367,6 @@ constexpr uint32_t CkptImageVersion = 1;
 /// ImageReader::vec's default: any length is acceptable.
 constexpr uint64_t AnyLength = ~uint64_t(0);
 
-/// What a decoded sequence element is before it is inserted: a map's
-/// key must be writable while it is read.
-template <class C> struct ItemOf {
-  using type = typename C::value_type;
-};
-template <class K, class V> struct ItemOf<std::map<K, V>> {
-  using type = std::pair<K, V>;
-};
-
 /// Encodes an image through Simulator::Image::io.
 class ImageWriter {
 public:
@@ -2159,12 +2447,12 @@ public:
       elem(X);
   }
   /// A counted sequence: \p F decodes each item, which is then inserted
-  /// at the end of \p Items (duplicate set and map keys are dropped).
+  /// at the end of \p Items (duplicate set keys are dropped).
   template <class C, class Fn> void each(C &Items, size_t MinBytes, Fn F) {
     uint64_t N;
     count(N, MinBytes);
     for (uint64_t K = 0; K != N && ok(); ++K) {
-      typename ItemOf<C>::type X{};
+      typename C::value_type X{};
       F(X);
       Items.insert(Items.end(), std::move(X));
     }
@@ -2207,10 +2495,16 @@ struct Simulator::Image {
     RecoveryStats Recovery;
   };
 
+  /// The channel table in image order: present channels only, in
+  /// ascending key order. The writer builds it from a checkpoint's
+  /// table; the reader fills it, and the resume interns its keys.
+  using ChannelMap = std::map<ChanKey, Channel>;
+
   const Simulator &S;
 
   /// The whole image, in its version-1 byte order.
-  template <class Ar> void io(Ar &A, Checkpoint &CK, Monotonic &M) const {
+  template <class Ar>
+  void io(Ar &A, Checkpoint &CK, Monotonic &M, ChannelMap &Chans) const {
     // Identity: a resumed process must be running the same deterministic
     // compilation with the same grid and parameters, or the encoded
     // call-stack paths and environments are meaningless.
@@ -2249,18 +2543,74 @@ struct Simulator::Image {
     for (ProcState &PS : CK.Procs)
       io(A, PS);
 
-    // Channel state: receive queues and transport cursors, keyed by
-    // (comm id, sender coordinate, receiver coordinate).
-    const uint64_t KeyLen = 1 + 2 * uint64_t(Dims);
-    A.each(CK.Queues, 16, [&](auto &KV) {
-      A.vec(KV.first, KeyLen);
-      A.each(KV.second, 33, [&](Message &Msg) { io(A, Msg); });
+    // Channel state: the receive queues, then the send cursors, then
+    // the receive cursors, each section listing the channels present in
+    // it in ascending key order.
+    section(A, Chans, &Channel::HasQueue, [&](Channel &C) {
+      A.each(C.Queue, 33, [&](Message &Msg) { io(A, Msg); });
     });
-    for (auto *Seq : {&CK.SendSeq, &CK.RecvSeq})
-      A.each(*Seq, 16, [&](auto &KV) {
-        A.vec(KV.first, KeyLen);
-        A.u64(KV.second);
-      });
+    section(A, Chans, &Channel::HasSendSeq,
+            [&](Channel &C) { A.u64(C.SendSeq); });
+    section(A, Chans, &Channel::HasRecvSeq,
+            [&](Channel &C) { A.u64(C.RecvSeq); });
+  }
+
+  /// One channel section: a count, then per channel its key and what
+  /// \p Body encodes. The reader requires strictly ascending keys, so a
+  /// channel appears at most once per section.
+  template <class Ar, class Fn>
+  void section(Ar &A, ChannelMap &Chans, bool Channel::*Has,
+               Fn Body) const {
+    uint64_t N = 0;
+    if constexpr (!Ar::Reading)
+      for (const auto &KV : Chans)
+        N += KV.second.*Has;
+    A.count(N, 16);
+    if constexpr (Ar::Reading) {
+      std::optional<ChanKey> Prev;
+      for (uint64_t K = 0; K != N && A.ok(); ++K) {
+        ChanKey Key;
+        io(A, Key);
+        A.require(!Prev || *Prev < Key);
+        if (!A.ok())
+          return;
+        Prev = Key;
+        Channel &C = Chans[Key];
+        C.*Has = true;
+        Body(C);
+      }
+    } else {
+      for (auto &[Key, C] : Chans)
+        if (C.*Has) {
+          ChanKey K = Key;
+          io(A, K);
+          Body(C);
+        }
+    }
+  }
+
+  /// A channel key travels as (comm id, sender coordinate, receiver
+  /// coordinate); the reader requires both coordinates in the grid.
+  template <class Ar> void io(Ar &A, ChanKey &K) const {
+    const unsigned Dims = S.CP.Spmd.GridDims;
+    std::vector<IntT> Raw;
+    if constexpr (!Ar::Reading) {
+      Raw.push_back(K.Comm);
+      for (unsigned Id : {K.Src, K.Dst})
+        Raw.insert(Raw.end(), S.Procs[Id].Coord.begin(),
+                   S.Procs[Id].Coord.end());
+    }
+    A.vec(Raw, 1 + 2 * uint64_t(Dims));
+    if constexpr (Ar::Reading) {
+      if (!A.ok())
+        return;
+      std::vector<IntT> Src(Raw.begin() + 1, Raw.begin() + 1 + Dims),
+          Dst(Raw.begin() + 1 + Dims, Raw.end());
+      A.require(Raw[0] >= 0 &&
+                Raw[0] <= std::numeric_limits<unsigned>::max() &&
+                S.procIndexOf(Src, K.Src) && S.procIndexOf(Dst, K.Dst));
+      K.Comm = static_cast<unsigned>(Raw[0]);
+    }
   }
 
   template <class Ar> void io(Ar &A, SimCounters &C) const {
@@ -2310,6 +2660,8 @@ struct Simulator::Image {
   }
 
   template <class Ar> void io(Ar &A, std::vector<Frame> &Stack) const {
+    // Frames index the lowered tree, which mirrors CP.Spmd's shape, so
+    // the encoded paths are those of the compiled program.
     A.each(Stack, 25, [&](Frame &F) {
       uint8_t IsLoop = F.LoopStmt != nullptr;
       uint64_t Pos = F.Pos;
@@ -2332,18 +2684,18 @@ struct Simulator::Image {
     if (Stack.empty()) {
       if (IsLoop)
         return false;
-      F.List = &S.CP.Spmd.Top;
+      F.List = S.Top;
     } else {
       const Frame &Par = Stack.back();
-      if (Par.Pos < 1 || Par.Pos > Par.List->size())
+      if (Par.Pos < 1 || Par.Pos > Par.List.Size)
         return false;
-      const SpmdStmt &St = (*Par.List)[Par.Pos - 1];
+      const ExecStmt &St = S.Stmts[Par.List.Begin + Par.Pos - 1];
       if (IsLoop && St.K != SpmdStmt::Kind::For)
         return false;
-      F.List = &St.Body;
+      F.List = St.Body;
       F.LoopStmt = IsLoop ? &St : nullptr;
     }
-    if (Pos > F.List->size())
+    if (Pos > F.List.Size)
       return false;
     F.Pos = static_cast<unsigned>(Pos);
     return true;
@@ -2413,8 +2765,12 @@ void Simulator::persistDurable(const SimResult &R) {
   Image::Monotonic M{PhysClock,   PhysBusy,   NetFree,
                      NetDeferred, NetExposed, HasCrashed,
                      CrashLog,    RecoveryExtraSeconds, R.Recovery};
+  Image::ChannelMap Present;
+  for (const Channel &C : Stable->Chans)
+    if (C.HasQueue || C.HasSendSeq || C.HasRecvSeq)
+      Present.emplace(C.Key, C);
   ImageWriter W;
-  Image{*this}.io(W, *Stable, M);
+  Image{*this}.io(W, *Stable, M, Present);
   std::vector<uint8_t> Bytes = stable::encodeFrame(CkptFrameType, W.take());
   const std::string &Dir = Opts.Checkpoint.DurableDir;
   std::string Err;
@@ -2440,16 +2796,24 @@ bool Simulator::resumeFromDurable(SimResult &R) {
     stable::ReadFramesResult RF = stable::readFrames(Path);
     auto Line = std::make_unique<Checkpoint>();
     Image::Monotonic M;
+    Image::ChannelMap Decoded;
     bool Ok = RF.Error.empty() && !RF.TornTail && RF.Frames.size() == 1 &&
               RF.Frames[0].Type == CkptFrameType;
     if (Ok) {
       ImageReader A(RF.Frames[0].Payload);
-      Image{*this}.io(A, *Line, M);
+      Image{*this}.io(A, *Line, M, Decoded);
       Ok = A.done();
     }
     if (!Ok) {
       ++ResumeInfo.CorruptSkipped;
       continue;
+    }
+    // Give the decoded channels ids in this process's table.
+    for (auto &[Key, C] : Decoded) {
+      unsigned Ch = channelOf(Key.Comm, Key.Src, Key.Dst);
+      Line->Chans.resize(Chans.size());
+      C.Key = Key;
+      Line->Chans[Ch] = std::move(C);
     }
     // Checkpoints are never taken with dead processors, so every
     // processor comes back alive. Unlike a rollback, a resume also
@@ -2476,21 +2840,6 @@ bool Simulator::resumeFromDurable(SimResult &R) {
   }
   return false;
 }
-
-namespace {
-
-std::string coordStr(const std::vector<IntT> &C) {
-  std::string S = "(";
-  for (unsigned I = 0; I != C.size(); ++I) {
-    if (I)
-      S += ",";
-    S += std::to_string(C[I]);
-  }
-  S += ")";
-  return S;
-}
-
-} // namespace
 
 std::string SimDiagnostics::str() const {
   constexpr unsigned MaxListed = 16;
@@ -2532,6 +2881,8 @@ std::string SimDiagnostics::str() const {
          ", expecting seq " + std::to_string(Pr.ExpectedSeq);
     if (Pr.PeerDead)
       S += " (peer crashed)";
+    if (Pr.PeerOutsideGrid)
+      S += " (peer outside the virtual processor grid)";
     if (Pr.BufferedAhead)
       S += ", " + std::to_string(Pr.BufferedAhead) +
            " buffered out of order";
@@ -2593,8 +2944,8 @@ void Simulator::reportStall(SimResult &R) const {
     }
   }
   D.RetryExhausted = Failures;
-  for (const auto &[Key, Q] : Queues)
-    D.InFlightMessages += Q.size();
+  for (const Channel &C : Chans)
+    D.InFlightMessages += C.Queue.size();
   R.Error = D.str();
 }
 

@@ -52,8 +52,8 @@
 /// SimOptions::Engine == SimEngine::Event replaces the per-round sweep
 /// over every virtual processor with a discrete-event scheduler
 /// (DESIGN.md §14): only runnable processors are visited, a blocked
-/// receiver parks in a per-(dest, tag) hash bucket and is woken in O(1)
-/// by the send that can satisfy it, and checkpoint barriers are
+/// receiver parks on its channel's slot of a wait array and is woken in
+/// O(1) by the send that can satisfy it, and checkpoint barriers are
 /// amortized by cutting the round at the first gated slice instead of
 /// sweeping the remaining processors through no-op slices. Because a
 /// blocked receive attempt is side-effect-free, skipping it preserves
@@ -61,6 +61,11 @@
 /// bit-identical to the round engines for every program, fault, crash
 /// and checkpoint schedule, at a fraction of the scheduling cost when
 /// most processors are waiting (the regime at P >= 1024).
+///
+/// Every engine executes the same lowered program (DESIGN.md §17): the
+/// constructor translates the compiled SPMD tree once into a tree of
+/// the same shape whose affine expressions are sparse LinearForms, and
+/// channels are interned into one table indexed by small integer ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -266,6 +271,9 @@ struct PendingRecv {
   /// The awaited sender was killed by the crash-stop schedule: this
   /// message can never arrive without a rollback.
   bool PeerDead = false;
+  /// The awaited sender lies outside the virtual processor grid: no
+  /// processor exists to send this message.
+  bool PeerOutsideGrid = false;
 };
 
 /// A virtual processor killed by the crash-stop schedule.
@@ -440,9 +448,27 @@ private:
   /// Worker pool, round barrier and wavefront synchronization for the
   /// threaded engine (DESIGN.md §10).
   struct ThreadEngine;
-  /// Discrete-event scheduler: run queues, per-channel wait buckets and
+  /// Discrete-event scheduler: run queues, per-channel wait slots and
   /// the O(1) wake rule (DESIGN.md §14).
   struct EventEngine;
+  /// A run of a lowered-program pool: Pool[Begin, Begin + Size).
+  struct Span {
+    unsigned Begin = 0, Size = 0;
+  };
+  /// One SPMD statement lowered for execution (DESIGN.md §17), and the
+  /// pooled loop bounds and guards it refers to.
+  struct ExecStmt;
+  struct ExecBound;
+  struct ExecCond;
+  /// One directed channel's receive queue and transport cursors.
+  struct Channel;
+  /// A directed channel's identity: communication set, then sender and
+  /// receiver as flat Procs indices. Ascending order is ascending
+  /// (comm id, sender coordinate, receiver coordinate) order.
+  struct ChanKey {
+    unsigned Comm = 0, Src = 0, Dst = 0;
+    auto operator<=>(const ChanKey &) const = default;
+  };
   /// Merged outcome of one scheduler round.
   struct RoundFlags {
     bool Progress = false, AllDone = true, AnyDead = false,
@@ -456,17 +482,44 @@ private:
   IntT flatIndex(unsigned ArrayId, const std::vector<IntT> &Idx) const;
   IntT flatIndex(unsigned ArrayId, const std::vector<AffineExpr> &Indices,
                  const std::vector<IntT> &Env) const;
+  IntT flatIndex(unsigned ArrayId, Span Indices,
+                 const std::vector<IntT> &Env) const;
   /// Aborts the run with the locality-violation diagnostic: a processor
   /// touched an element it does not hold, or one outside its array.
   [[noreturn]] void localityViolation(unsigned ArrayId,
                                       const char *What) const;
   void computeVirtualGrid();
   void initLocalStores();
+  /// Lowers \p List, bodies included, into the pools; returns its span
+  /// of Stmts (DESIGN.md §17).
+  Span lowerList(const std::vector<SpmdStmt> &List);
+  /// Evaluators over the lowered program's pools: a form, the max
+  /// (lower) or min (upper) of a bound list, a guard list, and a
+  /// SetVar's value.
+  IntT eval(const LinearForm &F, const std::vector<IntT> &Env) const;
+  IntT evalBounds(Span Bs, const std::vector<IntT> &Env, bool IsLower) const;
+  bool condsHold(Span Cs, const std::vector<IntT> &Env) const;
+  IntT setVarValue(const ExecStmt &St, const std::vector<IntT> &Env) const;
   bool stepProc(VirtProc &V, StepCtx &Ctx);
+  /// Flat Procs index of the peer a Send/Recv names in \p Env; false
+  /// when the peer lies outside the virtual grid.
+  bool peerIndex(const ExecStmt &St, const std::vector<IntT> &Env,
+                 unsigned &Out) const;
+  /// The peer coordinate a Send/Recv names in \p V's environment.
+  std::vector<IntT> peerCoord(const VirtProc &V, const ExecStmt &St) const;
+  /// Records the run error for a Send whose peer lies outside the
+  /// virtual grid; the run ends at the round boundary.
+  void sendOutsideGrid(const VirtProc &V, const ExecStmt &St,
+                       StepCtx &Ctx) const;
+  /// The id of channel (\p Comm, \p Src, \p Dst), interning it on
+  /// first use. Under the threaded engine the caller holds ChanMu.
+  unsigned channelOf(unsigned Comm, unsigned Src, unsigned Dst);
+  /// Appends \p M to channel \p Ch's queue and wakes a parked receiver.
+  void push(unsigned Ch, Message M, StepCtx &Ctx);
   /// Executes a pack/unpack message body inline (it never blocks):
   /// appends packed values to \p PackOut on a send, stores values from
   /// \p UnpackIn on a receive, and counts the elements either way.
-  void runItems(VirtProc &V, const std::vector<SpmdStmt> &List,
+  void runItems(VirtProc &V, Span List,
                 std::vector<double> *PackOut,
                 const std::vector<double> *UnpackIn, uint64_t &Cursor,
                 uint64_t &Count);
@@ -476,8 +529,7 @@ private:
   /// One cooperative round of the sequential engine: every live
   /// processor runs one slice, in ascending processor order.
   RoundFlags runRoundSequential();
-  void execComputeIter(VirtProc &V, const SpmdStmt &St);
-  double statementCost(const Statement &S) const;
+  void execComputeIter(VirtProc &V, const ExecStmt &St);
   unsigned physOf(const std::vector<IntT> &VirtCoord) const;
   /// Flat Procs index of a virtual-grid coordinate; false when the
   /// coordinate lies outside the instantiated grid.
@@ -533,10 +585,25 @@ private:
   /// Procs-index mapping (the construction odometer's order).
   std::vector<IntT> VirtStride;
   std::vector<VirtProc> Procs;
-  std::map<std::vector<IntT>, std::vector<Message>> Queues;
-  /// Reliable transport: next sequence number per directed channel key
-  /// (CommId, src coord, dst coord), sender and receiver side.
-  std::map<std::vector<IntT>, uint64_t> SendSeq, RecvSeq;
+  /// The lowered program (DESIGN.md §17), built once at construction:
+  /// every statement, with each list's statements contiguous, and the
+  /// pools their spans index. Top spans CP.Spmd.Top's statements.
+  std::vector<ExecStmt> Stmts;
+  std::vector<ExecBound> Bounds;
+  std::vector<ExecCond> Conds;
+  std::vector<LinearForm> Forms;
+  std::vector<LinearTerm> Terms;
+  Span Top;
+  /// The channel table (DESIGN.md §17): key and state per channel id.
+  /// Ids are handed out on first use and never freed; their order
+  /// differs between engines, so nothing observable may depend on it.
+  std::vector<Channel> Chans;
+  /// Open-addressed index from key to id: a power-of-two array of ids,
+  /// ~0u where empty, probed linearly, at most half full.
+  std::vector<unsigned> ChanSlots;
+  /// The first program error a slice hit (a peer outside the grid);
+  /// non-empty ends the run at the round boundary.
+  std::string RunError;
   /// Packets whose retry budget was exhausted (never delivered).
   std::vector<TransportFailure> Failures;
   std::vector<double> PhysClock;

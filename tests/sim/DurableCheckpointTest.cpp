@@ -877,6 +877,61 @@ TEST(DurableCheckpoint, MalformedChannelKeyIsSkippedOnResume) {
   FAIL() << "no image with a queued message";
 }
 
+TEST(DurableCheckpoint, OutOfGridChannelKeyIsSkippedOnResume) {
+  // A CRC-valid image whose first queue key (or first SendSeq key)
+  // names a sender or receiver coordinate outside the virtual grid
+  // (0..24 for LU at N=24) is corrupt: no channel can connect such a
+  // processor. The untampered image must resume, which shows the
+  // offsets are right.
+  DurableEnv E;
+  FaultOptions F;
+  F.Seed = 42;
+  F.DropRate = 0.05;
+  F.DupRate = 0.02;
+  CheckpointOptions CK;
+  CK.IntervalSteps = 1500;
+  TempDir Ref;
+  CK.DurableDir = Ref.Path;
+  SimOptions SO = opts(E.Pv, F, CK);
+  SimResult RFull = Simulator(E.P, E.CP, E.Spec, SO).run();
+  ASSERT_TRUE(RFull.Ok) << RFull.Error;
+  std::vector<std::string> Files =
+      stable::listFiles(Ref.Path, "ckpt-", ".dmc");
+  for (size_t K = 0; K + 1 < Files.size(); ++K) {
+    stable::ReadFramesResult RF = stable::readFrames(Ref.Path + "/" + Files[K]);
+    ASSERT_EQ(RF.Frames.size(), 1u);
+    const std::vector<uint8_t> &Img = RF.Frames[0].Payload;
+    ImageOffsets O = walkImage(Img);
+    if (getU64(Img, O.Queues) == 0 || getU64(Img, O.SendSeq) == 0)
+      continue;
+    EXPECT_TRUE(resumesFrom(E, SO, Files[K], Img, RFull));
+    // A 1-D key is (count 3, comm, src, dst). The first key of a section
+    // follows its count; SendSeq entries are a key plus a cursor, 40
+    // bytes each. Keys are in ascending order, so coordinates below the
+    // grid go into a first key and coordinates above it into the last
+    // SendSeq key: the order stays valid and only the grid check fails.
+    ASSERT_EQ(getU64(Img, O.Queues + 8), 3u);
+    ASSERT_EQ(getU64(Img, O.SendSeq + 8), 3u);
+    const size_t LastSend = O.SendSeq + 8 + 40 * (getU64(Img, O.SendSeq) - 1);
+    struct Tamper {
+      size_t Key;
+      int64_t Bad;
+    };
+    for (Tamper T :
+         {Tamper{O.Queues + 8, -1}, Tamper{O.Queues + 8, -(1 << 20)},
+          Tamper{O.SendSeq + 8, -1}, Tamper{LastSend, 25},
+          Tamper{LastSend, int64_t(1) << 40}})
+      for (size_t Coord : {T.Key + 16, T.Key + 24}) {
+        std::vector<uint8_t> B = Img;
+        putU64(B, Coord, static_cast<uint64_t>(T.Bad));
+        EXPECT_FALSE(resumesFrom(E, SO, Files[K], B, RFull))
+            << "coordinate " << T.Bad << " at offset " << Coord;
+      }
+    return;
+  }
+  FAIL() << "no image with a queued message and a send cursor";
+}
+
 TEST(DurableCheckpoint, OutOfRangePhysicalIndexIsSkippedOnResume) {
   // Physical indices and coordinates an image carries are checked
   // against the machine: a BurstPhys entry or a CrashEvent::Phys at or

@@ -222,6 +222,41 @@ TEST(Fleet, MatrixIsFullyAccountedAndBitExactUnderHostileFaults) {
   EXPECT_EQ(Rep.Outcomes[5].Attempts, 2u);
 }
 
+TEST(Fleet, RunStatusGivesAnExhaustedEventBudgetItsOwnVerdict) {
+  // A run stopped by SimOptions::MaxEvents is not a deadlock: the child's
+  // verdict function must say event-budget, and the report must count it.
+  FleetEnv E;
+  SimOptions SO;
+  SO.PhysGrid = {4};
+  SO.ParamValues = E.Params;
+  SO.MaxEvents = 10;
+  SimResult Cut = Simulator(E.P, E.CP, E.Spec, SO).run();
+  ASSERT_FALSE(Cut.Ok);
+  ASSERT_TRUE(Cut.Diag.EventBudgetExhausted);
+  EXPECT_EQ(runStatus(Cut, 0, 1), ScenarioStatus::EventBudget);
+  EXPECT_STREQ(scenarioStatusName(ScenarioStatus::EventBudget),
+               "event-budget");
+
+  // The other verdicts: a completed run by its hash, a stalled one by
+  // whether the transport gave up.
+  SO.MaxEvents = SimOptions().MaxEvents;
+  SimResult Full = Simulator(E.P, E.CP, E.Spec, SO).run();
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  EXPECT_EQ(runStatus(Full, 7, 7), ScenarioStatus::Ok);
+  EXPECT_EQ(runStatus(Full, 7, 8), ScenarioStatus::Mismatch);
+  SimResult Stalled;
+  EXPECT_EQ(runStatus(Stalled, 0, 0), ScenarioStatus::Deadlock);
+  Stalled.Diag.RetryExhausted.emplace_back();
+  EXPECT_EQ(runStatus(Stalled, 0, 0), ScenarioStatus::TransportExhausted);
+
+  FleetReport Rep;
+  Rep.Outcomes.resize(1);
+  Rep.Outcomes[0].Status = ScenarioStatus::EventBudget;
+  std::string J = Rep.json();
+  EXPECT_NE(J.find("\"event-budget\": 1"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"status\": \"event-budget\""), std::string::npos) << J;
+}
+
 TEST(Fleet, JsonReportAccountsForEveryScenarioAndStatus) {
   FleetEnv E;
   FleetOptions FO;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 #include <optional>
+#include <set>
 
 using namespace dmcc;
 
@@ -287,5 +288,84 @@ TEST(SimulatorTest, EventBudgetEndsTheRunWithAStructuredError) {
     EXPECT_TRUE(Fits.Ok) << Fits.Error;
     EXPECT_FALSE(Fits.Diag.EventBudgetExhausted);
     EXPECT_EQ(Fits.MakespanSeconds, Full.MakespanSeconds);
+  }
+}
+
+TEST(SimulatorTest, PeerOutsideTheGridEndsTheRun) {
+  // Sabotage the peers of every send (then of every receive) so they
+  // name processors outside the virtual grid (0..7). A send to one has
+  // no channel to queue on and ends the run with an error naming the
+  // comm id and the coordinate; a receive from one can never be
+  // satisfied and ends in the stall report, which names both too.
+  // Every engine reports the same thing.
+  Program P = shift();
+  CompileSpec Spec = shiftSpec(P, 8);
+  std::map<std::string, IntT> Params = {{"T", 2}, {"N", 63}};
+  for (SpmdStmt::Kind Kind : {SpmdStmt::Kind::Send, SpmdStmt::Kind::Recv}) {
+    const bool IsSend = Kind == SpmdStmt::Kind::Send;
+    SCOPED_TRACE(IsSend ? "send" : "receive");
+    CompiledProgram CP = compile(P, Spec);
+    std::set<unsigned> Comms;
+    std::function<void(std::vector<SpmdStmt> &)> Break =
+        [&](std::vector<SpmdStmt> &Stmts) {
+          for (SpmdStmt &S : Stmts) {
+            if (S.K == Kind) {
+              S.Peer[0] = S.Peer[0].plusConst(1000);
+              Comms.insert(S.CommId);
+            }
+            Break(S.Body);
+          }
+        };
+    Break(CP.Spmd.Top);
+    ASSERT_EQ(Comms.size(), 1u) << "the shift program has one comm set";
+    const unsigned Comm = *Comms.begin();
+    const std::string CommStr = "comm " + std::to_string(Comm);
+
+    struct Engine {
+      SimEngine E;
+      unsigned Threads;
+    };
+    std::optional<std::string> First;
+    for (Engine En : {Engine{SimEngine::Rounds, 1},
+                      Engine{SimEngine::Rounds, 2},
+                      Engine{SimEngine::Event, 1}}) {
+      SCOPED_TRACE("engine " + std::to_string(static_cast<int>(En.E)) +
+                   ", threads " + std::to_string(En.Threads));
+      SimOptions SO = opts(2, Params);
+      SO.Engine = En.E;
+      SO.Threads = En.Threads;
+      SimResult R = Simulator(P, CP, Spec, SO).run();
+      ASSERT_FALSE(R.Ok);
+      EXPECT_FALSE(R.Diag.EventBudgetExhausted);
+      if (IsSend) {
+        EXPECT_NE(R.Error.find("send on " + CommStr), std::string::npos)
+            << R.Error;
+        EXPECT_NE(R.Error.find("to vp(10"), std::string::npos) << R.Error;
+        EXPECT_NE(R.Error.find("peer outside the virtual processor grid "
+                               "vp(0)..vp(7)"),
+                  std::string::npos)
+            << R.Error;
+        EXPECT_EQ(R.Error.find("unconsumed"), std::string::npos) << R.Error;
+      } else {
+        bool Found = false;
+        for (const PendingRecv &Pr : R.Diag.StuckProcs)
+          if (Pr.PeerOutsideGrid) {
+            Found = true;
+            EXPECT_EQ(Pr.CommId, Comm);
+            ASSERT_EQ(Pr.Peer.size(), 1u);
+            EXPECT_GE(Pr.Peer[0], 1000);
+          }
+        EXPECT_TRUE(Found);
+        EXPECT_NE(R.Error.find("waiting for " + CommStr + " from vp(10"),
+                  std::string::npos)
+            << R.Error;
+        EXPECT_NE(R.Error.find("(peer outside the virtual processor grid)"),
+                  std::string::npos)
+            << R.Error;
+      }
+      if (!First)
+        First = R.Error;
+      EXPECT_EQ(R.Error, *First);
+    }
   }
 }

@@ -468,27 +468,24 @@ int main(int Argc, char **Argv) {
     std::fputs(Json.c_str(), stdout);
   }
 
-  unsigned Totals[7] = {};
+  unsigned Totals[NumScenarioStatuses] = {};
   double Elapsed = 0;
-  static const ScenarioStatus All[] = {
-      ScenarioStatus::Ok,       ScenarioStatus::Mismatch,
-      ScenarioStatus::Deadlock, ScenarioStatus::TransportExhausted,
-      ScenarioStatus::Timeout,  ScenarioStatus::WorkerCrash,
-      ScenarioStatus::RetryExhausted};
   for (const NamedFleetReport &R : Reports) {
     Elapsed += R.Report.ElapsedSeconds;
-    for (unsigned I = 0; I != 7; ++I)
-      Totals[I] += R.Report.count(All[I]);
+    for (unsigned I = 0; I != NumScenarioStatuses; ++I)
+      Totals[I] += R.Report.count(AllScenarioStatuses[I]);
   }
-  std::fprintf(
-      stderr,
-      "dmcc-fleet: %u ok, %u mismatch, %u deadlock, %u "
-      "transport-exhausted, %u timeout, %u worker-crash, %u "
-      "retry-exhausted in %.2f s\n",
-      Totals[0], Totals[1], Totals[2], Totals[3], Totals[4], Totals[5],
-      Totals[6], Elapsed);
+  // "dmcc-fleet: N ok, N mismatch, N deadlock, ... in S s", one count
+  // per status in report order.
+  std::string Line = "dmcc-fleet: ";
+  for (unsigned I = 0; I != NumScenarioStatuses; ++I)
+    Line += std::to_string(Totals[I]) + " " +
+            scenarioStatusName(AllScenarioStatuses[I]) +
+            (I + 1 != NumScenarioStatuses ? ", " : "");
+  std::fprintf(stderr, "%s in %.2f s\n", Line.c_str(), Elapsed);
 
   // Any mismatch against the clean sequential run is a correctness
   // failure of dmcc itself, not of the hostile scenario.
+  static_assert(AllScenarioStatuses[1] == ScenarioStatus::Mismatch);
   return Totals[1] ? ExitVerifyMismatch : ExitSuccess;
 }
