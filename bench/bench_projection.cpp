@@ -8,9 +8,9 @@
 // Each case runs two legs: a baseline with the fast-path machinery off
 // (no memoization, no syntactic quick-checks, legacy elimination order)
 // and an optimized leg with the projectionOptions() defaults. Output is
-// one JSON object (same convention as bench_checkpoint) so the speedups
-// can be tracked across commits; the checked-in snapshot lives in
-// BENCH_projection.json.
+// one JSON object (same convention as bench_checkpoint), with the build
+// type and hardware_concurrency, so the speedups can be tracked across
+// commits; the checked-in snapshot lives in BENCH_projection.json.
 //
 // Set DMCC_BENCH_SMALL=1 to run at reduced scale.
 //
@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <thread>
 
 using namespace dmcc;
 
@@ -189,6 +190,9 @@ int main() {
   std::printf("{\n");
   std::printf("  \"benchmark\": \"projection\",\n");
   std::printf("  \"small\": %s,\n", Small ? "true" : "false");
+  std::printf("  \"build_type\": \"%s\",\n", DMCC_BUILD_TYPE);
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"rows\": [\n");
   for (unsigned I = 0; I != NumCases; ++I) {
     const Case &C = Cases[I];

@@ -35,7 +35,11 @@ void System::addAllMapped(const System &Other) {
 }
 
 bool System::normalize() {
+  // Rows are copied into Out, not moved: on a false return Cons keeps
+  // every row, rewritten in place up to the failing one, and callers
+  // that ignore the verdict (fmEliminated) go on from those rows.
   std::vector<Constraint> Out;
+  Out.reserve(Cons.size());
   for (Constraint &C : Cons) {
     AffineExpr &E = C.Expr;
     if (E.isConstant()) {
@@ -206,6 +210,311 @@ System System::fmEliminated(unsigned I, bool *Exact) const {
 
 namespace {
 
+/// Constraints as one flat integer matrix: row R is
+///   Data[R*Width, (R+1)*Width) = [rel, const, c0 ... c(Width-3)]
+/// with rel 0 for Expr >= 0 and 1 for Expr == 0. The integer-feasibility
+/// kernel works on these rows from the cache key to the verdict; it
+/// mirrors System::normalize and System::fmEliminated rule for rule and
+/// row for row, so its chain, bounds and search are those of the System
+/// versions.
+struct RowMatrix {
+  static constexpr IntT GE = 0, EQ = 1;
+
+  unsigned Width = 2; ///< 2 + number of live columns
+  unsigned Rows = 0;
+  std::vector<IntT> Data;
+
+  IntT *row(unsigned R) { return Data.data() + size_t(R) * Width; }
+  const IntT *row(unsigned R) const {
+    return Data.data() + size_t(R) * Width;
+  }
+  void reset(unsigned W) {
+    Width = W;
+    Rows = 0;
+    Data.clear();
+  }
+  /// Appends a zeroed row and returns it.
+  IntT *appendRow() {
+    Data.resize(Data.size() + Width);
+    return row(Rows++);
+  }
+  /// Appends the first Width entries of \p Src.
+  void appendPrefix(const IntT *Src) {
+    Data.insert(Data.end(), Src, Src + Width);
+    ++Rows;
+  }
+};
+
+/// Loads \p S's constraints as rows over all of its variables.
+void loadRows(const System &S, RowMatrix &M) {
+  const unsigned N = S.numVars();
+  M.reset(N + 2);
+  M.Data.reserve(size_t(S.numConstraints()) * M.Width);
+  for (const Constraint &C : S.constraints()) {
+    IntT *R = M.appendRow();
+    R[0] = C.isEquality() ? RowMatrix::EQ : RowMatrix::GE;
+    R[1] = C.Expr.constant();
+    for (unsigned I = 0; I != N; ++I)
+      R[2 + I] = C.Expr.coeff(I);
+  }
+}
+
+/// Negates \p Len entries in place, aborting like AffineExpr::scale(-1).
+void negateChk(IntT *P, unsigned Len) {
+  for (unsigned I = 0; I != Len; ++I)
+    P[I] = mulChk(P[I], -1);
+}
+
+/// Index of row \p R's first nonzero coefficient; Width if it has none.
+unsigned firstCoeff(const IntT *R, unsigned Width) {
+  unsigned I = 2;
+  while (I != Width && R[I] == 0)
+    ++I;
+  return I;
+}
+
+/// Makes the first nonzero coefficient of row \p R positive.
+void canonicalizeSign(IntT *R, unsigned Width) {
+  unsigned I = firstCoeff(R, Width);
+  if (I != Width && R[I] < 0)
+    negateChk(R + 1, Width - 1);
+}
+
+/// AffineExpr::isNegationOf on rows: the expression of \p C (constant and
+/// coefficients) is the negation of \p F's.
+bool isNegationRow(const IntT *C, const IntT *F, unsigned Width) {
+  for (unsigned I = 1; I != Width; ++I)
+    if (C[I] == INT64_MIN || F[I] != -C[I])
+      return false;
+  return true;
+}
+
+/// System::normalize on rows, in place and with the same rules in the
+/// same order: gcd tightening, the equality divisibility test, sign
+/// canonicalization, then first-match dedupe with GE-pair merging. On
+/// false the rows are left as normalize leaves Cons: rewritten in place
+/// up to the failing row, with nothing dropped.
+bool normalizeRows(RowMatrix &M) {
+  const unsigned W = M.Width;
+  for (unsigned R = 0; R != M.Rows; ++R) {
+    IntT *P = M.row(R);
+    // coeffGcd, with the same absChk on every coefficient it visits;
+    // gcd(0, c) = |c| and gcd(1, c) = 1 need no division.
+    IntT G = 0;
+    for (unsigned I = 2; I != W; ++I) {
+      if (P[I] == 0)
+        continue;
+      if (G == 0)
+        G = absChk(P[I]);
+      else if (G == 1)
+        (void)absChk(P[I]);
+      else
+        G = gcdInt(G, P[I]);
+    }
+    if (G == 0) {
+      if (P[0] == RowMatrix::EQ ? P[1] != 0 : P[1] < 0)
+        return false;
+      continue; // tautology, dropped below
+    }
+    if (P[0] == RowMatrix::EQ) {
+      if (P[1] % G != 0)
+        return false; // GCD divisibility test: no integer solutions
+      if (G > 1)
+        for (unsigned I = 1; I != W; ++I)
+          P[I] /= G;
+      canonicalizeSign(P, W);
+    } else if (G > 1) {
+      P[1] = floorDiv(P[1], G);
+      for (unsigned I = 2; I != W; ++I)
+        P[I] /= G;
+    }
+  }
+
+  // Drop tautologies, deduplicate, and merge GE pairs {E >= 0, -E >= 0}
+  // into E == 0, compacting the kept rows to the front. The first kept
+  // row that matches decides, as in System::normalize.
+  unsigned Kept = 0;
+  for (unsigned R = 0; R != M.Rows; ++R) {
+    const IntT *C = M.row(R);
+    if (firstCoeff(C, W) == W)
+      continue; // tautology
+    bool Skip = false;
+    for (unsigned FI = 0; FI != Kept && !Skip; ++FI) {
+      IntT *F = M.row(FI);
+      if (std::equal(C + 1, C + W, F + 1)) {
+        // Same expression: a duplicate, or a GE implied by an EQ.
+        Skip = C[0] == F[0] || C[0] == RowMatrix::GE;
+      } else if (C[0] == RowMatrix::GE && isNegationRow(C, F, W)) {
+        // F says -C.Expr >= 0 (merge into C.Expr == 0) or pins it.
+        if (F[0] == RowMatrix::GE) {
+          F[0] = RowMatrix::EQ;
+          canonicalizeSign(F, W);
+        }
+        Skip = true;
+      }
+    }
+    if (Skip)
+      continue;
+    if (Kept != R)
+      std::copy(C, C + W, M.row(Kept));
+    ++Kept;
+  }
+  M.Rows = Kept;
+  M.Data.resize(size_t(Kept) * W);
+  return true;
+}
+
+/// Scratch rows reused across eliminations.
+struct ElimScratch {
+  std::vector<unsigned> Low, Up;
+  std::vector<IntT> LE, UE;
+};
+
+/// System::fmEliminated on rows: eliminates the last live column of
+/// \p In into \p Out, whose rows drop that column. A unit-coefficient
+/// equality substitutes first; otherwise every Low x Up pair combines in
+/// the same order with the same checked arithmetic. Like fmEliminated,
+/// the result is normalized and normalize's verdict ignored.
+void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
+  ++projectionStats().FmEliminations;
+  const unsigned W = In.Width, V = W - 1; // V: the eliminated column
+  Out.reset(W - 1);
+
+  for (unsigned CI = 0; CI != In.Rows; ++CI) {
+    const IntT *C = In.row(CI);
+    if (C[0] != RowMatrix::EQ || (C[V] != 1 && C[V] != -1))
+      continue;
+    // A*v + R == 0  =>  v = -R/A. For A == 1: v = -R; for A == -1: v = R.
+    S.LE.assign(C, C + V);
+    if (C[V] == 1)
+      negateChk(S.LE.data() + 1, V - 1);
+    const IntT *Repl = S.LE.data();
+    Out.Data.reserve(size_t(In.Rows - 1) * Out.Width);
+    for (unsigned CJ = 0; CJ != In.Rows; ++CJ) {
+      if (CJ == CI)
+        continue;
+      const IntT *Src = In.row(CJ);
+      Out.appendPrefix(Src);
+      IntT A = Src[V];
+      if (A == 0)
+        continue;
+      IntT *P = Out.row(Out.Rows - 1);
+      for (unsigned I = 2; I != V; ++I)
+        P[I] = addChk(P[I], mulChk(A, Repl[I]));
+      P[1] = addChk(P[1], mulChk(A, Repl[1]));
+    }
+    normalizeRows(Out);
+    return;
+  }
+
+  S.Low.clear();
+  S.Up.clear();
+  for (unsigned CI = 0; CI != In.Rows; ++CI) {
+    const IntT *C = In.row(CI);
+    IntT A = C[V];
+    if (A == 0) {
+      Out.appendPrefix(C);
+      continue;
+    }
+    bool IsEq = C[0] == RowMatrix::EQ;
+    if (A > 0 || IsEq)
+      S.Low.push_back(CI);
+    if (A < 0 || IsEq)
+      S.Up.push_back(CI);
+  }
+
+  Out.Data.reserve(Out.Data.size() +
+                   size_t(S.Low.size()) * S.Up.size() * Out.Width);
+  for (unsigned L : S.Low) {
+    const IntT *LRow = In.row(L);
+    IntT AL = LRow[V];
+    const IntT *LE = LRow;
+    if (AL < 0) {
+      S.LE.assign(LRow, LRow + W);
+      negateChk(S.LE.data() + 1, W - 1);
+      LE = S.LE.data();
+    }
+    IntT A = AL > 0 ? AL : -AL; // coefficient of v in LE, > 0
+    for (unsigned U : S.Up) {
+      if (U == L)
+        continue;
+      const IntT *URow = In.row(U);
+      IntT AU = URow[V];
+      const IntT *UE = URow;
+      if (AU > 0) {
+        S.UE.assign(URow, URow + W);
+        negateChk(S.UE.data() + 1, W - 1);
+        UE = S.UE.data();
+      }
+      IntT B = AU < 0 ? -AU : AU; // -coefficient of v in UE, > 0
+      IntT G = gcdInt(A, B);
+      IntT FL = B / G, FU = A / G;
+      // Cross-multiplying bound pairs is where Fourier-Motzkin grows
+      // coefficients. fmEliminated scales and adds whole expressions;
+      // any overflow there, the eliminated column's included, is this
+      // one diagnostic.
+      IntT *P = Out.appendRow();
+      P[0] = RowMatrix::GE;
+      for (unsigned I = 1; I != W; ++I) {
+        IntT X, Y, Sum;
+        if (__builtin_mul_overflow(LE[I], FL, &X) ||
+            __builtin_mul_overflow(UE[I], FU, &Y) ||
+            __builtin_add_overflow(X, Y, &Sum))
+          fatalError("coefficient overflow during Fourier-Motzkin "
+                     "elimination: combining bounds exceeds the 64-bit "
+                     "coefficient range (system too complex or input "
+                     "coefficients too large)");
+        if (I != V)
+          P[I] = Sum;
+        else
+          assert(Sum == 0 && "elimination failed to cancel");
+      }
+    }
+  }
+  normalizeRows(Out);
+}
+
+/// Normalizes \p S into rows; false when it is empty on its face.
+bool normalizedRows(const System &S, RowMatrix &M) {
+  loadRows(S, M);
+  return normalizeRows(M);
+}
+
+/// The cache key of normalized rows \p M: variable and row counts, then
+/// the rows in lexicographic order, which sorts GE before EQ, then by
+/// constant, then by coefficients. Syntactic variants (row order,
+/// scaling, merged equalities) share one key.
+void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
+  const unsigned W = M.Width;
+  std::vector<unsigned> Order(M.Rows);
+  for (unsigned R = 0; R != M.Rows; ++R)
+    Order[R] = R;
+  std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
+    const IntT *PA = M.row(A), *PB = M.row(B);
+    return std::lexicographical_compare(PA, PA + W, PB, PB + W);
+  });
+  Key.clear();
+  Key.reserve(2 + M.Data.size());
+  Key.push_back(static_cast<IntT>(W - 2));
+  Key.push_back(static_cast<IntT>(M.Rows));
+  for (unsigned R : Order)
+    Key.insert(Key.end(), M.row(R), M.row(R) + W);
+}
+
+/// The memo key of \p S (see buildKey) for the projection and
+/// redundancy caches. Returns false when \p S is empty on its face.
+bool canonicalKey(const System &S, detail::CacheKey &Key) {
+  RowMatrix M;
+  if (!normalizedRows(S, M))
+    return false;
+  buildKey(M, Key);
+  return true;
+}
+
+} // namespace
+
+namespace {
+
 /// Fourier-Motzkin growth estimate for eliminating \p I from \p S: 0 when
 /// a unit-coefficient equality gives an exact substitution, otherwise the
 /// pos*neg product of bounding-constraint counts (the number of combined
@@ -243,7 +552,7 @@ System System::projectedOnto(const std::vector<unsigned> &Keep,
 
   detail::CacheKey Key;
   bool Keyed = false;
-  if (PO.Cache && canonicalKey(Key)) {
+  if (PO.Cache && canonicalKey(*this, Key)) {
     Key.push_back(-2); // tag: projection (vs. -1 = redundancy removal)
     for (unsigned K : Keep)
       Key.push_back(static_cast<IntT>(K));
@@ -346,9 +655,138 @@ bool System::holds(const std::vector<IntT> &Vals) const {
 
 namespace {
 
-/// Shared depth-first search over a Fourier-Motzkin chain. Chain[K] has
-/// constraints only over variables 0..K-1; values are assigned in index
-/// order and checked against the original system at the leaves.
+/// The bound lists of a Fourier-Motzkin chain for scanning variables
+/// 0..N-1 in index order, as boundsOf would extract them. Level K+1 of
+/// the chain constrains variables 0..K; the bounds on variable K are
+/// taken from it before K is eliminated, so only two levels are alive at
+/// once. A bound on variable K is the row [den, const, c0 ... c(K-1)]:
+///   lower:  v_K >= ceil(Num / den)      upper:  v_K <= floor(Num / den)
+/// stored per level in one pool per side.
+class FmChain {
+public:
+  /// Builds the chain from \p Base, normalized rows over N variables.
+  /// Returns false when level 0, which holds only constant rows, is
+  /// infeasible: the system is rationally empty.
+  bool build(RowMatrix &Base) {
+    Levels.assign(Base.Width - 2, Level());
+    LowPool.clear();
+    UpPool.clear();
+    RowMatrix Next;
+    ElimScratch S;
+    for (unsigned K = Levels.size(); K-- > 0;) {
+      extractBounds(Base, K);
+      eliminateLast(Base, Next, S);
+      std::swap(Base, Next);
+    }
+    for (unsigned R = 0; R != Base.Rows; ++R) {
+      const IntT *P = Base.row(R);
+      if (P[0] == RowMatrix::EQ ? P[1] != 0 : P[1] < 0)
+        return false;
+    }
+    return true;
+  }
+
+  unsigned numLower(unsigned K) const { return Levels[K].NumLow; }
+  unsigned numUpper(unsigned K) const { return Levels[K].NumUp; }
+
+  /// True when extracting variable K's bounds negated INT64_MIN, which
+  /// boundsOf reports as an overflow.
+  bool negationOverflowed(unsigned K) const {
+    return Levels[K].NegOverflow;
+  }
+  bool anyNegationOverflowed() const {
+    return std::any_of(Levels.begin(), Levels.end(),
+                       [](const Level &L) { return L.NegOverflow; });
+  }
+
+  /// max over the lower bounds of ceil(Num / den); numLower(K) > 0.
+  IntT lower(unsigned K, const std::vector<IntT> &Vals) const {
+    const IntT *B = LowPool.data() + Levels[K].Low;
+    IntT Lo = ceilDiv(evaluate(B, K, Vals), B[0]);
+    for (unsigned I = 1; I != Levels[K].NumLow; ++I) {
+      B += K + 2;
+      Lo = std::max(Lo, ceilDiv(evaluate(B, K, Vals), B[0]));
+    }
+    return Lo;
+  }
+
+  /// min over the upper bounds of floor(Num / den); numUpper(K) > 0.
+  IntT upper(unsigned K, const std::vector<IntT> &Vals) const {
+    const IntT *B = UpPool.data() + Levels[K].Up;
+    IntT Hi = floorDiv(evaluate(B, K, Vals), B[0]);
+    for (unsigned I = 1; I != Levels[K].NumUp; ++I) {
+      B += K + 2;
+      Hi = std::min(Hi, floorDiv(evaluate(B, K, Vals), B[0]));
+    }
+    return Hi;
+  }
+
+private:
+  struct Level {
+    size_t Low = 0, Up = 0; ///< pool offsets of the first bound rows
+    unsigned NumLow = 0, NumUp = 0;
+    bool NegOverflow = false;
+  };
+
+  /// Num of bound row \p B at \p Vals, with AffineExpr::evaluate's
+  /// checked operations in its order.
+  static IntT evaluate(const IntT *B, unsigned K,
+                       const std::vector<IntT> &Vals) {
+    IntT R = B[1];
+    for (unsigned I = 0; I != K; ++I)
+      if (B[2 + I] != 0)
+        R = addChk(R, mulChk(B[2 + I], Vals[I]));
+    return R;
+  }
+
+  /// Appends the bound row [Den, +-P[1], ..., +-P[K+1]] to \p Pool,
+  /// negated when \p Negate, noting a negated INT64_MIN in \p L.
+  static void pushBound(std::vector<IntT> &Pool, IntT Den, const IntT *P,
+                        unsigned K, bool Negate, Level &L) {
+    Pool.push_back(Den);
+    for (unsigned I = 1; I != K + 2; ++I) {
+      IntT X = P[I];
+      if (Negate) {
+        if (X == INT64_MIN)
+          L.NegOverflow = true;
+        else
+          X = -X;
+      }
+      Pool.push_back(X);
+    }
+  }
+
+  /// boundsOf(K) on \p Rows, whose last live column is K.
+  void extractBounds(const RowMatrix &Rows, unsigned K) {
+    Level &L = Levels[K];
+    L.Low = LowPool.size();
+    L.Up = UpPool.size();
+    for (unsigned R = 0; R != Rows.Rows; ++R) {
+      const IntT *P = Rows.row(R);
+      IntT A = P[K + 2];
+      if (A == 0)
+        continue;
+      bool IsEq = P[0] == RowMatrix::EQ;
+      if (A > 0 || IsEq) {
+        // A*v + R >= 0  (A > 0)  =>  v >= ceil(-R / A)
+        pushBound(LowPool, A > 0 ? A : -A, P, K, A > 0, L);
+        ++L.NumLow;
+      }
+      if (A < 0 || IsEq) {
+        // A*v + R >= 0  (A < 0)  =>  v <= floor(R / -A)
+        pushBound(UpPool, A < 0 ? -A : A, P, K, A > 0, L);
+        ++L.NumUp;
+      }
+    }
+  }
+
+  std::vector<Level> Levels;
+  std::vector<IntT> LowPool, UpPool;
+};
+
+/// Depth-first search over a Fourier-Motzkin chain: values are assigned
+/// in index order within each level's bounds and checked against the
+/// original system at the leaves.
 class IntSearch {
 public:
   IntSearch(const System &S, unsigned NodeBudget)
@@ -357,26 +795,14 @@ public:
   /// Window of values explored at a truncated or unbounded range end.
   static constexpr IntT Window = 72;
 
-  bool prepare() {
-    System Base = Orig;
-    if (!Base.normalize())
-      return false; // trivially empty
-    unsigned N = Base.numVars();
-    Chain.resize(N + 1);
-    Chain[N] = std::move(Base);
-    for (unsigned K = N; K-- > 0;)
-      Chain[K] = Chain[K + 1].fmEliminated(K);
-    // Chain[0] has only constant constraints; normalize() detects
-    // rational emptiness of the whole chain.
-    System C0 = Chain[0];
-    if (!C0.normalize())
+  /// Builds the chain from \p Rows, Orig's normalized rows (consumed).
+  /// Returns false when the system is rationally empty. A bound that
+  /// negated INT64_MIN aborts only after that test, where boundsOf did.
+  bool prepare(RowMatrix &Rows) {
+    if (!Chain.build(Rows))
       return false;
-    // The bound lists of each level are fixed for the whole search;
-    // extract them once instead of re-walking constraints per node.
-    LowerAt.resize(N);
-    UpperAt.resize(N);
-    for (unsigned K = 0; K != N; ++K)
-      Chain[K + 1].boundsOf(K, LowerAt[K], UpperAt[K]);
+    if (Chain.anyNegationOverflowed())
+      overflowError("*", INT64_MIN, -1);
     return true;
   }
 
@@ -407,27 +833,9 @@ private:
       return false;
     }
 
-    const std::vector<VarBound> &Lower = LowerAt[K];
-    const std::vector<VarBound> &Upper = UpperAt[K];
-
-    bool HasLo = !Lower.empty(), HasHi = !Upper.empty();
-    IntT Lo = 0, Hi = 0;
-    if (HasLo) {
-      bool First = true;
-      for (const VarBound &B : Lower) {
-        IntT V = ceilDiv(B.Num.evaluate(Vals), B.Den);
-        Lo = First ? V : std::max(Lo, V);
-        First = false;
-      }
-    }
-    if (HasHi) {
-      bool First = true;
-      for (const VarBound &B : Upper) {
-        IntT V = floorDiv(B.Num.evaluate(Vals), B.Den);
-        Hi = First ? V : std::min(Hi, V);
-        First = false;
-      }
-    }
+    bool HasLo = Chain.numLower(K) != 0, HasHi = Chain.numUpper(K) != 0;
+    IntT Lo = HasLo ? Chain.lower(K, Vals) : 0;
+    IntT Hi = HasHi ? Chain.upper(K, Vals) : 0;
 
     if (!HasLo && !HasHi) {
       Lo = -Window / 2;
@@ -472,8 +880,7 @@ private:
   }
 
   const System &Orig;
-  std::vector<System> Chain;
-  std::vector<std::vector<VarBound>> LowerAt, UpperAt;
+  FmChain Chain;
   std::vector<IntT> Vals;
   unsigned Budget;
   uint64_t Nodes = 0;
@@ -481,41 +888,47 @@ private:
   bool BudgetHit = false;
 };
 
-} // namespace
+/// Exhaustive scan behind System::enumeratePoints: every point of every
+/// level's range, aborting on an unbounded level or a spent budget.
+class PointEnumerator {
+public:
+  PointEnumerator(const System &S, const FmChain &Chain,
+                  const std::function<void(const std::vector<IntT> &)> &Fn,
+                  unsigned Budget)
+      : Orig(S), Chain(Chain), Fn(Fn), Budget(Budget),
+        Vals(S.numVars(), 0) {}
 
-bool System::canonicalKey(detail::CacheKey &Key) const {
-  // Normalize a copy so syntactic variants (ordering, scaling, merged
-  // equalities) share one key; sort rows for order independence.
-  System C = *this;
-  if (!C.normalize())
-    return false; // empty on its face — answer without searching
-  std::vector<const Constraint *> Rows;
-  Rows.reserve(C.Cons.size());
-  for (const Constraint &Con : C.Cons)
-    Rows.push_back(&Con);
-  std::sort(Rows.begin(), Rows.end(),
-            [](const Constraint *A, const Constraint *B) {
-              if (A->Rel != B->Rel)
-                return A->Rel < B->Rel;
-              if (A->Expr.constant() != B->Expr.constant())
-                return A->Expr.constant() < B->Expr.constant();
-              for (unsigned I = 0, E = A->Expr.size(); I != E; ++I)
-                if (A->Expr.coeff(I) != B->Expr.coeff(I))
-                  return A->Expr.coeff(I) < B->Expr.coeff(I);
-              return false;
-            });
-  Key.clear();
-  Key.reserve(2 + Rows.size() * (2 + Sp.size()));
-  Key.push_back(static_cast<IntT>(Sp.size()));
-  Key.push_back(static_cast<IntT>(Rows.size()));
-  for (const Constraint *R : Rows) {
-    Key.push_back(R->Rel == RelKind::EQ ? 1 : 0);
-    Key.push_back(R->Expr.constant());
-    for (unsigned I = 0, E = R->Expr.size(); I != E; ++I)
-      Key.push_back(R->Expr.coeff(I));
+  void scan(unsigned K) {
+    if (Used >= Budget)
+      fatalError("enumeratePoints budget exhausted (unbounded system?)");
+    if (K == Vals.size()) {
+      ++Used;
+      if (Orig.holds(Vals))
+        Fn(Vals);
+      return;
+    }
+    if (Chain.negationOverflowed(K))
+      overflowError("*", INT64_MIN, -1);
+    if (Chain.numLower(K) == 0 || Chain.numUpper(K) == 0)
+      fatalError("enumeratePoints requires a bounded system");
+    IntT Lo = Chain.lower(K, Vals), Hi = Chain.upper(K, Vals);
+    for (IntT V = Lo; V <= Hi; ++V) {
+      ++Used;
+      Vals[K] = V;
+      scan(K + 1);
+    }
   }
-  return true;
-}
+
+private:
+  const System &Orig;
+  const FmChain &Chain;
+  const std::function<void(const std::vector<IntT> &)> &Fn;
+  unsigned Budget;
+  unsigned Used = 0;
+  std::vector<IntT> Vals;
+};
+
+} // namespace
 
 Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
   const ProjectionOptions &PO = projectionOptions();
@@ -524,11 +937,15 @@ Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
     NodeBudget = PO.SearchBudget;
   ++PS.FeasQueries;
 
+  // One normalization serves the key and the search.
+  RowMatrix Rows;
+  bool NonEmpty = normalizedRows(*this, Rows);
   detail::CacheKey Key;
   bool Keyed = false;
   if (PO.Cache) {
-    if (!canonicalKey(Key))
+    if (!NonEmpty)
       return Feasibility::Empty;
+    buildKey(Rows, Key);
     Feasibility R;
     if (detail::feasCacheLookup(Key, NodeBudget, R)) {
       ++PS.FeasCacheHits;
@@ -539,8 +956,8 @@ Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
   }
 
   IntSearch Search(*this, NodeBudget);
-  Feasibility R = Search.prepare() ? Search.run(nullptr)
-                                   : Feasibility::Empty;
+  Feasibility R = NonEmpty && Search.prepare(Rows) ? Search.run(nullptr)
+                                                   : Feasibility::Empty;
   if (R == Feasibility::Unknown)
     ++PS.FeasUnknown;
   if (Keyed)
@@ -554,13 +971,15 @@ std::optional<std::vector<IntT>> System::sampleIntPoint(
   if (NodeBudget == 0)
     NodeBudget = PO.SearchBudget;
 
+  RowMatrix Rows;
+  if (!normalizedRows(*this, Rows))
+    return std::nullopt;
   // A memoized Empty verdict saves the search; a Feasible one still
   // needs a point, so only the negative side short-circuits.
   detail::CacheKey Key;
   bool Keyed = false;
   if (PO.Cache) {
-    if (!canonicalKey(Key))
-      return std::nullopt;
+    buildKey(Rows, Key);
     Feasibility Known;
     if (detail::feasCacheLookup(Key, NodeBudget, Known) &&
         Known == Feasibility::Empty)
@@ -569,7 +988,7 @@ std::optional<std::vector<IntT>> System::sampleIntPoint(
   }
 
   IntSearch Search(*this, NodeBudget);
-  if (!Search.prepare())
+  if (!Search.prepare(Rows))
     return std::nullopt;
   std::vector<IntT> Point;
   Feasibility R = Search.run(&Point);
@@ -583,50 +1002,14 @@ std::optional<std::vector<IntT>> System::sampleIntPoint(
 void System::enumeratePoints(
     const std::function<void(const std::vector<IntT> &)> &Fn,
     unsigned Budget) const {
-  System Base = *this;
-  if (!Base.normalize())
+  RowMatrix Rows;
+  if (!normalizedRows(*this, Rows))
     return;
-  unsigned N = Base.numVars();
-  std::vector<System> Chain(N + 1);
-  Chain[N] = std::move(Base);
-  for (unsigned K = N; K-- > 0;)
-    Chain[K] = Chain[K + 1].fmEliminated(K);
-
-  std::vector<IntT> Vals(N, 0);
-  unsigned Used = 0;
-  std::function<void(unsigned)> Rec = [&](unsigned K) {
-    if (Used >= Budget)
-      fatalError("enumeratePoints budget exhausted (unbounded system?)");
-    if (K == N) {
-      ++Used;
-      if (holds(Vals))
-        Fn(Vals);
-      return;
-    }
-    std::vector<VarBound> Lower, Upper;
-    Chain[K + 1].boundsOf(K, Lower, Upper);
-    if (Lower.empty() || Upper.empty())
-      fatalError("enumeratePoints requires a bounded system");
-    IntT Lo = 0, Hi = 0;
-    bool First = true;
-    for (const VarBound &B : Lower) {
-      IntT V = ceilDiv(B.Num.evaluate(Vals), B.Den);
-      Lo = First ? V : std::max(Lo, V);
-      First = false;
-    }
-    First = true;
-    for (const VarBound &B : Upper) {
-      IntT V = floorDiv(B.Num.evaluate(Vals), B.Den);
-      Hi = First ? V : std::min(Hi, V);
-      First = false;
-    }
-    for (IntT V = Lo; V <= Hi; ++V) {
-      ++Used;
-      Vals[K] = V;
-      Rec(K + 1);
-    }
-  };
-  Rec(0);
+  // Level 0's verdict is not consulted: an empty range stops the scan,
+  // and an unbounded level reached before it still aborts.
+  FmChain Chain;
+  (void)Chain.build(Rows);
+  PointEnumerator(*this, Chain, Fn, Budget).scan(0);
 }
 
 namespace {
@@ -676,7 +1059,7 @@ void System::removeRedundant(unsigned NodeBudget) {
 
   detail::CacheKey Key;
   bool Keyed = false;
-  if (PO.Cache && canonicalKey(Key)) {
+  if (PO.Cache && canonicalKey(*this, Key)) {
     Key.push_back(-1); // tag: redundancy removal (vs. -2 = projection)
     Key.push_back(static_cast<IntT>(NodeBudget));
     std::vector<Constraint> Cached;

@@ -159,11 +159,6 @@ public:
 private:
   Space Sp;
   std::vector<Constraint> Cons;
-
-  /// Flattens the normalized, sorted constraint matrix into \p Key.
-  /// Returns false when normalization proves the system empty on its
-  /// face (callers should answer Empty without searching).
-  bool canonicalKey(detail::CacheKey &Key) const;
 };
 
 /// True when \p C alone implies  E >= 0  on its face, with no feasibility
