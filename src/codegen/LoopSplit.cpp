@@ -2,162 +2,110 @@
 
 #include "codegen/LoopSplit.h"
 
-#include <set>
+#include "codegen/Simplify.h"
+
+#include <algorithm>
 
 using namespace dmcc;
 
-namespace {
-
-/// Collects every variable assigned anywhere inside \p Stmts (loop
-/// indices and SetVar targets). Guards depending on these cannot move to
-/// loop bounds.
-void assignedVars(const std::vector<SpmdStmt> &Stmts,
-                  std::set<unsigned> &Out) {
-  for (const SpmdStmt &S : Stmts) {
-    if (S.K == SpmdStmt::Kind::For || S.K == SpmdStmt::Kind::SetVar)
-      Out.insert(S.Var);
-    assignedVars(S.Body, Out);
-  }
-}
-
-/// Rebuilds the loop body with condition \p CondIdx of the If at
-/// \p IfIdx removed (Keep == true) or the whole If dropped (Keep ==
-/// false, the guard is false throughout the segment).
-std::vector<SpmdStmt> segmentBody(const std::vector<SpmdStmt> &Body,
-                                  unsigned IfIdx, unsigned CondIdx,
-                                  bool Keep) {
+std::vector<SpmdStmt> SpmdSimplifier::splitLoop(SpmdStmt For,
+                                                const SpmdContext &Ctx,
+                                                unsigned Budget) {
   std::vector<SpmdStmt> Out;
-  for (unsigned I = 0; I != Body.size(); ++I) {
-    if (I != IfIdx) {
-      Out.push_back(Body[I]);
+  if (Budget < 2) {
+    Out.push_back(std::move(For));
+    return Out;
+  }
+  std::set<unsigned> Assigned;
+  assignedVars(For.Body, Assigned);
+  SpmdContext In = bodyContext(For, Ctx, Assigned);
+  Assigned.insert(For.Var);
+  // Segments run one after another, so each starts without the facts
+  // on anything the loop assigns.
+  SpmdContext SegCtx = Ctx;
+  SegCtx.forget(Assigned);
+
+  // Find a top-level guard condition affine in the loop variable, free of
+  // body-assigned variables, that holds on part of the range only. Guards
+  // of sibling fragments often repeat one another; each is tried once.
+  std::vector<Constraint> Tried;
+  for (const SpmdStmt &If : For.Body) {
+    if (If.K != SpmdStmt::Kind::If)
       continue;
-    }
-    if (!Keep)
-      continue; // guard statically false: drop the whole If
-    SpmdStmt If = Body[I];
-    If.Conds.erase(If.Conds.begin() + CondIdx);
-    if (If.Conds.empty()) {
-      for (SpmdStmt &C : If.Body)
-        Out.push_back(std::move(C));
-    } else {
-      Out.push_back(std::move(If));
+    for (const Constraint &C : If.Conds) {
+      IntT A = For.Var < C.Expr.size() ? C.Expr.coeff(For.Var) : 0;
+      if (A == 0)
+        continue;
+      Constraint Wide = C;
+      while (Wide.Expr.size() < Sp.size())
+        Wide.Expr.appendVar();
+      if (std::find(Tried.begin(), Tried.end(), Wide) != Tried.end())
+        continue;
+      Tried.push_back(std::move(Wide));
+      bool Clean = true;
+      for (unsigned V = 0; V != C.Expr.size(); ++V)
+        if (V != For.Var && C.Expr.involves(V) && Assigned.count(V))
+          Clean = false;
+      if (!Clean)
+        continue;
+      if (C.isEquality() && (A != 1 && A != -1))
+        continue; // divisibility: keep as a run-time test
+      if (In.implies(C) || !In.admits({C}))
+        continue;
+
+      // Rest of the condition without the loop variable.
+      AffineExpr R = C.Expr;
+      R.coeff(For.Var) = 0;
+      std::vector<SpmdStmt> Segs;
+      auto MakeSeg = [&](std::vector<SpmdBound> ExtraLo,
+                         std::vector<SpmdBound> ExtraHi) {
+        SpmdStmt Seg = For;
+        for (SpmdBound &B : ExtraLo)
+          Seg.Lower.push_back(std::move(B));
+        for (SpmdBound &B : ExtraHi)
+          Seg.Upper.push_back(std::move(B));
+        // The segment's bounds decide the condition; simplifying the
+        // segment drops it or the guarded statement.
+        for (SpmdStmt &S : loop(std::move(Seg), SegCtx, false))
+          Segs.push_back(std::move(S));
+      };
+      if (C.isEquality()) {
+        // A*v + R == 0 with A = +/-1: v == -R/A.
+        AffineExpr Val = A == 1 ? R.negated() : R;
+        MakeSeg({}, {SpmdBound{Val.plusConst(-1), 1}});
+        MakeSeg({SpmdBound{Val, 1}}, {SpmdBound{Val, 1}});
+        MakeSeg({SpmdBound{Val.plusConst(1), 1}}, {});
+      } else if (A > 0) {
+        // Holds iff v >= ceil(-R/A); false iff v <= floor((-R-1)/A).
+        MakeSeg({}, {SpmdBound{R.negated().plusConst(-1), A}});
+        MakeSeg({SpmdBound{R.negated(), A}}, {});
+      } else {
+        // Holds iff v <= floor(R/-A); false iff v >= ceil((R+1)/-A).
+        MakeSeg({}, {SpmdBound{R, -A}});
+        MakeSeg({SpmdBound{R.plusConst(1), -A}}, {});
+      }
+      if (Segs.size() < 2)
+        continue;
+      if (Segs.size() > Budget) {
+        ++Split.GuardsKept;
+        continue;
+      }
+      ++Split.GuardsEliminated;
+
+      // Recursively split each segment on the remaining guards.
+      unsigned SubBudget = Budget / Segs.size();
+      for (SpmdStmt &Seg : Segs)
+        for (SpmdStmt &Sub : splitLoop(std::move(Seg), SegCtx, SubBudget))
+          Out.push_back(std::move(Sub));
+      return Out;
     }
   }
+  Out.push_back(std::move(For));
   return Out;
 }
 
-class Splitter {
-public:
-  explicit Splitter(unsigned MaxSegments) : MaxSegments(MaxSegments) {}
-
-  LoopSplitStats Stats;
-
-  void processList(std::vector<SpmdStmt> &Stmts) {
-    std::vector<SpmdStmt> Out;
-    for (SpmdStmt &S : Stmts) {
-      processList(S.Body);
-      if (S.K == SpmdStmt::Kind::For) {
-        std::vector<SpmdStmt> Segs = splitLoop(std::move(S), MaxSegments);
-        if (Segs.size() > 1)
-          ++Stats.LoopsSplit;
-        for (SpmdStmt &Seg : Segs)
-          Out.push_back(std::move(Seg));
-      } else {
-        Out.push_back(std::move(S));
-      }
-    }
-    Stmts = std::move(Out);
-  }
-
-private:
-  /// Returns the loop split into guard-free(er) segments; a singleton
-  /// when nothing is eligible.
-  std::vector<SpmdStmt> splitLoop(SpmdStmt For, unsigned Budget) {
-    std::set<unsigned> Assigned;
-    assignedVars(For.Body, Assigned);
-    Assigned.insert(For.Var);
-
-    // Find a top-level guard condition affine in the loop variable and
-    // free of body-assigned variables.
-    for (unsigned IfIdx = 0; IfIdx != For.Body.size(); ++IfIdx) {
-      const SpmdStmt &If = For.Body[IfIdx];
-      if (If.K != SpmdStmt::Kind::If)
-        continue;
-      for (unsigned CI = 0; CI != If.Conds.size(); ++CI) {
-        const Constraint &C = If.Conds[CI];
-        IntT A = C.Expr.coeff(For.Var);
-        if (A == 0)
-          continue;
-        bool Clean = true;
-        for (unsigned V = 0; V != C.Expr.size(); ++V)
-          if (V != For.Var && C.Expr.involves(V) && Assigned.count(V))
-            Clean = false;
-        if (!Clean)
-          continue;
-        if (C.isEquality() && (A != 1 && A != -1))
-          continue; // divisibility: keep as a run-time test
-        unsigned Need = C.isEquality() ? 3 : 2;
-        if (Budget < Need) {
-          ++Stats.GuardsKept;
-          continue;
-        }
-
-        // Rest of the condition without the loop variable.
-        AffineExpr R = C.Expr;
-        R.coeff(For.Var) = 0;
-        std::vector<SpmdStmt> Segs;
-        auto MakeSeg = [&](bool CondHolds,
-                           std::vector<SpmdBound> ExtraLo,
-                           std::vector<SpmdBound> ExtraHi) {
-          SpmdStmt Seg = For;
-          Seg.Body = segmentBody(For.Body, IfIdx, CI, CondHolds);
-          for (SpmdBound &B : ExtraLo)
-            Seg.Lower.push_back(std::move(B));
-          for (SpmdBound &B : ExtraHi)
-            Seg.Upper.push_back(std::move(B));
-          Segs.push_back(std::move(Seg));
-        };
-
-        if (C.isEquality()) {
-          // A*v + R == 0 with A = +/-1: v == -R/A.
-          AffineExpr Val = A == 1 ? R.negated() : R;
-          MakeSeg(false, {}, {SpmdBound{Val.plusConst(-1), 1}});
-          MakeSeg(true, {SpmdBound{Val, 1}}, {SpmdBound{Val, 1}});
-          MakeSeg(false, {SpmdBound{Val.plusConst(1), 1}}, {});
-        } else if (A > 0) {
-          // Holds iff v >= ceil(-R/A); false iff v <= floor((-R-1)/A).
-          MakeSeg(false, {},
-                  {SpmdBound{R.negated().plusConst(-1), A}});
-          MakeSeg(true, {SpmdBound{R.negated(), A}}, {});
-        } else {
-          // Holds iff v <= floor(R/-A); false iff v >= ceil((R+1)/-A).
-          MakeSeg(true, {}, {SpmdBound{R, -A}});
-          MakeSeg(false, {SpmdBound{R.plusConst(1), -A}}, {});
-        }
-        ++Stats.GuardsEliminated;
-
-        // Recursively split each segment on the remaining guards.
-        std::vector<SpmdStmt> Final;
-        unsigned SubBudget = Budget / Segs.size();
-        for (SpmdStmt &Seg : Segs)
-          for (SpmdStmt &Sub :
-               splitLoop(std::move(Seg), std::max(1u, SubBudget)))
-            Final.push_back(std::move(Sub));
-        return Final;
-      }
-    }
-    std::vector<SpmdStmt> One;
-    One.push_back(std::move(For));
-    return One;
-  }
-
-  unsigned MaxSegments;
-};
-
-} // namespace
-
 LoopSplitStats dmcc::splitLoops(SpmdProgram &Prog, unsigned MaxSegments) {
-  Splitter Sp(MaxSegments);
-  Sp.processList(Prog.Top);
-  return Sp.Stats;
+  SpmdSimplifier S(Prog, MaxSegments);
+  S.run(Prog.Top);
+  return S.Split;
 }

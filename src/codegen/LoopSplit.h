@@ -15,11 +15,16 @@
 ///     }
 ///
 /// Like the paper's compiler, splitting is applied when the relative
-/// order of the breakpoints is known — here, when the loop bounds and the
-/// guard breakpoints differ only in their constant terms (the common case
-/// after merging: the shared loop's bounds and every guard are affine in
-/// the same outer variables). Guards that do not meet the criterion stay
-/// as run-time tests (the paper's dynamic fallback).
+/// order of the breakpoints is known: the split condition is affine in
+/// the loop variable and in variables the body never assigns (the
+/// executing processor, parameters, enclosing loops), so each breakpoint
+/// is a bound expression the loop header can evaluate once. Splitting
+/// runs inside the context walk of Simplify.h. A condition that the
+/// context already implies or contradicts is never split on; every
+/// segment is simplified under the context plus its own bounds, so the
+/// guard disappears from it, and a segment with an empty range or body is
+/// not emitted. Guards that do not meet the criterion stay as run-time
+/// tests (the paper's dynamic fallback).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +42,10 @@ struct LoopSplitStats {
   unsigned GuardsKept = 0;
 };
 
-/// Splits eligible loops in place. \p MaxSegments bounds code growth per
-/// loop; loops whose guard structure would need more segments are left
-/// untouched.
+/// Simplifies \p Prog under its context (Simplify.h) and splits eligible
+/// loops in place. \p MaxSegments bounds code growth per loop: a split
+/// that would leave more nonempty segments than the loop's remaining
+/// budget is not made.
 LoopSplitStats splitLoops(SpmdProgram &Prog, unsigned MaxSegments = 8);
 
 } // namespace dmcc

@@ -50,19 +50,31 @@ private:
 
     std::vector<SpmdStmt> Out;
     if (VP.BindTo) {
-      // Pin the variable to the executing processor's coordinate and
-      // guard with its constraints.
+      // Pin the variable to the executing processor's coordinate. The
+      // guard is written over the bound value (myp0, not pr0), so it
+      // reads only variables from outside the fragment and loop
+      // splitting can move it into loop bounds.
+      std::vector<Constraint> Guard;
+      for (Constraint &C : Involving) {
+        C.Expr.substitute(VP.Var, VP.BoundValue);
+        Guard.push_back(std::move(C));
+      }
       SpmdStmt Set;
       Set.K = SpmdStmt::Kind::SetVar;
       Set.Var = VP.Var;
       Set.Value = VP.BoundValue;
+      Out.push_back(std::move(Set));
+      for (SpmdStmt &St : Inner)
+        Out.push_back(std::move(St));
+      if (Guard.empty())
+        return Out;
       SpmdStmt If;
       If.K = SpmdStmt::Kind::If;
-      If.Conds = std::move(Involving);
-      If.Body = std::move(Inner);
-      Out.push_back(std::move(Set));
-      Out.push_back(std::move(If));
-      return Out;
+      If.Conds = std::move(Guard);
+      If.Body = std::move(Out);
+      std::vector<SpmdStmt> Guarded;
+      Guarded.push_back(std::move(If));
+      return Guarded;
     }
 
     // Degenerate loop: a unit-coefficient equality pins the variable.

@@ -40,8 +40,8 @@ struct ScanVarPlan {
 /// the fully projected system for reference. Returns the outermost
 /// statement list.
 ///
-/// Variables bound via BindTo generate an If guard (their bound
-/// constraints) plus a SetVar; single-valued variables generate SetVar
+/// Variables bound via BindTo generate an If guard (their constraints
+/// with the bound value substituted) around a SetVar; single-valued variables generate SetVar
 /// with a floor division when needed.
 std::vector<SpmdStmt> scanPolyhedron(
     const System &S, const std::vector<ScanVarPlan> &Plan,

@@ -2,7 +2,7 @@
 
 #include "core/Compiler.h"
 
-#include "codegen/LoopSplit.h"
+#include "codegen/Simplify.h"
 #include "dataflow/LastWriteTree.h"
 
 #include <algorithm>
@@ -442,11 +442,14 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
   }
   Out.Spmd = std::move(SS.prog());
   Out.Stats.NumCommChannels = Out.Spmd.NumCommIds;
-  if (Opts.SplitLoops) {
-    PhaseTimer Timer("codegen.split");
-    LoopSplitStats LS = splitLoops(Out.Spmd);
-    Out.Stats.LoopsSplit = LS.LoopsSplit;
-    Out.Stats.GuardsEliminated = LS.GuardsEliminated;
+  {
+    // Context simplification, with loop splitting in the same walk
+    // (DESIGN.md §18); splitting is timed as codegen.split inside it.
+    PhaseTimer Timer("codegen.simplify");
+    SpmdSimplifier Simp(Out.Spmd, Opts.SplitLoops ? 8 : 0);
+    Simp.run(Out.Spmd.Top);
+    Out.Stats.LoopsSplit = Simp.Split.LoopsSplit;
+    Out.Stats.GuardsEliminated = Simp.Split.GuardsEliminated;
   }
   for (Placed &Pl : Comms)
     Out.Comms.push_back(std::move(Pl.Plan));

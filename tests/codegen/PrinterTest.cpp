@@ -34,6 +34,30 @@ for t = 0 to T {
   return compile(P, Spec, Opts).Spmd.str();
 }
 
+std::string compileLU(bool Split) {
+  Program P = parseProgramOrDie(R"(
+param N;
+array X[N + 1][N + 1];
+for i1 = 0 to N {
+  for i2 = i1 + 1 to N {
+    X[i2][i1] = X[i2][i1] / X[i1][i1];
+    for i3 = i1 + 1 to N {
+      X[i2][i3] = X[i2][i3] - X[i2][i1] * X[i1][i3];
+    }
+  }
+}
+)");
+  CompileSpec Spec;
+  Decomposition D = cyclicData(P, 0, 0);
+  Spec.Stmts.push_back(StmtPlan{0, ownerComputes(P, 0, D)});
+  Spec.Stmts.push_back(StmtPlan{1, ownerComputes(P, 1, D)});
+  Spec.InitialData.emplace(0, D);
+  Spec.FinalData.emplace(0, D);
+  CompilerOptions Opts;
+  Opts.SplitLoops = Split;
+  return compile(P, Spec, Opts).Spmd.str();
+}
+
 unsigned countOf(const std::string &Hay, const std::string &Needle) {
   unsigned N = 0;
   for (size_t Pos = Hay.find(Needle); Pos != std::string::npos;
@@ -81,16 +105,25 @@ TEST(PrinterTest, FloorDivisionBoundsUseCeildFloord) {
 }
 
 TEST(PrinterTest, SplittingTradesGuardsForSegments) {
-  std::string Unsplit = compileShift(false);
-  std::string Split = compileShift(true);
-  // Splitting duplicates loop bodies into segments (code growth) in
-  // exchange for guard-free iteration ranges: more loops, and the
-  // communication statements are never lost.
-  EXPECT_GT(countOf(Split, "for t = "), countOf(Unsplit, "for t = "));
-  EXPECT_GE(countOf(Split, "send message[c"),
-            countOf(Unsplit, "send message[c"));
+  std::string Unsplit = compileLU(false);
+  std::string Split = compileLU(true);
+  // Splitting LU's pivot loop at the executing processor duplicates
+  // loop bodies into segments (code growth) in exchange for guard-free
+  // iteration ranges: more loops, and the communication statements are
+  // never lost.
+  EXPECT_GT(countOf(Split, "for i1 = "), countOf(Unsplit, "for i1 = "));
+  EXPECT_GE(countOf(Split, "multicast message[c"),
+            countOf(Unsplit, "multicast message[c"));
   EXPECT_GE(countOf(Split, "receive message[c"),
             countOf(Unsplit, "receive message[c"));
+}
+
+TEST(PrinterTest, GuardsTheBoundsImplyAreNotSplitOn) {
+  // The shift program's guards do not depend on t beyond what the loop
+  // bounds already say, so splitting leaves the time loop whole.
+  std::string Split = compileShift(true);
+  EXPECT_EQ(countOf(Split, "for t = "), 1u) << Split;
+  EXPECT_EQ(Split, compileShift(false));
 }
 
 TEST(PrinterTest, MulticastIsLabelled) {
