@@ -1571,6 +1571,10 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
         Clock += Trip * C * SF;
         Busy += Trip * C * SF;
         BusyCompute[V.Phys] += Trip * C * SF;
+        // Each collapsed compute ends a multicast burst, as it does when
+        // executed one by one.
+        if (St.IterComputes != 0)
+          V.LastMulticastComm = -1;
         break;
       }
       V.Env[St.Var] = Lo;

@@ -8,12 +8,20 @@
 // SetVar and For charge no simulated time and per-processor statement
 // order is preserved.
 //
+// A second test runs every decomposition the auto-search enumerates for
+// each example in both simulator modes: performance mode (collapsed
+// compute loops, no values) must count the same messages, words and
+// flops as functional mode, and the same makespan up to the rounding of
+// a different summation order.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/SpecParser.h"
+#include "decomp/Search.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -54,16 +62,22 @@ const Totals Pinned[] = {
 
 class ExampleTotals : public ::testing::TestWithParam<Totals> {};
 
+SpecParseOutput parseExample(const std::string &Name) {
+  std::ifstream In(std::string(DMCC_REPO_ROOT) + "/examples/" + Name +
+                   ".dm");
+  EXPECT_TRUE(In.good()) << Name;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return parseWithSpec(Buf.str());
+}
+
+class ModeAgreement : public ::testing::TestWithParam<const char *> {};
+
 } // namespace
 
 TEST_P(ExampleTotals, SimulatedTotalsAndFinalArraysArePinned) {
   const Totals &T = GetParam();
-  std::ifstream In(std::string(DMCC_REPO_ROOT) + "/examples/" + T.Name +
-                   ".dm");
-  ASSERT_TRUE(In.good()) << T.Name;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  SpecParseOutput SP = parseWithSpec(Buf.str());
+  SpecParseOutput SP = parseExample(T.Name);
   ASSERT_TRUE(SP.ok()) << SP.Error;
   CompiledProgram CP = compile(*SP.Prog, SP.Spec, CompilerOptions());
   ASSERT_TRUE(CP.Ok) << CP.ErrorMessage;
@@ -126,3 +140,45 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(I.param.Name) + "_P" +
              std::to_string(I.param.Procs);
     });
+
+TEST_P(ModeAgreement, PerformanceModeCountsWhatFunctionalModeCounts) {
+  SpecParseOutput SP = parseExample(GetParam());
+  ASSERT_TRUE(SP.ok()) << SP.Error;
+  for (IntT Procs : {4, 8}) {
+    SearchOptions SO;
+    SO.Procs = Procs;
+    SO.Params = SP.ParamDefaults;
+    std::vector<DecompCandidate> Cands =
+        enumerateDecompositions(*SP.Prog, &SP.Spec, SO);
+    ASSERT_FALSE(Cands.empty());
+    for (const DecompCandidate &C : Cands) {
+      CompiledProgram CP = compile(*SP.Prog, C.Spec, CompilerOptions());
+      if (!CP.Ok)
+        continue; // the search reports these as infeasible
+      SimResult R[2];
+      for (int Functional = 0; Functional != 2; ++Functional) {
+        SimOptions Sim;
+        Sim.PhysGrid = {Procs};
+        Sim.ParamValues = SP.ParamDefaults;
+        Sim.Functional = Functional;
+        Sim.CollapseLoops = !Functional;
+        R[Functional] = Simulator(*SP.Prog, CP, C.Spec, Sim).run();
+        ASSERT_TRUE(R[Functional].Ok) << R[Functional].Error;
+      }
+      std::string Tag = C.Desc + " on " + std::to_string(Procs);
+      EXPECT_EQ(R[0].Messages, R[1].Messages) << Tag;
+      EXPECT_EQ(R[0].Words, R[1].Words) << Tag;
+      EXPECT_EQ(R[0].Flops, R[1].Flops) << Tag;
+      EXPECT_LE(std::fabs(R[0].MakespanSeconds - R[1].MakespanSeconds),
+                1e-12 * R[1].MakespanSeconds)
+          << Tag;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Examples, ModeAgreement,
+                         ::testing::Values("lu", "stencil", "cholesky",
+                                           "jacobi2d", "jacobi3d", "adi",
+                                           "floyd"),
+                         [](const ::testing::TestParamInfo<const char *>
+                                &I) { return std::string(I.param); });
