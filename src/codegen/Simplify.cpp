@@ -549,9 +549,3 @@ std::vector<SpmdStmt> SpmdSimplifier::loop(SpmdStmt For,
     ++Split.LoopsSplit;
   return Segs;
 }
-
-SimplifyStats dmcc::simplifySpmd(SpmdProgram &Prog) {
-  SpmdSimplifier S(Prog, 0);
-  S.run(Prog.Top);
-  return S.Stats;
-}

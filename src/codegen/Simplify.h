@@ -102,7 +102,7 @@ struct SimplifyStats {
 void assignedVars(const std::vector<SpmdStmt> &Stmts,
                   std::set<unsigned> &Out);
 
-/// The walk behind simplifySpmd() and splitLoops().
+/// The walk behind compile()'s simplification and splitLoops().
 class SpmdSimplifier {
 public:
   /// \p MaxSegments > 1 also splits loops (LoopSplit.h), at most that
@@ -136,9 +136,6 @@ private:
   Space Sp;
   unsigned MaxSegments;
 };
-
-/// Simplifies \p Prog in place without splitting loops.
-SimplifyStats simplifySpmd(SpmdProgram &Prog);
 
 } // namespace dmcc
 

@@ -61,7 +61,7 @@ public:
       stmt(S, Ctx);
   }
 
-  unsigned Ifs = 0, Loops = 0;
+  unsigned Loops = 0;
 
 private:
   unsigned width() const { return Prog.Sp.size(); }
@@ -93,7 +93,6 @@ private:
       return;
     }
     case SpmdStmt::Kind::If: {
-      ++Ifs;
       System In = Ctx;
       for (const Constraint &C : S.Conds) {
         AffineExpr E = wide(C.Expr, N);
@@ -174,7 +173,9 @@ TEST_P(SimplifyFixpoint, NoImpliedGuardNoEmptyLoopAndASecondPassIsANoOp) {
   EXPECT_GT(Ch.Loops, 0u);
 
   SpmdProgram Again = CP.Spmd;
-  SimplifyStats St = simplifySpmd(Again);
+  SpmdSimplifier Simp(Again, 0);
+  Simp.run(Again.Top);
+  const SimplifyStats &St = Simp.Stats;
   EXPECT_EQ(Again.str(), CP.Spmd.str());
   EXPECT_EQ(St.CondsDropped, 0u);
   EXPECT_EQ(St.IfsDeleted, 0u);

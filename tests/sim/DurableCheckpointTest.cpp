@@ -36,22 +36,47 @@ namespace {
 std::atomic<bool> Tracking{false};
 std::atomic<size_t> LargestAlloc{0};
 
-} // namespace
-
-void *operator new(std::size_t Size) {
+void *countedAlloc(std::size_t Size) noexcept {
   if (Tracking.load(std::memory_order_relaxed)) {
     size_t Prev = LargestAlloc.load(std::memory_order_relaxed);
     while (Size > Prev && !LargestAlloc.compare_exchange_weak(Prev, Size))
       ;
   }
-  if (void *P = std::malloc(Size ? Size : 1))
+  return std::malloc(Size ? Size : 1);
+}
+
+} // namespace
+
+// Every unaligned form is replaced, so that memory from any of them is
+// released by the matching free() (sanitizers check the pairing).
+void *operator new(std::size_t Size) {
+  if (void *P = countedAlloc(Size))
     return P;
   throw std::bad_alloc();
+}
+void *operator new[](std::size_t Size) { return operator new(Size); }
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
 }
 // Out of line, so the compiler does not pair the free() with a new
 // expression at the call site and warn about a mismatch.
 [[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
 [[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete(void *P,
+                                       const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P,
+                                         const std::nothrow_t &) noexcept {
   std::free(P);
 }
 
