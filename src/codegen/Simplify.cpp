@@ -501,37 +501,21 @@ std::vector<SpmdStmt> SpmdSimplifier::loop(SpmdStmt For,
   Stats.BoundsFolded += Terms - For.Lower.size() - For.Upper.size();
 
   // Simplifying the body can delete the only assignments of some
-  // variable; the body is then simplified again with the facts on that
-  // variable kept (a stronger context), as long as the result assigns
-  // nothing the context relied on.
-  std::vector<SpmdStmt> Orig = std::move(For.Body);
+  // variable. The result is then simplified again with the facts on that
+  // variable kept (a stronger context); that only deletes more, so it
+  // never assigns anything the context relied on.
   std::set<unsigned> Forget;
-  assignedVars(Orig, Forget);
-  SimplifyStats StatsBefore = Stats;
-  LoopSplitStats SplitBefore = Split;
+  assignedVars(For.Body, Forget);
   SpmdContext In = bodyContext(For, Ctx, Forget);
-  std::vector<SpmdStmt> Body = list(Orig, In, SplitLoops);
-  for (unsigned Round = 0; Round != 3; ++Round) {
+  std::vector<SpmdStmt> Body = list(std::move(For.Body), In, SplitLoops);
+  for (;;) {
     std::set<unsigned> Now;
     assignedVars(Body, Now);
     if (Now == Forget)
       break;
-    SimplifyStats StatsKept = Stats;
-    LoopSplitStats SplitKept = Split;
-    Stats = StatsBefore;
-    Split = SplitBefore;
-    In = bodyContext(For, Ctx, Now);
-    std::vector<SpmdStmt> Again = list(Orig, In, SplitLoops);
-    std::set<unsigned> AgainVars;
-    assignedVars(Again, AgainVars);
-    if (!std::includes(Now.begin(), Now.end(), AgainVars.begin(),
-                       AgainVars.end())) {
-      Stats = StatsKept;
-      Split = SplitKept;
-      break;
-    }
     Forget = std::move(Now);
-    Body = std::move(Again);
+    In = bodyContext(For, Ctx, Forget);
+    Body = list(std::move(Body), In, false);
   }
   if (Body.empty()) {
     ++Stats.LoopsDeleted;

@@ -77,7 +77,12 @@ class ModeAgreement : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ExampleTotals, SimulatedTotalsAndFinalArraysArePinned) {
   const Totals &T = GetParam();
-  SpecParseOutput SP = parseExample(T.Name);
+  std::ifstream In(std::string(DMCC_REPO_ROOT) + "/examples/" + T.Name +
+                   ".dm");
+  ASSERT_TRUE(In.good()) << T.Name;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  SpecParseOutput SP = parseWithSpec(Buf.str());
   ASSERT_TRUE(SP.ok()) << SP.Error;
   CompiledProgram CP = compile(*SP.Prog, SP.Spec, CompilerOptions());
   ASSERT_TRUE(CP.Ok) << CP.ErrorMessage;
