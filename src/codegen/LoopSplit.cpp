@@ -37,7 +37,7 @@ std::vector<SpmdStmt> SpmdSimplifier::splitLoop(SpmdStmt For,
       if (A == 0)
         continue;
       Constraint Wide = C;
-      while (Wide.Expr.size() < Sp.size())
+      while (Wide.Expr.size() < NumVars)
         Wide.Expr.appendVar();
       if (std::find(Tried.begin(), Tried.end(), Wide) != Tried.end())
         continue;

@@ -42,11 +42,15 @@ struct LoopSplitStats {
   unsigned GuardsKept = 0;
 };
 
+/// The compiler's bound on the segments one loop may be split into.
+constexpr unsigned DefaultMaxSegments = 8;
+
 /// Simplifies \p Prog under its context (Simplify.h) and splits eligible
 /// loops in place. \p MaxSegments bounds code growth per loop: a split
 /// that would leave more nonempty segments than the loop's remaining
 /// budget is not made.
-LoopSplitStats splitLoops(SpmdProgram &Prog, unsigned MaxSegments = 8);
+LoopSplitStats splitLoops(SpmdProgram &Prog,
+                          unsigned MaxSegments = DefaultMaxSegments);
 
 } // namespace dmcc
 

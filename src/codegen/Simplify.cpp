@@ -145,22 +145,61 @@ void dmcc::assignedVars(const std::vector<SpmdStmt> &Stmts,
 // SpmdContext
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Generic variable names for the small systems built below; names do
+/// not take part in feasibility or elimination.
+const std::string &columnName(unsigned J) {
+  thread_local std::vector<std::string> Names;
+  while (Names.size() <= J)
+    Names.push_back("v" + std::to_string(Names.size()));
+  return Names[J];
+}
+
+/// A system over just the variables \p Rows mention, in ascending order
+/// (returned in \p Cols), holding \p Rows.
+System compactSystem(const std::vector<const Constraint *> &Rows,
+                     unsigned NumVars, std::vector<unsigned> &Cols) {
+  std::vector<char> Used(NumVars, 0);
+  for (const Constraint *C : Rows)
+    for (unsigned V = 0, E = std::min(NumVars, C->Expr.size()); V != E; ++V)
+      if (C->Expr.involves(V))
+        Used[V] = 1;
+  Cols.clear();
+  Space Small;
+  for (unsigned V = 0; V != NumVars; ++V)
+    if (Used[V]) {
+      Small.add(columnName(Cols.size()), VarKind::Aux);
+      Cols.push_back(V);
+    }
+  System S(std::move(Small));
+  for (const Constraint *C : Rows) {
+    AffineExpr E(Cols.size());
+    for (unsigned J = 0; J != Cols.size(); ++J)
+      if (Cols[J] < C->Expr.size())
+        E.coeff(J) = C->Expr.coeff(Cols[J]);
+    E.constant() = C->Expr.constant();
+    S.addConstraint(Constraint(std::move(E), C->Rel));
+  }
+  return S;
+}
+
+} // namespace
+
 void SpmdContext::add(const Constraint &C) {
-  Sys.addConstraint(widened(C, Sys.numVars()));
+  Facts.push_back(widened(C, NumVars));
 }
 
 void SpmdContext::forget(unsigned Var) {
-  if (!Sys.involves(Var))
-    return;
-  // Project the variable out while that stays small; past that, drop
-  // the facts that mention it (weaker, still true).
-  unsigned Pos = 0, Neg = 0;
+  std::vector<const Constraint *> On;
   bool UnitEq = false, Small = true;
-  for (const Constraint &C : Sys.constraints()) {
+  unsigned Pos = 0, Neg = 0;
+  for (const Constraint &C : Facts) {
     IntT A = C.Expr.coeff(Var);
     if (A == 0)
       continue;
-    for (unsigned V = 0, N = C.Expr.size(); V != N; ++V)
+    On.push_back(&C);
+    for (unsigned V = 0; V != NumVars; ++V)
       Small = Small && C.Expr.coeff(V) > -(1 << 15) &&
               C.Expr.coeff(V) < (1 << 15);
     if (C.isEquality()) {
@@ -173,15 +212,29 @@ void SpmdContext::forget(unsigned Var) {
       ++Neg;
     }
   }
-  if (Small && (UnitEq || Pos * Neg <= 16)) {
-    Sys = Sys.fmEliminated(Var);
+  if (On.empty())
     return;
+  // Project the variable out of the facts that mention it while that
+  // stays small; past that, drop them (weaker, still true).
+  std::vector<Constraint> Derived;
+  if (Small && (UnitEq || Pos * Neg <= 16)) {
+    std::vector<unsigned> Cols;
+    System S = compactSystem(On, NumVars, Cols);
+    unsigned Col = static_cast<unsigned>(
+        std::find(Cols.begin(), Cols.end(), Var) - Cols.begin());
+    System Projected = S.fmEliminated(Col);
+    for (const Constraint &C : Projected.constraints()) {
+      AffineExpr E(NumVars);
+      for (unsigned J = 0; J != Cols.size(); ++J)
+        E.coeff(Cols[J]) = C.Expr.coeff(J);
+      E.constant() = C.Expr.constant();
+      Derived.push_back(Constraint(std::move(E), C.Rel));
+    }
   }
-  System Kept(Sys.space());
-  for (const Constraint &C : Sys.constraints())
-    if (!C.Expr.involves(Var))
-      Kept.addConstraint(C);
-  Sys = std::move(Kept);
+  std::erase_if(Facts,
+                [Var](const Constraint &C) { return C.Expr.involves(Var); });
+  for (Constraint &C : Derived)
+    Facts.push_back(std::move(C));
 }
 
 void SpmdContext::forget(const std::set<unsigned> &Vars) {
@@ -191,29 +244,27 @@ void SpmdContext::forget(const std::set<unsigned> &Vars) {
 
 void SpmdContext::assign(const SpmdStmt &Set) {
   forget(Set.Var);
-  unsigned N = Sys.numVars();
-  AffineExpr Val = widened(Set.Value, N);
+  AffineExpr Val = widened(Set.Value, NumVars);
   if (Val.involves(Set.Var))
     return; // the new value is relative to the forgotten old one
-  AffineExpr X = AffineExpr::var(N, Set.Var, Set.ValueDen);
+  AffineExpr X = AffineExpr::var(NumVars, Set.Var, Set.ValueDen);
   if (Set.ValueDen == 1) {
-    Sys.addEQ(X - Val);
+    Facts.push_back(Constraint::eq(X - Val));
     return;
   }
   // x = floor(Val/Den):  Den*x <= Val <= Den*x + Den - 1.
-  Sys.addGE(Val - X);
-  Sys.addGE(X.plusConst(Set.ValueDen - 1) - Val);
+  Facts.push_back(Constraint::ge(Val - X));
+  Facts.push_back(Constraint::ge(X.plusConst(Set.ValueDen - 1) - Val));
 }
 
 void SpmdContext::addBounds(const SpmdStmt &For,
                             const std::set<unsigned> &Skip) {
-  unsigned N = Sys.numVars();
   for (const SpmdBound &B : For.Lower)
     if (!readsAny(B.Num, Skip))
-      Sys.addConstraint(lowerFact(N, For.Var, B));
+      Facts.push_back(lowerFact(NumVars, For.Var, B));
   for (const SpmdBound &B : For.Upper)
     if (!readsAny(B.Num, Skip))
-      Sys.addConstraint(upperFact(N, For.Var, B));
+      Facts.push_back(upperFact(NumVars, For.Var, B));
 }
 
 Feasibility SpmdContext::check(const std::vector<Constraint> &Extra) const {
@@ -221,22 +272,21 @@ Feasibility SpmdContext::check(const std::vector<Constraint> &Extra) const {
   // cannot make it empty unless the context is empty by itself, and
   // then dropping them only costs precision. The rest goes into a
   // system over just the variables involved.
-  unsigned N = Sys.numVars();
-  const std::vector<Constraint> &Cons = Sys.constraints();
-  std::vector<std::vector<unsigned>> VarsOf(Cons.size());
-  for (unsigned I = 0; I != Cons.size(); ++I)
-    for (unsigned V = 0; V != N; ++V)
-      if (Cons[I].Expr.involves(V))
+  std::vector<std::vector<unsigned>> VarsOf(Facts.size());
+  for (unsigned I = 0; I != Facts.size(); ++I)
+    for (unsigned V = 0; V != NumVars; ++V)
+      if (Facts[I].Expr.involves(V))
         VarsOf[I].push_back(V);
-  std::vector<char> In(N, 0);
+  std::vector<char> In(NumVars, 0);
   for (const Constraint &C : Extra)
-    for (unsigned V = 0, E = std::min(N, C.Expr.size()); V != E; ++V)
+    for (unsigned V = 0, E = std::min(NumVars, C.Expr.size()); V != E; ++V)
       if (C.Expr.involves(V))
         In[V] = 1;
-  std::vector<char> Used(Cons.size(), 0);
+  std::vector<const Constraint *> Rows;
+  std::vector<char> Used(Facts.size(), 0);
   for (bool Grew = true; Grew;) {
     Grew = false;
-    for (unsigned I = 0; I != Cons.size(); ++I) {
+    for (unsigned I = 0; I != Facts.size(); ++I) {
       if (Used[I])
         continue;
       bool Touches = false;
@@ -245,46 +295,29 @@ Feasibility SpmdContext::check(const std::vector<Constraint> &Extra) const {
       if (!Touches)
         continue;
       Used[I] = 1;
+      Rows.push_back(&Facts[I]);
       for (unsigned V : VarsOf[I])
         In[V] = 1;
       Grew = true;
     }
   }
-
-  std::vector<unsigned> Cols;
-  Space Small;
-  for (unsigned V = 0; V != N; ++V)
-    if (In[V]) {
-      Cols.push_back(V);
-      Small.add(Sys.space().name(V), Sys.space().kind(V));
-    }
-  auto Narrow = [&](const Constraint &C) {
-    AffineExpr E(Cols.size());
-    for (unsigned J = 0; J != Cols.size(); ++J)
-      if (Cols[J] < C.Expr.size())
-        E.coeff(J) = C.Expr.coeff(Cols[J]);
-    E.constant() = C.Expr.constant();
-    return Constraint(std::move(E), C.Rel);
-  };
-  System Q(std::move(Small));
-  for (unsigned I = 0; I != Cons.size(); ++I)
-    if (Used[I])
-      Q.addConstraint(Narrow(Cons[I]));
   for (const Constraint &C : Extra)
-    Q.addConstraint(Narrow(C));
-  return Q.checkIntegerFeasible(projectionOptions().FeasibilityBudget);
+    Rows.push_back(&C);
+  std::vector<unsigned> Cols;
+  return compactSystem(Rows, NumVars, Cols)
+      .checkIntegerFeasible(projectionOptions().FeasibilityBudget);
 }
 
 bool SpmdContext::implies(const Constraint &C,
                           const std::vector<Constraint> &Also) const {
-  unsigned N = Sys.numVars();
+  unsigned N = NumVars;
   std::vector<Constraint> Extra;
   for (const Constraint &A : Also)
     Extra.push_back(widened(A, N));
   // E >= 0 holds when a fact says so on its face or when E <= -1 has no
   // point.
   auto Holds = [&](const AffineExpr &E) {
-    for (const Constraint &K : Sys.constraints())
+    for (const Constraint &K : Facts)
       if (impliesOnItsFace(K, E))
         return true;
     for (const Constraint &K : Extra)
@@ -328,7 +361,7 @@ bool dmcc::gistConds(const SpmdContext &Ctx, std::vector<Constraint> &Conds) {
 bool dmcc::foldBounds(const SpmdContext &Ctx, unsigned Var,
                       std::vector<SpmdBound> &Lower,
                       std::vector<SpmdBound> &Upper) {
-  unsigned N = Ctx.system().numVars();
+  unsigned N = Ctx.numVars();
   // Term I goes when some kept term J bounds the variable at least as
   // tightly at every context point: J's bound implies I's for every v.
   auto Fold = [&](std::vector<SpmdBound> &Terms,
@@ -360,15 +393,15 @@ bool dmcc::foldBounds(const SpmdContext &Ctx, unsigned Var,
 
 SpmdSimplifier::SpmdSimplifier(const SpmdProgram &Prog,
                                unsigned MaxSegments)
-    : Sp(Prog.Sp), MaxSegments(MaxSegments) {}
+    : NumVars(Prog.Sp.size()), MaxSegments(MaxSegments) {}
 
 void SpmdSimplifier::run(std::vector<SpmdStmt> &Top) {
-  SpmdContext Ctx(Sp);
+  SpmdContext Ctx(NumVars);
   Top = list(std::move(Top), Ctx, MaxSegments > 1);
   // Deleting guards leaves assignments whose only readers are gone (the
   // pack and unpack bodies' unused instance coordinates, for one).
   for (;;) {
-    std::vector<char> Read(Sp.size(), 0);
+    std::vector<char> Read(NumVars, 0);
     markReads(Top, Read);
     unsigned Dropped = dropDeadSets(Top, Read);
     if (Dropped == 0)
@@ -439,7 +472,7 @@ void SpmdSimplifier::stmt(SpmdStmt S, SpmdContext &Ctx, bool SplitLoops,
   }
   case K::For:
     for (SpmdStmt &Seg : loop(std::move(S), Ctx, SplitLoops)) {
-      std::vector<Constraint> Common = takeInvariantGuard(Seg, Sp.size());
+      std::vector<Constraint> Common = takeInvariantGuard(Seg, NumVars);
       if (!Common.empty()) {
         // Test once before the loop instead of in every iteration; the
         // loop is simplified again under the hoisted guard.

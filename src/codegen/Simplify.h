@@ -40,12 +40,12 @@
 namespace dmcc {
 
 /// The facts known at one point of an SPMD tree: a conjunction of
-/// constraints over the program space.
+/// constraints over the program space's \p NumVars variables.
 class SpmdContext {
 public:
-  explicit SpmdContext(Space Sp) : Sys(std::move(Sp)) {}
+  explicit SpmdContext(unsigned NumVars) : NumVars(NumVars) {}
 
-  const System &system() const { return Sys; }
+  unsigned numVars() const { return NumVars; }
 
   /// Adds \p C (an expression over a prefix of the space is widened).
   void add(const Constraint &C);
@@ -72,7 +72,8 @@ private:
   /// (transitively) with \p Extra, together with \p Extra.
   Feasibility check(const std::vector<Constraint> &Extra) const;
 
-  System Sys;
+  unsigned NumVars;
+  std::vector<Constraint> Facts; ///< each over all NumVars variables
 };
 
 /// Drops every condition of \p Conds that \p Ctx and the other kept
@@ -133,7 +134,7 @@ private:
   std::vector<SpmdStmt> splitLoop(SpmdStmt For, const SpmdContext &Ctx,
                                   unsigned Budget);
 
-  Space Sp;
+  unsigned NumVars;
   unsigned MaxSegments;
 };
 

@@ -446,7 +446,7 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
     // Context simplification, with loop splitting in the same walk
     // (DESIGN.md §18); splitting is timed as codegen.split inside it.
     PhaseTimer Timer("codegen.simplify");
-    SpmdSimplifier Simp(Out.Spmd, Opts.SplitLoops ? 8 : 0);
+    SpmdSimplifier Simp(Out.Spmd, Opts.SplitLoops ? DefaultMaxSegments : 0);
     Simp.run(Out.Spmd.Top);
     Out.Stats.LoopsSplit = Simp.Split.LoopsSplit;
     Out.Stats.GuardsEliminated = Simp.Split.GuardsEliminated;

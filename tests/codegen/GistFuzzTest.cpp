@@ -43,13 +43,6 @@ struct Rng {
 constexpr IntT Box = 4;
 constexpr unsigned Cases = 5000;
 
-Space makeSpace(unsigned N) {
-  Space Sp;
-  for (unsigned I = 0; I != N; ++I)
-    Sp.add("x" + std::to_string(I), VarKind::Loop);
-  return Sp;
-}
-
 /// A random expression over the variables not equal to \p Skip.
 AffineExpr randomExpr(Rng &R, unsigned N, int Skip = -1) {
   AffineExpr E(N);
@@ -117,7 +110,7 @@ TEST(GistFuzz, DroppedConditionsHoldAndDeletedGuardsAreEmpty) {
   for (unsigned Case = 0; Case != Cases; ++Case) {
     unsigned N = static_cast<unsigned>(R.range(1, 4));
     std::vector<Constraint> CtxCs = randomContext(R, N, -1);
-    SpmdContext Ctx(makeSpace(N));
+    SpmdContext Ctx(N);
     for (const Constraint &C : CtxCs)
       Ctx.add(C);
     std::vector<Constraint> Conds;
@@ -156,7 +149,7 @@ TEST(GistFuzz, FoldedBoundsKeepTheirValueAndEmptyRangesAreEmpty) {
     unsigned N = static_cast<unsigned>(R.range(1, 4));
     unsigned V = static_cast<unsigned>(R.range(0, N - 1));
     std::vector<Constraint> CtxCs = randomContext(R, N, V);
-    SpmdContext Ctx(makeSpace(N));
+    SpmdContext Ctx(N);
     for (const Constraint &C : CtxCs)
       Ctx.add(C);
     auto Terms = [&] {
