@@ -272,11 +272,6 @@ Feasibility SpmdContext::check(const std::vector<Constraint> &Extra) const {
   // cannot make it empty unless the context is empty by itself, and
   // then dropping them only costs precision. The rest goes into a
   // system over just the variables involved.
-  std::vector<std::vector<unsigned>> VarsOf(Facts.size());
-  for (unsigned I = 0; I != Facts.size(); ++I)
-    for (unsigned V = 0; V != NumVars; ++V)
-      if (Facts[I].Expr.involves(V))
-        VarsOf[I].push_back(V);
   std::vector<char> In(NumVars, 0);
   for (const Constraint &C : Extra)
     for (unsigned V = 0, E = std::min(NumVars, C.Expr.size()); V != E; ++V)
@@ -287,17 +282,16 @@ Feasibility SpmdContext::check(const std::vector<Constraint> &Extra) const {
   for (bool Grew = true; Grew;) {
     Grew = false;
     for (unsigned I = 0; I != Facts.size(); ++I) {
-      if (Used[I])
-        continue;
-      bool Touches = false;
-      for (unsigned V : VarsOf[I])
-        Touches |= In[V] != 0;
-      if (!Touches)
+      const AffineExpr &E = Facts[I].Expr;
+      unsigned V = 0;
+      while (V != NumVars && !(In[V] && E.involves(V)))
+        ++V;
+      if (Used[I] || V == NumVars)
         continue;
       Used[I] = 1;
       Rows.push_back(&Facts[I]);
-      for (unsigned V : VarsOf[I])
-        In[V] = 1;
+      for (V = 0; V != NumVars; ++V)
+        In[V] |= E.involves(V);
       Grew = true;
     }
   }
@@ -345,15 +339,19 @@ bool SpmdContext::admits(const std::vector<Constraint> &Conds) const {
 bool dmcc::gistConds(const SpmdContext &Ctx, std::vector<Constraint> &Conds) {
   if (!Ctx.admits(Conds))
     return false;
+  // Others holds the kept conditions except the one under test.
+  std::vector<Constraint> Others;
+  for (const Constraint &C : Conds)
+    Others.push_back(widened(C, Ctx.numVars()));
   for (unsigned I = 0; I < Conds.size();) {
-    std::vector<Constraint> Others;
-    for (unsigned J = 0; J != Conds.size(); ++J)
-      if (J != I)
-        Others.push_back(Conds[J]);
-    if (Ctx.implies(Conds[I], Others))
+    Constraint C = std::move(Others[I]);
+    Others.erase(Others.begin() + I);
+    if (Ctx.implies(C, Others)) {
       Conds.erase(Conds.begin() + I);
-    else
-      ++I;
+      continue;
+    }
+    Others.insert(Others.begin() + I, std::move(C));
+    ++I;
   }
   return true;
 }
