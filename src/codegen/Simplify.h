@@ -19,13 +19,15 @@
 /// forgetting the facts about a variable (Fourier-Motzkin projection) as
 /// soon as a statement may reassign it. Under that context it drops every
 /// guard condition the context implies, drops max/min bound terms that
-/// another term dominates, and deletes every If and For that has no
-/// integer point or an empty body. Loop splitting (LoopSplit.h) runs in
-/// the same walk. Afterwards every SetVar of a variable that no
-/// expression reads is deleted. Nothing it does changes which statements a processor
-/// executes, in which order, or with which variable values that are
-/// read; only guard tests and loop headers that always had the same
-/// outcome disappear.
+/// another term dominates, deletes every If and For that has no integer
+/// point or an empty body, and moves a guard that every statement of a
+/// loop body tests in front of the loop when it cannot change between
+/// iterations. Loop splitting (LoopSplit.h) runs in the same walk.
+/// Afterwards every SetVar of a variable that no expression reads is
+/// deleted. Each processor still executes the same compute, send and
+/// receive statements in the same order, with the same values of every
+/// variable they read; only guard tests, loop headers and assignments
+/// whose outcome never mattered disappear.
 ///
 //===----------------------------------------------------------------------===//
 
