@@ -79,7 +79,7 @@ void printLeg(const char *Name, const SimResult &R, double Ideal,
       R.Recovery.CheckpointSeconds, R.Recovery.RecoverySeconds,
       static_cast<unsigned long long>(R.Recovery.CheckpointsTaken),
       static_cast<unsigned long long>(R.Recovery.CheckpointBytes),
-      static_cast<unsigned long long>(R.Recovery.Crashes),
+      static_cast<unsigned long long>(R.Crashes),
       static_cast<unsigned long long>(R.Recovery.Rollbacks),
       static_cast<unsigned long long>(R.Recovery.ReplayedSteps),
       static_cast<unsigned long long>(R.Recovery.ReplayedMessages),

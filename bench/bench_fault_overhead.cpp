@@ -172,7 +172,7 @@ int main() {
                 static_cast<long long>(CN),
                 static_cast<unsigned long long>(CK.IntervalSteps),
                 Bad == 0 ? "bit-exact" : "MISMATCH",
-                static_cast<unsigned long long>(R.Recovery.Crashes),
+                static_cast<unsigned long long>(R.Crashes),
                 static_cast<unsigned long long>(R.Recovery.Rollbacks),
                 static_cast<unsigned long long>(R.Recovery.CheckpointsTaken),
                 static_cast<unsigned long long>(R.Recovery.ReplayedSteps));

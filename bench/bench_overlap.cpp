@@ -205,7 +205,7 @@ int main() {
                 ROn.MakespanSeconds);
     std::printf("     \"makespan_reduction\": %.4f,\n", Reduction);
     std::printf("     \"early_sends\": %llu,\n",
-                static_cast<unsigned long long>(ROn.Overlap.EarlySends));
+                static_cast<unsigned long long>(ROn.EarlySends));
     std::printf("     \"deferred_seconds\": %.6f,\n",
                 ROn.Overlap.DeferredSeconds);
     std::printf("     \"exposed_seconds\": %.6f,\n",

@@ -3,8 +3,8 @@
 // Scaling study for the threaded simulator engine (DESIGN.md section
 // 10): LU decomposition in functional mode on a 32-processor simulated
 // machine, swept over --sim-threads worker counts. Every threaded leg
-// is checked bit-identical to the sequential engine — array contents,
-// makespan, and every counter — before its wall time is reported, so a
+// is checked bit-identical to the sequential engine — array contents
+// and every SimResult field — before its wall time is reported, so a
 // speedup can never be bought with a divergent schedule. Output is one
 // JSON object; `hardware_concurrency` is included so a run on a
 // single-core container is honest about why its speedups are flat.
@@ -111,11 +111,7 @@ int main() {
           Baseline.push_back(Sim.finalValue(0, Idx));
     } else {
       const SimResult &B = Legs.front().R;
-      L.Identical = L.R.MakespanSeconds == B.MakespanSeconds &&
-                    L.R.Messages == B.Messages && L.R.Words == B.Words &&
-                    L.R.Flops == B.Flops &&
-                    L.R.TotalEvents == B.TotalEvents &&
-                    L.R.ComputeIterations == B.ComputeIterations;
+      L.Identical = L.R == B;
       std::size_t K = 0;
       for (Idx[0] = 0; Idx[0] <= N && L.Identical; ++Idx[0])
         for (Idx[1] = 0; Idx[1] <= N; ++Idx[1], ++K)

@@ -490,7 +490,7 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
       SimResult R = Sim.run();
       W.Makespan = R.MakespanSeconds;
       W.Retrans = R.Retransmissions;
-      W.Crashes = R.Recovery.Crashes;
+      W.Crashes = R.Crashes;
       W.Rollbacks = R.Recovery.Rollbacks;
       if (R.Ok)
         W.Hash = hashFinalArrays(Sim, P, Spec, Params);

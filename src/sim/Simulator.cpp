@@ -978,34 +978,6 @@ unsigned Simulator::effectiveWorkers() const {
   return W == 0 ? 1 : W;
 }
 
-void Simulator::flushCounters(SimResult &R) const {
-  R.Messages = Ctr.Messages;
-  R.IntraMessages = Ctr.IntraMessages;
-  R.Words = Ctr.Words;
-  R.Flops = Ctr.Flops;
-  R.ComputeIterations = Ctr.ComputeIterations;
-  R.Retransmissions = Ctr.Retransmissions;
-  R.DroppedPackets = Ctr.DroppedPackets;
-  R.DuplicatesSuppressed = Ctr.DuplicatesSuppressed;
-  R.AcksSent = Ctr.AcksSent;
-  R.CorruptedPackets = Ctr.CorruptedPackets;
-  R.NacksSent = Ctr.NacksSent;
-  R.PartitionDrops = Ctr.PartitionDrops;
-  R.SlowLinkMessages = Ctr.SlowLinkMessages;
-  R.Recovery.Crashes = Ctr.Crashes;
-  fillOverlap(R);
-}
-
-void Simulator::fillOverlap(SimResult &R) const {
-  R.Overlap.EarlySends = Ctr.EarlySends;
-  R.Overlap.DeferredSeconds = 0;
-  R.Overlap.ExposedSeconds = 0;
-  for (unsigned Ph = 0, E = PhysClock.size(); Ph != E; ++Ph) {
-    R.Overlap.DeferredSeconds += NetDeferred[Ph];
-    R.Overlap.ExposedSeconds += NetExposed[Ph];
-  }
-}
-
 void Simulator::computeVirtualGrid() {
   unsigned Dims = CP.Spmd.GridDims;
   VirtLo.assign(Dims, 0);
@@ -2028,18 +2000,6 @@ bool Simulator::stepProc(VirtProc &V, StepCtx &Ctx) {
   return Ran;
 }
 
-void Simulator::fillRecoverySplit(SimResult &R) const {
-  R.Recovery.ComputeSeconds = 0;
-  R.Recovery.ProtocolSeconds = 0;
-  R.Recovery.CheckpointSeconds = 0;
-  for (unsigned Ph = 0, E = PhysClock.size(); Ph != E; ++Ph) {
-    R.Recovery.ComputeSeconds += BusyCompute[Ph];
-    R.Recovery.ProtocolSeconds += BusyProtocol[Ph];
-    R.Recovery.CheckpointSeconds += BusyCheckpoint[Ph];
-  }
-  R.Recovery.RecoverySeconds = RecoveryExtraSeconds;
-}
-
 Simulator::RoundFlags Simulator::runRoundSequential() {
   RoundFlags F;
   for (VirtProc &V : Procs) {
@@ -2068,6 +2028,22 @@ Simulator::RoundFlags Simulator::runRoundSequential() {
 
 SimResult Simulator::run() {
   SimResult R;
+  execute(R);
+  // Telemetry sums run in fixed physical order, so they are
+  // bit-identical across worker counts.
+  for (unsigned Ph = 0, E = PhysClock.size(); Ph != E; ++Ph) {
+    R.Recovery.ComputeSeconds += BusyCompute[Ph];
+    R.Recovery.ProtocolSeconds += BusyProtocol[Ph];
+    R.Recovery.CheckpointSeconds += BusyCheckpoint[Ph];
+    R.Overlap.DeferredSeconds += NetDeferred[Ph];
+    R.Overlap.ExposedSeconds += NetExposed[Ph];
+  }
+  R.Recovery.RecoverySeconds = RecoveryExtraSeconds;
+  static_cast<SimCounters &>(R) = Ctr;
+  return R;
+}
+
+void Simulator::execute(SimResult &R) {
   const bool Recovery = Opts.Checkpoint.enabled();
   if (Opts.Engine == SimEngine::Event && Opts.Threads != 1)
     fatalError("Simulator: the event engine is single-threaded; "
@@ -2102,16 +2078,12 @@ SimResult Simulator::run() {
       R.Diag.EventBudgetExhausted = true;
       R.Error = "simulation event budget exhausted (" +
                 std::to_string(Opts.MaxEvents) + " events)";
-      fillRecoverySplit(R);
-      flushCounters(R);
-      return R;
+      return;
     }
     if (!RunError.empty()) {
       R.Ok = false;
       R.Error = RunError;
-      fillRecoverySplit(R);
-      flushCounters(R);
-      return R;
+      return;
     }
     if (F.AllDone) {
       R.Ok = true;
@@ -2138,9 +2110,7 @@ SimResult Simulator::run() {
         continue;
       }
       reportStall(R);
-      fillRecoverySplit(R);
-      flushCounters(R);
-      return R;
+      return;
     }
   }
   // Undelivered messages indicate a send/receive mismatch.
@@ -2155,9 +2125,7 @@ SimResult Simulator::run() {
     R.Diag.FinishedProcs = Procs.size();
     R.Error = "unconsumed messages remain in the network (" +
               std::to_string(Leftover) + " copies)";
-    fillRecoverySplit(R);
-    flushCounters(R);
-    return R;
+    return;
   }
   if (!Failures.empty()) {
     // Every processor finished yet some packet exhausted its retries:
@@ -2169,9 +2137,7 @@ SimResult Simulator::run() {
     R.Error = "transport gave up on " +
               std::to_string(Failures.size()) +
               " packet(s) nobody was waiting for";
-    fillRecoverySplit(R);
-    flushCounters(R);
-    return R;
+    return;
   }
   R.TotalEvents = Events;
   // Drain the NICs: a processor whose network interface is still
@@ -2188,9 +2154,6 @@ SimResult Simulator::run() {
   for (double C : PhysClock)
     R.MakespanSeconds = std::max(R.MakespanSeconds, C);
   R.PhysBusy = PhysBusy;
-  fillRecoverySplit(R);
-  flushCounters(R);
-  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -2618,12 +2581,12 @@ struct Simulator::Image {
   }
 
   template <class Ar> void io(Ar &A, SimCounters &C) const {
-    for (uint64_t SimCounters::*F : SimCounters::Fields)
-      A.u64(C.*F);
+    for (const SimCounters::Field &F : SimCounters::Fields)
+      A.u64(C.*F.Member);
   }
 
-  /// The run-so-far totals; the time split and Crashes are derived from
-  /// the machine when the run ends.
+  /// The run-so-far totals; the time split is derived from the machine
+  /// when the run ends.
   template <class Ar> void io(Ar &A, RecoveryStats &R) const {
     A.u64(R.CheckpointsTaken);
     A.u64(R.CheckpointBytes);

@@ -211,10 +211,20 @@ struct SimOptions {
 /// worker a private instance and merges at the round barrier — integer
 /// sums commute, so the totals are bit-identical either way. The first
 /// group rewinds with a rollback (checkpoint state); the second group
-/// plus Crashes is monotonic wire-level/telemetry truth.
+/// plus Crashes is monotonic wire-level/telemetry truth. SimResult
+/// derives from this struct, so every counter is declared once.
 struct SimCounters {
-  uint64_t Messages = 0, IntraMessages = 0, Words = 0, Flops = 0,
-           ComputeIterations = 0;
+  /// Messages/Words are logical (one per app-level send), so they stay
+  /// comparable across fault schedules: a rollback rewinds them with the
+  /// program state, and a recovered run reports the same logical traffic
+  /// as a fault-free one.
+  uint64_t Messages = 0;      ///< network messages (inter-physical)
+  uint64_t IntraMessages = 0; ///< folded-away intra-physical messages
+  uint64_t Words = 0;         ///< words crossing the network
+  uint64_t Flops = 0, ComputeIterations = 0;
+  /// Reliable-transport counters, all zero while the transport is
+  /// bypassed: extra transmissions by senders, data copies lost in
+  /// flight, redundant copies discarded, acknowledgements generated.
   uint64_t Retransmissions = 0, DroppedPackets = 0,
            DuplicatesSuppressed = 0, AcksSent = 0;
   /// Hostile-network telemetry, monotonic like the transport counters:
@@ -228,34 +238,54 @@ struct SimCounters {
   /// Retransmissions: replayed issues after a rollback count again.
   uint64_t EarlySends = 0;
 
+  /// One counter: its report name and its member.
+  struct Field {
+    const char *Name;
+    uint64_t SimCounters::*Member;
+  };
   /// Every counter in declaration order, which is also the durable
   /// image's order; the first NumLogical are the rollback group.
-  static const std::array<uint64_t SimCounters::*, 15> Fields;
+  static const std::array<Field, 15> Fields;
   static constexpr unsigned NumLogical = 5;
 
   void add(const SimCounters &O) {
-    for (uint64_t SimCounters::*F : Fields)
-      this->*F += O.*F;
+    for (const Field &F : Fields)
+      this->*F.Member += O.*F.Member;
   }
   /// Rewinds the logical counters to their values at a rollback line;
   /// the monotonic ones keep counting.
   void rewindTo(const SimCounters &Line) {
     for (unsigned I = 0; I != NumLogical; ++I)
-      this->*Fields[I] = Line.*Fields[I];
+      this->*Fields[I].Member = Line.*Fields[I].Member;
   }
   /// Logical messages sent, over the network or folded away.
   uint64_t sent() const { return Messages + IntraMessages; }
+
+  bool operator==(const SimCounters &) const = default;
 };
 
-inline const std::array<uint64_t SimCounters::*, 15> SimCounters::Fields = {
-    &SimCounters::Messages,         &SimCounters::IntraMessages,
-    &SimCounters::Words,            &SimCounters::Flops,
-    &SimCounters::ComputeIterations, &SimCounters::Retransmissions,
-    &SimCounters::DroppedPackets,   &SimCounters::DuplicatesSuppressed,
-    &SimCounters::AcksSent,         &SimCounters::CorruptedPackets,
-    &SimCounters::NacksSent,        &SimCounters::PartitionDrops,
-    &SimCounters::SlowLinkMessages, &SimCounters::Crashes,
-    &SimCounters::EarlySends};
+inline const std::array<SimCounters::Field, 15> SimCounters::Fields = {{
+    {"messages", &SimCounters::Messages},
+    {"intra_messages", &SimCounters::IntraMessages},
+    {"words", &SimCounters::Words},
+    {"flops", &SimCounters::Flops},
+    {"compute_iterations", &SimCounters::ComputeIterations},
+    {"retransmissions", &SimCounters::Retransmissions},
+    {"dropped_packets", &SimCounters::DroppedPackets},
+    {"duplicates_suppressed", &SimCounters::DuplicatesSuppressed},
+    {"acks_sent", &SimCounters::AcksSent},
+    {"corrupted_packets", &SimCounters::CorruptedPackets},
+    {"nacks_sent", &SimCounters::NacksSent},
+    {"partition_drops", &SimCounters::PartitionDrops},
+    {"slow_link_messages", &SimCounters::SlowLinkMessages},
+    {"crashes", &SimCounters::Crashes},
+    {"early_sends", &SimCounters::EarlySends}}};
+
+// A counter declared outside Fields would silently skip the rollback
+// rewind, checkpoints and the durable image codec.
+static_assert(sizeof(SimCounters) ==
+                  SimCounters::Fields.size() * sizeof(uint64_t),
+              "every SimCounters counter must be listed in Fields");
 
 /// One virtual processor stuck on a receive when the deadlock detector
 /// gave up: where it is, and exactly what it is waiting for.
@@ -274,6 +304,8 @@ struct PendingRecv {
   /// The awaited sender lies outside the virtual processor grid: no
   /// processor exists to send this message.
   bool PeerOutsideGrid = false;
+
+  bool operator==(const PendingRecv &) const = default;
 };
 
 /// A virtual processor killed by the crash-stop schedule.
@@ -282,6 +314,8 @@ struct CrashEvent {
   unsigned Phys = 0;       ///< physical processor it was folded onto
   uint64_t AtStep = 0;     ///< its logical step (executed stmts) at death
   double AtTime = 0;       ///< its physical clock at death
+
+  bool operator==(const CrashEvent &) const = default;
 };
 
 /// A packet the reliable transport gave up on: every attempt (initial
@@ -291,6 +325,8 @@ struct TransportFailure {
   std::vector<IntT> Src, Dst; ///< sender / receiver virtual coordinates
   uint64_t Seq = 0;
   unsigned Attempts = 0; ///< transmissions made before giving up
+
+  bool operator==(const TransportFailure &) const = default;
 };
 
 /// Structured failure report built when a run cannot complete, instead
@@ -315,6 +351,8 @@ struct SimDiagnostics {
 
   /// Human-readable rendering ("deadlock: ... vp(1,2) waiting ...").
   std::string str() const;
+
+  bool operator==(const SimDiagnostics &) const = default;
 };
 
 /// Crash/checkpoint/recovery telemetry (DESIGN.md §8). All fields stay
@@ -322,7 +360,6 @@ struct SimDiagnostics {
 struct RecoveryStats {
   uint64_t CheckpointsTaken = 0; ///< coordinated snapshots, incl. initial
   uint64_t CheckpointBytes = 0;  ///< bytes written to the stable store
-  uint64_t Crashes = 0;          ///< processors killed by the schedule
   uint64_t Rollbacks = 0;        ///< coordinated restarts performed
   uint64_t ReplayedSteps = 0;    ///< statements rolled back for re-execution
   uint64_t ReplayedMessages = 0; ///< logical messages rolled back / resent
@@ -334,6 +371,8 @@ struct RecoveryStats {
   double ProtocolSeconds = 0;
   double CheckpointSeconds = 0;
   double RecoverySeconds = 0;
+
+  bool operator==(const RecoveryStats &) const = default;
 };
 
 /// Communication/computation overlap telemetry for nonblocking (early)
@@ -342,9 +381,9 @@ struct RecoveryStats {
 /// SimOptions::EarlySends is off. Per-message accounting: each issue
 /// adds its share to DeferredSeconds; what the end-of-run NIC drains
 /// add back to the clocks lands in ExposedSeconds. Monotonic across
-/// rollbacks, like the wire-level transport counters.
+/// rollbacks, like the wire-level transport counters. The number of
+/// nonblocking sends issued is SimCounters::EarlySends.
 struct OverlapStats {
-  uint64_t EarlySends = 0;  ///< nonblocking sends issued
   /// Latency taken off the issuing CPU's clock: the blocking charge
   /// minus the nonblocking issue charge, summed per message.
   double DeferredSeconds = 0;
@@ -353,6 +392,8 @@ struct OverlapStats {
   double ExposedSeconds = 0;
   /// Latency actually hidden behind the sender's computation.
   double hiddenSeconds() const { return DeferredSeconds - ExposedSeconds; }
+
+  bool operator==(const OverlapStats &) const = default;
 };
 
 /// Outcome of the durable-resume scan (CheckpointOptions::Resume),
@@ -367,41 +408,24 @@ struct DurableResumeInfo {
   std::string File;           ///< path of the image restored
 };
 
-/// Aggregate outcome of a simulation.
-struct SimResult {
+/// Aggregate outcome of a simulation: the counters (SimCounters) plus
+/// clocks, diagnostics and telemetry. operator== is the bit-identity
+/// contract between engines, thread counts and durable resumes.
+struct SimResult : SimCounters {
   bool Ok = false;
   std::string Error; ///< rendered diagnostics when !Ok
   SimDiagnostics Diag; ///< structured failure report when !Ok
   double MakespanSeconds = 0;
-  uint64_t Messages = 0;       ///< network messages (inter-physical)
-  uint64_t IntraMessages = 0;  ///< folded-away intra-physical messages
-  uint64_t Words = 0;          ///< words crossing the network
-  uint64_t Flops = 0;
-  uint64_t ComputeIterations = 0;
   uint64_t TotalEvents = 0;   ///< executed SPMD statements
   std::vector<double> PhysBusy; ///< busy seconds per physical processor
-
-  // Reliable-transport counters (all zero when the transport is
-  // bypassed). Messages/Words above stay logical (one per app-level
-  // send) so they remain comparable across fault schedules — a rollback
-  // rewinds them along with the program state, so a recovered run
-  // reports the same logical traffic as a fault-free one. The transport
-  // counters below are monotonic: they keep every wire-level event,
-  // including those of rolled-back epochs.
-  uint64_t Retransmissions = 0;      ///< extra transmissions by senders
-  uint64_t DroppedPackets = 0;       ///< data copies lost in flight
-  uint64_t DuplicatesSuppressed = 0; ///< redundant copies discarded
-  uint64_t AcksSent = 0;             ///< acknowledgements generated
-  uint64_t CorruptedPackets = 0;     ///< checksum failures at receivers
-  uint64_t NacksSent = 0;            ///< corruption NACKs generated
-  uint64_t PartitionDrops = 0;       ///< attempts lost to partitions
-  uint64_t SlowLinkMessages = 0;     ///< messages over straggler links
 
   /// Crash/checkpoint/restart telemetry.
   RecoveryStats Recovery;
 
   /// Early-send overlap telemetry.
   OverlapStats Overlap;
+
+  bool operator==(const SimResult &) const = default;
 };
 
 /// The machine simulator.
@@ -540,8 +564,9 @@ private:
   /// Worker threads the run will actually use (Opts.Threads clamped to
   /// the physical processor count; 0 = hardware concurrency).
   unsigned effectiveWorkers() const;
-  /// Copies the canonical counters into the result's fields.
-  void flushCounters(SimResult &R) const;
+  /// run() without its finishing step: executes until completion, a
+  /// terminal stall or an error, recording the outcome in \p R.
+  void execute(SimResult &R);
   void reportStall(SimResult &R) const;
   /// Coordinated checkpoint: snapshot all processor, queue, counter and
   /// transport state into the stable store, charging the cost model
@@ -567,12 +592,6 @@ private:
   /// torn/corrupt/incompatible files; returns false (leaving the
   /// freshly-staged state untouched) when none is usable.
   bool resumeFromDurable(SimResult &R);
-  /// Sum the per-physical busy buckets into the result's telemetry.
-  void fillRecoverySplit(SimResult &R) const;
-  /// Sum the per-physical overlap buckets into the result's telemetry
-  /// (fixed physical order, so totals are bit-identical across worker
-  /// counts).
-  void fillOverlap(SimResult &R) const;
 
   const Program &P;
   const CompiledProgram &CP;
@@ -646,8 +665,7 @@ private:
   /// with the parameters filled in (finalValue adds the indices).
   std::map<unsigned, std::vector<IntT>> FinalSrc;
   uint64_t Events = 0;        ///< executed SPMD statements (budget guard)
-  /// Canonical logical counters (see SimCounters); flushCounters copies
-  /// them into the SimResult at every exit from run().
+  /// Canonical logical counters; run() copies them into its result.
   SimCounters Ctr;
 };
 

@@ -86,7 +86,7 @@ class FuzzPipeline : public ::testing::TestWithParam<unsigned> {};
 /// schedule actually fired.
 void compileRunAndVerify(const Generated &G, const FaultOptions &Faults,
                          const CheckpointOptions &Checkpoint,
-                         RecoveryStats *Stats = nullptr) {
+                         SimResult *Stats = nullptr) {
   ParseOutput PO = parseProgram(G.Source);
   ASSERT_TRUE(PO.ok()) << PO.Error;
   Program &P = *PO.Prog;
@@ -120,9 +120,9 @@ void compileRunAndVerify(const Generated &G, const FaultOptions &Faults,
   SimResult R = Sim.run();
   ASSERT_TRUE(R.Ok) << R.Error;
   if (Stats) {
-    Stats->Crashes += R.Recovery.Crashes;
-    Stats->Rollbacks += R.Recovery.Rollbacks;
-    Stats->CheckpointsTaken += R.Recovery.CheckpointsTaken;
+    Stats->Crashes += R.Crashes;
+    Stats->Recovery.Rollbacks += R.Recovery.Rollbacks;
+    Stats->Recovery.CheckpointsTaken += R.Recovery.CheckpointsTaken;
   }
 
   std::vector<IntT> Env(P.space().size(), 0);
@@ -160,7 +160,7 @@ TEST_P(FuzzPipeline, CompiledProgramsMatchSequential) {
 // rollback/replay must still produce bitwise-identical final arrays.
 TEST_P(FuzzPipeline, CrashScheduledProgramsMatchSequential) {
   std::mt19937 Rng(GetParam() * 7919 + 13);
-  RecoveryStats Total;
+  SimResult Total;
   for (int Trial = 0; Trial != 4; ++Trial) {
     Generated G = generate(Rng);
     FaultOptions F;
@@ -179,8 +179,8 @@ TEST_P(FuzzPipeline, CrashScheduledProgramsMatchSequential) {
   // The schedule must not be vacuous: across the trials of a seed, at
   // least one processor dies and at least one rollback replays.
   EXPECT_GT(Total.Crashes, 0u);
-  EXPECT_GT(Total.Rollbacks, 0u);
-  EXPECT_GT(Total.CheckpointsTaken, 0u);
+  EXPECT_GT(Total.Recovery.Rollbacks, 0u);
+  EXPECT_GT(Total.Recovery.CheckpointsTaken, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimLegs.h"
 #include "core/SpecParser.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
@@ -154,7 +155,7 @@ TEST(CrashRecoveryTest, LURecoversBitExactUnderFiveCrashSeeds) {
     Simulator Sim(P, CP, Spec, opts(4, Pv, true, F, CK));
     SimResult R = Sim.run();
     ASSERT_TRUE(R.Ok) << "seed " << CrashSeed << ": " << R.Error;
-    EXPECT_GE(R.Recovery.Crashes, 1u) << "seed " << CrashSeed;
+    EXPECT_GE(R.Crashes, 1u) << "seed " << CrashSeed;
     EXPECT_GE(R.Recovery.Rollbacks, 1u) << "seed " << CrashSeed;
     EXPECT_GT(R.Recovery.CheckpointsTaken, 0u);
     EXPECT_GT(R.Recovery.ReplayedSteps, 0u);
@@ -207,7 +208,7 @@ TEST(CrashRecoveryTest, UnrecoverableCrashYieldsStructuredDiagnostic) {
           .run();
   ASSERT_FALSE(R.Ok);
   ASSERT_FALSE(R.Diag.DeadProcs.empty());
-  EXPECT_GE(R.Recovery.Crashes, 1u);
+  EXPECT_GE(R.Crashes, 1u);
   EXPECT_EQ(R.Recovery.Rollbacks, 0u);
   EXPECT_FALSE(R.Diag.RecoveryEnabled);
   const CrashEvent &C = R.Diag.DeadProcs.front();
@@ -364,13 +365,7 @@ TEST(CrashRecoveryTest, SameCrashSeedIdenticalRecovery) {
   SimResult B = Simulator(P, CP, Spec, opts(4, Pv, true, F, CK)).run();
   ASSERT_TRUE(A.Ok) << A.Error;
   ASSERT_TRUE(B.Ok) << B.Error;
-  EXPECT_EQ(A.MakespanSeconds, B.MakespanSeconds);
-  EXPECT_EQ(A.Recovery.Crashes, B.Recovery.Crashes);
-  EXPECT_EQ(A.Recovery.Rollbacks, B.Recovery.Rollbacks);
-  EXPECT_EQ(A.Recovery.CheckpointsTaken, B.Recovery.CheckpointsTaken);
-  EXPECT_EQ(A.Recovery.CheckpointBytes, B.Recovery.CheckpointBytes);
-  EXPECT_EQ(A.Recovery.ReplayedSteps, B.Recovery.ReplayedSteps);
-  EXPECT_EQ(A.MakespanSeconds, B.MakespanSeconds);
+  EXPECT_EQ(A, B);
 }
 
 TEST(CrashRecoveryTest, CrashesCombineWithPacketLoss) {
@@ -391,7 +386,7 @@ TEST(CrashRecoveryTest, CrashesCombineWithPacketLoss) {
   Simulator Sim(P, CP, Spec, opts(4, Pv, true, F, CK));
   SimResult R = Sim.run();
   ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_GE(R.Recovery.Crashes, 1u);
+  EXPECT_GE(R.Crashes, 1u);
   EXPECT_GT(R.Retransmissions, 0u);
   EXPECT_EQ(verifyArray0(P, Sim, Pv), 0u);
 }
@@ -413,7 +408,7 @@ TEST(CrashRecoveryTest, CheckpointOnlyOverheadIsAccounted) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_GE(R.Recovery.CheckpointsTaken, 2u); // initial + >= 1 periodic
   EXPECT_GT(R.Recovery.CheckpointBytes, 0u);
-  EXPECT_EQ(R.Recovery.Crashes, 0u);
+  EXPECT_EQ(R.Crashes, 0u);
   EXPECT_EQ(R.Recovery.Rollbacks, 0u);
   EXPECT_EQ(R.Recovery.RecoverySeconds, 0.0);
   EXPECT_GT(R.Recovery.CheckpointSeconds, 0.0);
@@ -464,7 +459,7 @@ for k = 0 to N {
   Simulator Sim(P, CP, SP.Spec, opts(8, SP.ParamDefaults, true, F, CK));
   SimResult R = Sim.run();
   ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Recovery.Crashes, 2u);
+  EXPECT_EQ(R.Crashes, 2u);
   EXPECT_EQ(R.Recovery.Rollbacks, 2u);
   EXPECT_EQ(R.Recovery.CheckpointsTaken, 9u);
   EXPECT_EQ(R.Recovery.CheckpointBytes, 366368u);
@@ -483,7 +478,7 @@ TEST(CrashRecoveryTest, DefaultPathReportsNoRecoveryTelemetry) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Recovery.CheckpointsTaken, 0u);
   EXPECT_EQ(R.Recovery.CheckpointBytes, 0u);
-  EXPECT_EQ(R.Recovery.Crashes, 0u);
+  EXPECT_EQ(R.Crashes, 0u);
   EXPECT_EQ(R.Recovery.Rollbacks, 0u);
   EXPECT_EQ(R.Recovery.ReplayedSteps, 0u);
   EXPECT_EQ(R.Recovery.CheckpointSeconds, 0.0);

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimLegs.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <new>
+#include <optional>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -172,71 +174,6 @@ SimOptions opts(std::map<std::string, IntT> Params, FaultOptions Faults,
   return SO;
 }
 
-/// The bit-identity contract: every observable of the two results must
-/// agree exactly, doubles included (they travel as bit patterns).
-void expectSameResult(const SimResult &A, const SimResult &B) {
-  EXPECT_EQ(A.Ok, B.Ok);
-  EXPECT_EQ(A.Error, B.Error);
-  EXPECT_EQ(A.MakespanSeconds, B.MakespanSeconds);
-  EXPECT_EQ(A.Messages, B.Messages);
-  EXPECT_EQ(A.IntraMessages, B.IntraMessages);
-  EXPECT_EQ(A.Words, B.Words);
-  EXPECT_EQ(A.Flops, B.Flops);
-  EXPECT_EQ(A.ComputeIterations, B.ComputeIterations);
-  EXPECT_EQ(A.TotalEvents, B.TotalEvents);
-  EXPECT_EQ(A.PhysBusy, B.PhysBusy);
-  EXPECT_EQ(A.Retransmissions, B.Retransmissions);
-  EXPECT_EQ(A.DroppedPackets, B.DroppedPackets);
-  EXPECT_EQ(A.DuplicatesSuppressed, B.DuplicatesSuppressed);
-  EXPECT_EQ(A.AcksSent, B.AcksSent);
-  EXPECT_EQ(A.CorruptedPackets, B.CorruptedPackets);
-  EXPECT_EQ(A.NacksSent, B.NacksSent);
-  EXPECT_EQ(A.PartitionDrops, B.PartitionDrops);
-  EXPECT_EQ(A.SlowLinkMessages, B.SlowLinkMessages);
-  EXPECT_EQ(A.Recovery.CheckpointsTaken, B.Recovery.CheckpointsTaken);
-  EXPECT_EQ(A.Recovery.CheckpointBytes, B.Recovery.CheckpointBytes);
-  EXPECT_EQ(A.Recovery.Crashes, B.Recovery.Crashes);
-  EXPECT_EQ(A.Recovery.Rollbacks, B.Recovery.Rollbacks);
-  EXPECT_EQ(A.Recovery.ReplayedSteps, B.Recovery.ReplayedSteps);
-  EXPECT_EQ(A.Recovery.ReplayedMessages, B.Recovery.ReplayedMessages);
-  EXPECT_EQ(A.Recovery.ComputeSeconds, B.Recovery.ComputeSeconds);
-  EXPECT_EQ(A.Recovery.ProtocolSeconds, B.Recovery.ProtocolSeconds);
-  EXPECT_EQ(A.Recovery.CheckpointSeconds, B.Recovery.CheckpointSeconds);
-  EXPECT_EQ(A.Recovery.RecoverySeconds, B.Recovery.RecoverySeconds);
-  EXPECT_EQ(A.Overlap.EarlySends, B.Overlap.EarlySends);
-  EXPECT_EQ(A.Overlap.DeferredSeconds, B.Overlap.DeferredSeconds);
-  EXPECT_EQ(A.Overlap.ExposedSeconds, B.Overlap.ExposedSeconds);
-}
-
-/// Compares every element of array 0's final layout between two
-/// functional runs (both must hold every element, bit-identical).
-void expectSameArray(const Program &P, Simulator &SA, Simulator &SB,
-                     const std::map<std::string, IntT> &Params) {
-  std::vector<IntT> Env(P.space().size(), 0);
-  for (unsigned I = 0; I != P.space().size(); ++I)
-    if (P.space().kind(I) == VarKind::Param)
-      Env[I] = Params.at(P.space().name(I));
-  std::vector<IntT> Sizes;
-  for (const AffineExpr &D : P.array(0).DimSizes)
-    Sizes.push_back(D.evaluate(Env));
-  std::vector<IntT> Idx(Sizes.size(), 0);
-  bool Done = false;
-  while (!Done) {
-    auto A = SA.finalValue(0, Idx);
-    auto B = SB.finalValue(0, Idx);
-    ASSERT_TRUE(A.has_value());
-    ASSERT_TRUE(B.has_value());
-    EXPECT_EQ(*A, *B);
-    for (unsigned K = Idx.size(); K-- > 0;) {
-      if (++Idx[K] < Sizes[K])
-        break;
-      Idx[K] = 0;
-      if (K == 0)
-        Done = true;
-    }
-  }
-}
-
 /// The fixture the kill/resume differentials share: one compiled LU.
 struct DurableEnv {
   Program P = lu();
@@ -271,8 +208,11 @@ struct DurableEnv {
     EXPECT_TRUE(RI.Resumed);
     EXPECT_GT(RI.ResumedAtEvents, 0u);
     EXPECT_EQ(RI.CorruptSkipped, 0u);
-    expectSameResult(RFull, RRes);
-    expectSameArray(P, Full, Res, Pv);
+    EXPECT_EQ(RFull, RRes);
+    std::vector<std::optional<double>> Elems =
+        finalElems(P, Spec, Full, Pv);
+    EXPECT_EQ(std::count(Elems.begin(), Elems.end(), std::nullopt), 0);
+    EXPECT_EQ(finalElems(P, Spec, Res, Pv), Elems);
   }
 };
 
@@ -435,7 +375,7 @@ TEST(DurableCheckpoint, DurableModeDoesNotPerturbTheSimulation) {
   Simulator Dur(E.P, E.CP, E.Spec, opts(E.Pv, {}, CK));
   SimResult B = Dur.run();
   ASSERT_TRUE(B.Ok) << B.Error;
-  expectSameResult(A, B);
+  EXPECT_EQ(A, B);
   EXPECT_EQ(stable::listFiles(D.Path, "ckpt-", ".dmc").size(),
             A.Recovery.CheckpointsTaken);
 }
@@ -501,7 +441,7 @@ TEST(DurableCheckpoint, TornNewestImageIsSkippedOnResume) {
   ASSERT_TRUE(RRes.Ok) << RRes.Error;
   EXPECT_TRUE(Res.resumeInfo().Resumed);
   EXPECT_EQ(Res.resumeInfo().CorruptSkipped, 1u);
-  expectSameResult(RFull, RRes);
+  EXPECT_EQ(RFull, RRes);
 }
 
 TEST(DurableCheckpoint, BitFlippedImageIsSkippedOnResume) {
@@ -531,7 +471,7 @@ TEST(DurableCheckpoint, BitFlippedImageIsSkippedOnResume) {
   ASSERT_TRUE(RRes.Ok) << RRes.Error;
   EXPECT_TRUE(Res.resumeInfo().Resumed);
   EXPECT_EQ(Res.resumeInfo().CorruptSkipped, 1u);
-  expectSameResult(RFull, RRes);
+  EXPECT_EQ(RFull, RRes);
 }
 
 TEST(DurableCheckpoint, OutOfRangeStoreEntryIsSkippedOnResume) {
@@ -593,7 +533,7 @@ TEST(DurableCheckpoint, OutOfRangeStoreEntryIsSkippedOnResume) {
     EXPECT_FALSE(Sim.resumeInfo().Resumed);
     EXPECT_LT(LargestAlloc.load(), size_t(1) << 20)
         << "largest single allocation (bytes)";
-    expectSameResult(RFull, R);
+    EXPECT_EQ(RFull, R);
   }
 }
 
@@ -679,7 +619,7 @@ TEST(DurableCheckpoint, ImageBytesArePinned) {
     SO.Functional = false;
     SimResult R = Simulator(E.P, Early, E.Spec, SO).run();
     ASSERT_TRUE(R.Ok) << R.Error;
-    ASSERT_GT(R.Overlap.EarlySends, 0u);
+    ASSERT_GT(R.EarlySends, 0u);
     expectPinned(D.Path, {
       {"ckpt-00000000000000000000.dmc", 0xC1A960ECu},
       {"ckpt-00000000000000001500.dmc", 0xAC6994ADu},
@@ -876,7 +816,7 @@ bool resumesFrom(DurableEnv &E, const SimOptions &Base,
   if (Sim.resumeInfo().Resumed)
     return true;
   EXPECT_EQ(Sim.resumeInfo().CorruptSkipped, 1u);
-  expectSameResult(Fresh, R);
+  EXPECT_EQ(Fresh, R);
   return false;
 }
 
@@ -1038,5 +978,5 @@ TEST(DurableCheckpoint, EmptyDirectoryResumesAsAFreshRun) {
   EXPECT_TRUE(Res.resumeInfo().Attempted);
   EXPECT_FALSE(Res.resumeInfo().Resumed);
   EXPECT_EQ(Res.resumeInfo().FilesSeen, 0u);
-  expectSameResult(RFresh, RRes);
+  EXPECT_EQ(RFresh, RRes);
 }

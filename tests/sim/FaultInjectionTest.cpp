@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimLegs.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
@@ -121,13 +122,7 @@ TEST(FaultInjectionTest, SameSeedIdenticalResult) {
   SimResult B = Simulator(P, CP, Spec, opts(4, Pv, true, F)).run();
   ASSERT_TRUE(A.Ok) << A.Error;
   ASSERT_TRUE(B.Ok) << B.Error;
-  EXPECT_EQ(A.MakespanSeconds, B.MakespanSeconds);
-  EXPECT_EQ(A.Messages, B.Messages);
-  EXPECT_EQ(A.Words, B.Words);
-  EXPECT_EQ(A.Retransmissions, B.Retransmissions);
-  EXPECT_EQ(A.DroppedPackets, B.DroppedPackets);
-  EXPECT_EQ(A.DuplicatesSuppressed, B.DuplicatesSuppressed);
-  EXPECT_EQ(A.AcksSent, B.AcksSent);
+  EXPECT_EQ(A, B);
   EXPECT_GT(A.Retransmissions, 0u); // faults actually occurred
 }
 
@@ -278,9 +273,7 @@ TEST(FaultInjectionTest, ZeroFaultPathIsBitExact) {
   F.Seed = 77;    // an unused seed must change nothing
   SimResult Same = Simulator(P, CP, Spec, opts(4, Pv, false, F)).run();
   ASSERT_TRUE(Base.Ok && Same.Ok);
-  EXPECT_EQ(Base.MakespanSeconds, Same.MakespanSeconds);
-  EXPECT_EQ(Base.Messages, Same.Messages);
-  EXPECT_EQ(Base.Words, Same.Words);
+  EXPECT_EQ(Base, Same);
   EXPECT_EQ(Same.Retransmissions, 0u);
   EXPECT_EQ(Same.AcksSent, 0u);
   EXPECT_EQ(Same.DuplicatesSuppressed, 0u);

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimLegs.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
@@ -204,11 +205,7 @@ TEST(HostileNetwork, SameSeedReproducesBitIdenticalRuns) {
   Simulator B(P, CP, Spec, opts(4, Pv, F));
   SimResult RB = B.run();
   ASSERT_TRUE(RA.Ok) << RA.Error;
-  EXPECT_EQ(RA.MakespanSeconds, RB.MakespanSeconds);
-  EXPECT_EQ(RA.CorruptedPackets, RB.CorruptedPackets);
-  EXPECT_EQ(RA.PartitionDrops, RB.PartitionDrops);
-  EXPECT_EQ(RA.SlowLinkMessages, RB.SlowLinkMessages);
-  EXPECT_EQ(RA.Retransmissions, RB.Retransmissions);
+  EXPECT_EQ(RA, RB);
 }
 
 // Fuzz slice: a seed sweep across all three hostile modes mixed with

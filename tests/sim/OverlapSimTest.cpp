@@ -12,12 +12,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SimLegs.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
-#include <optional>
 
 using namespace dmcc;
 
@@ -99,101 +99,26 @@ SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
   return SO;
 }
 
-/// One simulation leg: the full result plus every element of array 0
-/// under the final layout (nullopt where nobody holds it).
-struct RunOut {
-  SimResult R;
-  std::vector<std::optional<double>> A0;
-};
-
-RunOut runLeg(const Program &P, const CompiledProgram &CP,
-              const CompileSpec &Spec, SimOptions SO,
-              const std::map<std::string, IntT> &Params) {
-  Simulator Sim(P, CP, Spec, std::move(SO));
-  RunOut O;
-  O.R = Sim.run();
-  std::vector<IntT> Env(P.space().size(), 0);
-  for (unsigned I = 0; I != P.space().size(); ++I)
-    if (P.space().kind(I) == VarKind::Param)
-      Env[I] = Params.at(P.space().name(I));
-  std::vector<IntT> Sizes;
-  for (const AffineExpr &D : P.array(0).DimSizes)
-    Sizes.push_back(D.evaluate(Env));
-  std::vector<IntT> Idx(Sizes.size(), 0);
-  bool Done = Sizes.empty();
-  while (!Done) {
-    O.A0.push_back(Sim.finalValue(0, Idx));
-    for (unsigned K = Idx.size(); K-- > 0;) {
-      if (++Idx[K] < Sizes[K])
-        break;
-      Idx[K] = 0;
-      if (K == 0)
-        Done = true;
-    }
-  }
-  return O;
-}
-
-/// What early sends must NOT change: array contents, logical cost
-/// counters, transport totals, recovery telemetry, diagnostics. Clocks
-/// (makespan, busy time) are deliberately excluded — moving latency off
-/// the critical path is the whole point.
-void expectSameObservables(const RunOut &A, const RunOut &B,
+/// What early sends must NOT change: everything but the clocks. Moving
+/// latency off the critical path is the whole point, so the makespan,
+/// busy time, the recovery time split, the overlap telemetry, the
+/// nonblocking-send count and the clocks at which dead processors died
+/// are taken from \p A before the bit-identity check.
+void expectSameObservables(const RunOut &A, RunOut B,
                            const std::string &Tag) {
-  EXPECT_EQ(A.R.Ok, B.R.Ok) << Tag;
-  EXPECT_EQ(A.R.Error, B.R.Error) << Tag;
-  EXPECT_EQ(A.R.Messages, B.R.Messages) << Tag;
-  EXPECT_EQ(A.R.IntraMessages, B.R.IntraMessages) << Tag;
-  EXPECT_EQ(A.R.Words, B.R.Words) << Tag;
-  EXPECT_EQ(A.R.Flops, B.R.Flops) << Tag;
-  EXPECT_EQ(A.R.ComputeIterations, B.R.ComputeIterations) << Tag;
-  EXPECT_EQ(A.R.TotalEvents, B.R.TotalEvents) << Tag;
-  EXPECT_EQ(A.R.Retransmissions, B.R.Retransmissions) << Tag;
-  EXPECT_EQ(A.R.DroppedPackets, B.R.DroppedPackets) << Tag;
-  EXPECT_EQ(A.R.DuplicatesSuppressed, B.R.DuplicatesSuppressed) << Tag;
-  EXPECT_EQ(A.R.AcksSent, B.R.AcksSent) << Tag;
-  EXPECT_EQ(A.R.Recovery.CheckpointsTaken, B.R.Recovery.CheckpointsTaken)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.CheckpointBytes, B.R.Recovery.CheckpointBytes)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.Crashes, B.R.Recovery.Crashes) << Tag;
-  EXPECT_EQ(A.R.Recovery.Rollbacks, B.R.Recovery.Rollbacks) << Tag;
-  EXPECT_EQ(A.R.Recovery.ReplayedSteps, B.R.Recovery.ReplayedSteps)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.ReplayedMessages, B.R.Recovery.ReplayedMessages)
-      << Tag;
-  ASSERT_EQ(A.A0.size(), B.A0.size()) << Tag;
-  unsigned Bad = 0;
-  for (unsigned I = 0; I != A.A0.size(); ++I)
-    if (A.A0[I] != B.A0[I])
-      ++Bad;
-  EXPECT_EQ(Bad, 0u) << Tag << ": array contents diverge";
-}
-
-/// Bit-identical comparison (the ThreadedSimTest contract) plus the
-/// overlap telemetry: used for early-on legs across thread counts and
-/// for the SimOptions::EarlySends=false reduction.
-void expectIdentical(const RunOut &A, const RunOut &B,
-                     const std::string &Tag) {
-  expectSameObservables(A, B, Tag);
-  EXPECT_EQ(A.R.MakespanSeconds, B.R.MakespanSeconds) << Tag;
-  ASSERT_EQ(A.R.PhysBusy.size(), B.R.PhysBusy.size()) << Tag;
-  for (unsigned I = 0; I != A.R.PhysBusy.size(); ++I)
-    EXPECT_EQ(A.R.PhysBusy[I], B.R.PhysBusy[I]) << Tag << " phys " << I;
-  EXPECT_EQ(A.R.Recovery.ComputeSeconds, B.R.Recovery.ComputeSeconds)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.ProtocolSeconds, B.R.Recovery.ProtocolSeconds)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.CheckpointSeconds,
-            B.R.Recovery.CheckpointSeconds)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.RecoverySeconds, B.R.Recovery.RecoverySeconds)
-      << Tag;
-  EXPECT_EQ(A.R.Overlap.EarlySends, B.R.Overlap.EarlySends) << Tag;
-  EXPECT_EQ(A.R.Overlap.DeferredSeconds, B.R.Overlap.DeferredSeconds)
-      << Tag;
-  EXPECT_EQ(A.R.Overlap.ExposedSeconds, B.R.Overlap.ExposedSeconds)
-      << Tag;
+  B.R.MakespanSeconds = A.R.MakespanSeconds;
+  B.R.PhysBusy = A.R.PhysBusy;
+  RecoveryStats &Rc = B.R.Recovery;
+  Rc.ComputeSeconds = A.R.Recovery.ComputeSeconds;
+  Rc.ProtocolSeconds = A.R.Recovery.ProtocolSeconds;
+  Rc.CheckpointSeconds = A.R.Recovery.CheckpointSeconds;
+  Rc.RecoverySeconds = A.R.Recovery.RecoverySeconds;
+  B.R.Overlap = A.R.Overlap;
+  B.R.EarlySends = A.R.EarlySends;
+  if (A.R.Diag.DeadProcs.size() == B.R.Diag.DeadProcs.size())
+    for (size_t I = 0; I != A.R.Diag.DeadProcs.size(); ++I)
+      B.R.Diag.DeadProcs[I].AtTime = A.R.Diag.DeadProcs[I].AtTime;
+  expectIdentical(A, B, Tag);
 }
 
 } // namespace
@@ -232,13 +157,13 @@ TEST(OverlapSim, CleanLUIdenticalArraysFasterMakespan) {
   unsigned Bad = 0, K = 0;
   for (IntT I = 0; I <= 48; ++I)
     for (IntT J = 0; J <= 48; ++J, ++K)
-      if (!A.A0[K] || *A.A0[K] != Gold.arrayValue(0, {I, J}))
+      if (!A.Elems[K] || *A.Elems[K] != Gold.arrayValue(0, {I, J}))
         ++Bad;
   ASSERT_EQ(Bad, 0u);
   expectSameObservables(A, B, "lu clean");
   EXPECT_LT(B.R.MakespanSeconds, A.R.MakespanSeconds);
-  EXPECT_EQ(A.R.Overlap.EarlySends, 0u);
-  EXPECT_GT(B.R.Overlap.EarlySends, 0u);
+  EXPECT_EQ(A.R.EarlySends, 0u);
+  EXPECT_GT(B.R.EarlySends, 0u);
   EXPECT_GT(B.R.Overlap.DeferredSeconds, 0.0);
   EXPECT_GE(B.R.Overlap.hiddenSeconds(), 0.0);
 }
@@ -255,7 +180,7 @@ TEST(OverlapSim, CleanStencilIdenticalArraysFasterMakespan) {
   ASSERT_TRUE(B.R.Ok) << B.R.Error;
   expectSameObservables(A, B, "stencil clean");
   EXPECT_LT(B.R.MakespanSeconds, A.R.MakespanSeconds);
-  EXPECT_GT(B.R.Overlap.EarlySends, 0u);
+  EXPECT_GT(B.R.EarlySends, 0u);
 }
 
 TEST(OverlapSim, PerformanceModeMakespanImproves) {
@@ -298,7 +223,7 @@ TEST(OverlapSim, LossyTransportSameTotalsAcrossSeeds) {
     ASSERT_GT(A.R.Retransmissions + A.R.DuplicatesSuppressed, 0u)
         << "seed " << Seed << " exercised no transport machinery";
     expectSameObservables(A, B, "lu-fault seed=" + std::to_string(Seed));
-    EXPECT_GT(B.R.Overlap.EarlySends, 0u) << "seed " << Seed;
+    EXPECT_GT(B.R.EarlySends, 0u) << "seed " << Seed;
   }
 }
 
@@ -312,7 +237,7 @@ TEST(OverlapSim, EarlyLegsBitIdenticalAcrossThreadCounts) {
   std::map<std::string, IntT> Pv = {{"N", 48}};
   RunOut Base = runLeg(P, On, Spec, opts(8, Pv, true, 1), Pv);
   ASSERT_TRUE(Base.R.Ok) << Base.R.Error;
-  ASSERT_GT(Base.R.Overlap.EarlySends, 0u);
+  ASSERT_GT(Base.R.EarlySends, 0u);
   for (unsigned T : {2u, 8u}) {
     RunOut Leg = runLeg(P, On, Spec, opts(8, Pv, true, T), Pv);
     expectIdentical(Base, Leg, "lu-early threads=" + std::to_string(T));
@@ -359,7 +284,7 @@ TEST(OverlapSim, CrashRecoverySameTelemetryAcrossSeeds) {
     RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, 1, F, CK), Pv);
     ASSERT_TRUE(A.R.Ok) << "seed " << CrashSeed << ": " << A.R.Error;
     ASSERT_TRUE(B.R.Ok) << "seed " << CrashSeed << ": " << B.R.Error;
-    ASSERT_GE(A.R.Recovery.Crashes, 1u) << "seed " << CrashSeed;
+    ASSERT_GE(A.R.Crashes, 1u) << "seed " << CrashSeed;
     ASSERT_GE(A.R.Recovery.Rollbacks, 1u) << "seed " << CrashSeed;
     expectSameObservables(A, B,
                           "lu-crash seed=" + std::to_string(CrashSeed));
@@ -388,7 +313,7 @@ TEST(OverlapSim, UnrecoverableCrashSameDiagnostics) {
   RunOut B = runLeg(P, On, Spec, opts(4, Pv, true, 1, F), Pv);
   ASSERT_FALSE(A.R.Ok);
   ASSERT_FALSE(B.R.Ok);
-  ASSERT_GE(A.R.Recovery.Crashes, 1u);
+  ASSERT_GE(A.R.Crashes, 1u);
   expectSameObservables(A, B, "stencil-dead");
 }
 
@@ -407,5 +332,5 @@ TEST(OverlapSim, SimKnobOffReducesToBlockingEngine) {
   RunOut B = runLeg(P, On, Spec, SO, Pv);
   ASSERT_TRUE(A.R.Ok) << A.R.Error;
   expectIdentical(A, B, "early-sim-knob-off");
-  EXPECT_EQ(B.R.Overlap.EarlySends, 0u);
+  EXPECT_EQ(B.R.EarlySends, 0u);
 }

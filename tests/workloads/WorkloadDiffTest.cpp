@@ -21,6 +21,7 @@
 #include "decomp/Search.h"
 #include "examples/WorkloadKernels.h"
 #include "sim/Simulator.h"
+#include "tests/sim/SimLegs.h"
 
 #include <cstdlib>
 #include <fstream>
@@ -89,90 +90,6 @@ SimOptions opts(IntT Procs, std::map<std::string, IntT> Params,
   SO.Threads = Threads;
   SO.Engine = Engine;
   return SO;
-}
-
-std::vector<IntT> paramEnv(const Program &P,
-                           const std::map<std::string, IntT> &Params) {
-  std::vector<IntT> Env(P.space().size(), 0);
-  for (unsigned I = 0; I != P.space().size(); ++I)
-    if (P.space().kind(I) == VarKind::Param)
-      Env[I] = Params.at(P.space().name(I));
-  return Env;
-}
-
-/// One simulation leg: the full result plus every element of every
-/// final-layout array, in FinalData (ArrayId) order.
-struct RunOut {
-  SimResult R;
-  std::vector<std::optional<double>> Elems;
-};
-
-RunOut runLeg(const Program &P, const CompiledProgram &CP,
-              const CompileSpec &Spec, SimOptions SO,
-              const std::map<std::string, IntT> &Params) {
-  Simulator Sim(P, CP, Spec, std::move(SO));
-  RunOut O;
-  O.R = Sim.run();
-  std::vector<IntT> Env = paramEnv(P, Params);
-  for (const auto &[AId, FD] : Spec.FinalData) {
-    (void)FD;
-    std::vector<IntT> Sizes;
-    for (const AffineExpr &D : P.array(AId).DimSizes)
-      Sizes.push_back(D.evaluate(Env));
-    std::vector<IntT> Idx(Sizes.size(), 0);
-    bool Done = Sizes.empty();
-    while (!Done) {
-      O.Elems.push_back(Sim.finalValue(AId, Idx));
-      for (unsigned K = Idx.size(); K-- > 0;) {
-        if (++Idx[K] < Sizes[K])
-          break;
-        Idx[K] = 0;
-        if (K == 0)
-          Done = true;
-      }
-    }
-  }
-  return O;
-}
-
-/// Bit-identical comparison of two legs: exact double equality on every
-/// clock and cost, exact integer equality on every counter, identical
-/// array contents.
-void expectIdentical(const RunOut &A, const RunOut &B,
-                     const std::string &Tag) {
-  EXPECT_EQ(A.R.Ok, B.R.Ok) << Tag;
-  EXPECT_EQ(A.R.Error, B.R.Error) << Tag;
-  EXPECT_EQ(A.R.MakespanSeconds, B.R.MakespanSeconds) << Tag;
-  EXPECT_EQ(A.R.Messages, B.R.Messages) << Tag;
-  EXPECT_EQ(A.R.IntraMessages, B.R.IntraMessages) << Tag;
-  EXPECT_EQ(A.R.Words, B.R.Words) << Tag;
-  EXPECT_EQ(A.R.Flops, B.R.Flops) << Tag;
-  EXPECT_EQ(A.R.ComputeIterations, B.R.ComputeIterations) << Tag;
-  EXPECT_EQ(A.R.Retransmissions, B.R.Retransmissions) << Tag;
-  EXPECT_EQ(A.R.DroppedPackets, B.R.DroppedPackets) << Tag;
-  EXPECT_EQ(A.R.DuplicatesSuppressed, B.R.DuplicatesSuppressed) << Tag;
-  EXPECT_EQ(A.R.AcksSent, B.R.AcksSent) << Tag;
-  EXPECT_EQ(A.R.CorruptedPackets, B.R.CorruptedPackets) << Tag;
-  EXPECT_EQ(A.R.NacksSent, B.R.NacksSent) << Tag;
-  EXPECT_EQ(A.R.PartitionDrops, B.R.PartitionDrops) << Tag;
-  EXPECT_EQ(A.R.SlowLinkMessages, B.R.SlowLinkMessages) << Tag;
-  ASSERT_EQ(A.R.PhysBusy.size(), B.R.PhysBusy.size()) << Tag;
-  for (unsigned I = 0; I != A.R.PhysBusy.size(); ++I)
-    EXPECT_EQ(A.R.PhysBusy[I], B.R.PhysBusy[I]) << Tag << " phys " << I;
-  EXPECT_EQ(A.R.Recovery.CheckpointsTaken, B.R.Recovery.CheckpointsTaken)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.Crashes, B.R.Recovery.Crashes) << Tag;
-  EXPECT_EQ(A.R.Recovery.Rollbacks, B.R.Recovery.Rollbacks) << Tag;
-  EXPECT_EQ(A.R.Recovery.ReplayedSteps, B.R.Recovery.ReplayedSteps)
-      << Tag;
-  EXPECT_EQ(A.R.Recovery.ReplayedMessages, B.R.Recovery.ReplayedMessages)
-      << Tag;
-  ASSERT_EQ(A.Elems.size(), B.Elems.size()) << Tag;
-  unsigned Bad = 0;
-  for (unsigned I = 0; I != A.Elems.size(); ++I)
-    if (A.Elems[I] != B.Elems[I])
-      ++Bad;
-  EXPECT_EQ(Bad, 0u) << Tag << ": array contents diverge";
 }
 
 /// Runs the same schedule under the sequential round engine, the event
@@ -351,7 +268,7 @@ TEST_P(WorkloadDiff, EnginesAgreeUnderCrashRecovery) {
                W.params());
     ASSERT_TRUE(Base.R.Ok) << GetParam() << " seed " << CrashSeed << ": "
                            << Base.R.Error;
-    TotalCrashes += Base.R.Recovery.Crashes;
+    TotalCrashes += Base.R.Crashes;
     expectEnginesAgree(W.prog(), W.CP, W.SP.Spec, 4, W.params(), F, CK,
                        std::string(GetParam()) + "-crash seed=" +
                            std::to_string(CrashSeed));

@@ -604,10 +604,10 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Messages),
                 static_cast<unsigned long long>(R.Words),
                 static_cast<unsigned long long>(R.Flops));
-    if (R.Overlap.EarlySends)
+    if (R.EarlySends)
       std::printf("overlap: %llu early sends, %.6f s deferred, %.6f s "
                   "exposed, %.6f s hidden\n",
-                  static_cast<unsigned long long>(R.Overlap.EarlySends),
+                  static_cast<unsigned long long>(R.EarlySends),
                   R.Overlap.DeferredSeconds, R.Overlap.ExposedSeconds,
                   R.Overlap.hiddenSeconds());
     if (Faults.transportActive() || Faults.faulty())
@@ -632,7 +632,7 @@ int main(int Argc, char **Argv) {
           "rollbacks, %llu steps replayed\n",
           static_cast<unsigned long long>(R.Recovery.CheckpointsTaken),
           static_cast<unsigned long long>(R.Recovery.CheckpointBytes),
-          static_cast<unsigned long long>(R.Recovery.Crashes),
+          static_cast<unsigned long long>(R.Crashes),
           static_cast<unsigned long long>(R.Recovery.Rollbacks),
           static_cast<unsigned long long>(R.Recovery.ReplayedSteps));
       std::printf("time split: compute %.6f s, protocol %.6f s, "
