@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 using namespace dmcc;
 
@@ -158,17 +159,19 @@ SearchResult dmcc::searchDecompositions(const Program &P,
     R.Candidates.push_back(
         ScoredCandidate{std::move(Cands[I]), std::move(Scores[I])});
 
+  double Min = std::numeric_limits<double>::infinity();
+  for (const ScoredCandidate &C : R.Candidates)
+    if (C.Score.Ok)
+      Min = std::min(Min, C.Score.MakespanSeconds);
+  // The lowest index within the tolerance wins, so a hint tied with an
+  // enumerated twin still wins, and summation rounding cannot rank two
+  // candidates that run the same schedule.
   for (size_t I = 0; I != R.Candidates.size(); ++I) {
     const SpecScore &S = R.Candidates[I].Score;
-    if (!S.Ok)
-      continue;
-    // Strict comparison: ties keep the earliest candidate, so a hint
-    // tied with an enumerated twin still wins.
-    if (R.BestIndex < 0 ||
-        S.MakespanSeconds <
-            R.Candidates[static_cast<size_t>(R.BestIndex)]
-                .Score.MakespanSeconds)
+    if (S.Ok && S.MakespanSeconds <= Min * (1 + SearchTieTolerance)) {
       R.BestIndex = static_cast<int>(I);
+      break;
+    }
   }
   if (R.BestIndex < 0)
     R.Error = "no feasible candidate: every spec failed to compile or "

@@ -74,14 +74,20 @@ struct ScoredCandidate {
   SpecScore Score;
 };
 
+/// Relative makespan difference under which two candidates tie. Equal
+/// schedules reached through different decompositions sum their clocks
+/// in different orders, so their makespans can differ in the last bits.
+constexpr double SearchTieTolerance = 1e-12;
+
 /// The outcome of a search.
 struct SearchResult {
   /// Every candidate in enumeration order (hint first when given),
   /// scores attached — infeasible candidates included, with the reason
   /// in Score.Error.
   std::vector<ScoredCandidate> Candidates;
-  /// Index of the makespan argmin among feasible candidates; ties break
-  /// toward the lowest index. -1 when nothing was feasible.
+  /// Index of the lowest-index feasible candidate whose makespan lies
+  /// within SearchTieTolerance of the minimum. -1 when nothing was
+  /// feasible.
   int BestIndex = -1;
   std::string Error; ///< non-empty iff BestIndex == -1
 

@@ -232,6 +232,24 @@ TEST(DecompSearch, SearchOnLUFindsAFeasibleWinner) {
             SR.Candidates[0].Score.MakespanSeconds);
 }
 
+TEST(DecompSearch, RoundingTiesGoToTheLowestIndex) {
+  // On 4 processors jacobi2d's block(dim 0, 4) [3] and block(dim 1, 4)
+  // [6] run mirror-image schedules whose makespans differ only in how
+  // the clocks were summed. The lower index must win.
+  SpecParseOutput SP = loadWorkload("jacobi2d");
+  ASSERT_TRUE(SP.ok());
+  SearchResult SR =
+      searchDecompositions(*SP.Prog, &SP.Spec, fastOpts(SP.ParamDefaults));
+  ASSERT_TRUE(SR.ok()) << SR.Error;
+  ASSERT_GT(SR.Candidates.size(), 6u);
+  const SpecScore &Dim0 = SR.Candidates[3].Score;
+  const SpecScore &Dim1 = SR.Candidates[6].Score;
+  ASSERT_TRUE(Dim0.Ok && Dim1.Ok);
+  EXPECT_NEAR(Dim0.MakespanSeconds, Dim1.MakespanSeconds,
+              Dim1.MakespanSeconds * SearchTieTolerance);
+  EXPECT_EQ(SR.BestIndex, 3) << SR.best().Cand.Desc;
+}
+
 //===----------------------------------------------------------------------===//
 // Acceptance criterion: winner <= hand-written spec on every workload
 //===----------------------------------------------------------------------===//
