@@ -172,42 +172,45 @@ CommVars importComm(SpmdSpace &SS, const CommSet &CS, bool SendSide) {
 
 } // namespace
 
-std::vector<SpmdStmt> dmcc::genRecvFragment(SpmdSpace &SS,
+std::vector<SpmdStmt> dmcc::genCommFragment(SpmdSpace &SS,
                                             const CommPlan &CP,
-                                            unsigned CommId) {
+                                            unsigned CommId,
+                                            bool SendSide) {
   const CommSet &CS = CP.Set;
   unsigned L = CP.AggLevel;
-  assert(L <= CS.RVars.size() && "aggregation deeper than the reader");
-  CommVars V = importComm(SS, CS, /*SendSide=*/false);
+  assert((SendSide ? L <= CS.SVars.size() || CS.FromInitialData
+                   : L <= CS.RVars.size()) &&
+         "aggregation deeper than the executing side's loops");
+  CommVars V = importComm(SS, CS, SendSide);
+  const std::vector<unsigned> &Mine = SendSide ? V.Ps : V.Pr;
+  const std::vector<unsigned> &Peers = SendSide ? V.Pr : V.Ps;
 
-  // Outer scan: bind pr to myp, then locate the sender. The first L
-  // reader loops are outer scope (the caller's shared loops).
+  // Outer scan: bind the executing side's processor to myp, then locate
+  // the peer.
   std::vector<ScanVarPlan> Outer;
-  for (unsigned D = 0, E = V.Pr.size(); D != E; ++D)
+  for (unsigned D = 0, E = Mine.size(); D != E; ++D)
     Outer.push_back(ScanVarPlan{
-        V.Pr[D], true,
+        Mine[D], true,
         AffineExpr::var(V.Sys.numVars(), SS.prog().MyProcVars[D])});
-  for (unsigned PS : V.Ps)
-    Outer.push_back(ScanVarPlan{PS, false, AffineExpr()});
+  for (unsigned PV : Peers)
+    Outer.push_back(ScanVarPlan{PV, false, AffineExpr()});
 
   // Inner scan (the message body): the sender's instance coordinates,
-  // the reader's post-prefix loops, then the element, then auxiliary
-  // witnesses. The order must match the sender's pack order;
+  // the reader's, then the element, then auxiliary witnesses, so pack
+  // and unpack enumerate in the same order. The executing side's first
+  // L loops are outer scope (the caller's shared loops) and are skipped;
   // single-valued coordinates do not perturb the enumeration.
   std::vector<ScanVarPlan> Inner;
   std::vector<unsigned> InnerVars;
-  for (unsigned SV : V.S) {
-    Inner.push_back(ScanVarPlan{SV, false, AffineExpr()});
-    InnerVars.push_back(SV);
-  }
-  for (unsigned K = L, E = V.R.size(); K != E; ++K) {
-    Inner.push_back(ScanVarPlan{V.R[K], false, AffineExpr()});
-    InnerVars.push_back(V.R[K]);
-  }
-  for (unsigned EV : V.El) {
-    Inner.push_back(ScanVarPlan{EV, false, AffineExpr()});
-    InnerVars.push_back(EV);
-  }
+  auto AddInner = [&](const std::vector<unsigned> &Vars, unsigned From) {
+    for (unsigned K = From, E = Vars.size(); K < E; ++K) {
+      Inner.push_back(ScanVarPlan{Vars[K], false, AffineExpr()});
+      InnerVars.push_back(Vars[K]);
+    }
+  };
+  AddInner(V.S, SendSide ? L : 0);
+  AddInner(V.R, SendSide ? 0 : L);
+  AddInner(V.El, 0);
   InnerVars = innerClosure(V.Sys, std::move(InnerVars), Inner);
 
   unsigned ArrayId = CS.ArrayId;
@@ -215,101 +218,31 @@ std::vector<SpmdStmt> dmcc::genRecvFragment(SpmdSpace &SS,
   for (unsigned EV : V.El)
     ElExprs.push_back(AffineExpr::var(V.Sys.numVars(), EV));
 
-  std::vector<SpmdStmt> Unpack = scanPolyhedron(V.Sys, Inner, [&]() {
-    SpmdStmt U;
-    U.K = SpmdStmt::Kind::UnpackElem;
-    U.ArrayId = ArrayId;
-    U.Indices = ElExprs;
+  std::vector<SpmdStmt> Body = scanPolyhedron(V.Sys, Inner, [&]() {
+    SpmdStmt El;
+    El.K = SendSide ? SpmdStmt::Kind::PackElem : SpmdStmt::Kind::UnpackElem;
+    El.ArrayId = ArrayId;
+    El.Indices = ElExprs;
     std::vector<SpmdStmt> B;
-    B.push_back(std::move(U));
+    B.push_back(std::move(El));
     return B;
   });
 
   std::vector<AffineExpr> Peer;
-  for (unsigned PS : V.Ps)
-    Peer.push_back(AffineExpr::var(V.Sys.numVars(), PS));
+  for (unsigned PV : Peers)
+    Peer.push_back(AffineExpr::var(V.Sys.numVars(), PV));
   bool Multicast = CP.Multicast && CS.Multicast;
   System OuterSys = outerProjection(V.Sys, InnerVars);
   return scanPolyhedron(OuterSys, Outer, [&]() {
-    SpmdStmt Rv;
-    Rv.K = SpmdStmt::Kind::Recv;
-    Rv.Peer = Peer;
-    Rv.CommId = CommId;
-    Rv.IsMulticast = Multicast;
-    Rv.Body = Unpack;
+    SpmdStmt Msg;
+    Msg.K = SendSide ? SpmdStmt::Kind::Send : SpmdStmt::Kind::Recv;
+    Msg.Peer = Peer;
+    Msg.CommId = CommId;
+    Msg.IsMulticast = Multicast;
+    Msg.Nonblocking = SendSide && CP.earlySend();
+    Msg.Body = Body;
     std::vector<SpmdStmt> B;
-    B.push_back(std::move(Rv));
-    return B;
-  });
-}
-
-std::vector<SpmdStmt> dmcc::genSendFragment(SpmdSpace &SS,
-                                            const CommPlan &CP,
-                                            unsigned CommId) {
-  const CommSet &CS = CP.Set;
-  unsigned L = CP.AggLevel;
-  assert(L <= CS.SVars.size() ||
-         (CS.SVars.empty() && L == 0) ||
-         CS.FromInitialData);
-  CommVars V = importComm(SS, CS, /*SendSide=*/true);
-
-  std::vector<ScanVarPlan> Outer;
-  for (unsigned D = 0, E = V.Ps.size(); D != E; ++D)
-    Outer.push_back(ScanVarPlan{
-        V.Ps[D], true,
-        AffineExpr::var(V.Sys.numVars(), SS.prog().MyProcVars[D])});
-  for (unsigned PR : V.Pr)
-    Outer.push_back(ScanVarPlan{PR, false, AffineExpr()});
-
-  // Pack order mirrors the receiver's unpack order: the sender's
-  // post-prefix instance coordinates, the reader coordinates, the
-  // element, auxiliary witnesses last.
-  std::vector<ScanVarPlan> Inner;
-  std::vector<unsigned> InnerVars;
-  for (unsigned K = L, E = V.S.size(); K != E; ++K) {
-    Inner.push_back(ScanVarPlan{V.S[K], false, AffineExpr()});
-    InnerVars.push_back(V.S[K]);
-  }
-  for (unsigned RV : V.R) {
-    Inner.push_back(ScanVarPlan{RV, false, AffineExpr()});
-    InnerVars.push_back(RV);
-  }
-  for (unsigned EV : V.El) {
-    Inner.push_back(ScanVarPlan{EV, false, AffineExpr()});
-    InnerVars.push_back(EV);
-  }
-  InnerVars = innerClosure(V.Sys, std::move(InnerVars), Inner);
-
-  unsigned ArrayId = CS.ArrayId;
-  std::vector<AffineExpr> ElExprs;
-  for (unsigned EV : V.El)
-    ElExprs.push_back(AffineExpr::var(V.Sys.numVars(), EV));
-
-  std::vector<SpmdStmt> Pack = scanPolyhedron(V.Sys, Inner, [&]() {
-    SpmdStmt Pk;
-    Pk.K = SpmdStmt::Kind::PackElem;
-    Pk.ArrayId = ArrayId;
-    Pk.Indices = ElExprs;
-    std::vector<SpmdStmt> B;
-    B.push_back(std::move(Pk));
-    return B;
-  });
-
-  std::vector<AffineExpr> Peer;
-  for (unsigned PR : V.Pr)
-    Peer.push_back(AffineExpr::var(V.Sys.numVars(), PR));
-  bool Multicast = CP.Multicast && CS.Multicast;
-  System OuterSys = outerProjection(V.Sys, InnerVars);
-  return scanPolyhedron(OuterSys, Outer, [&]() {
-    SpmdStmt Sd;
-    Sd.K = SpmdStmt::Kind::Send;
-    Sd.Peer = Peer;
-    Sd.CommId = CommId;
-    Sd.IsMulticast = Multicast;
-    Sd.Nonblocking = CP.earlySend();
-    Sd.Body = Pack;
-    std::vector<SpmdStmt> B;
-    B.push_back(std::move(Sd));
+    B.push_back(std::move(Msg));
     return B;
   });
 }

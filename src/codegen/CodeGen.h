@@ -97,14 +97,11 @@ private:
 std::vector<SpmdStmt> genComputeFragment(SpmdSpace &SS, const StmtPlan &SP,
                                          unsigned SkipLoops);
 
-/// Receive fragment for one communication set (executed by receivers).
-/// The first CP.AggLevel reader loops must enclose the fragment.
-std::vector<SpmdStmt> genRecvFragment(SpmdSpace &SS, const CommPlan &CP,
-                                      unsigned CommId);
-
-/// Send fragment (executed by senders); mirrors genRecvFragment.
-std::vector<SpmdStmt> genSendFragment(SpmdSpace &SS, const CommPlan &CP,
-                                      unsigned CommId);
+/// Send (\p SendSide) or receive fragment for one communication set,
+/// executed by the senders or the receivers. The first CP.AggLevel
+/// loops of the executing side must enclose the fragment.
+std::vector<SpmdStmt> genCommFragment(SpmdSpace &SS, const CommPlan &CP,
+                                      unsigned CommId, bool SendSide);
 
 /// Shared sequential loop over a source loop's global bounds.
 SpmdStmt makeSharedLoop(SpmdSpace &SS, unsigned LoopId);

@@ -62,9 +62,10 @@ struct FlowDep {
 /// receives that feed them and the sends that publish their results.
 class Emitter {
 public:
-  Emitter(const Program &P, SpmdSpace &SS, const CompileSpec &Spec,
+  Emitter(const Program &P, SpmdSpace &SS,
+          const std::vector<const StmtPlan *> &PlanOf,
           std::vector<Placed> &Comms, const std::vector<FlowDep> &Deps)
-      : P(P), SS(SS), Spec(Spec), Comms(Comms), Deps(Deps) {}
+      : P(P), SS(SS), PlanOf(PlanOf), Comms(Comms), Deps(Deps) {}
 
   std::vector<SpmdStmt> run() {
     std::vector<SpmdStmt> Out;
@@ -73,22 +74,19 @@ public:
     for (Placed &Pl : Comms) {
       if (Pl.IsFinal || !Pl.Plan.Set.FromInitialData)
         continue;
-      append(Out, genSendFragment(SS, Pl.Plan, Pl.CommId));
-      Pl.SendEmitted = true;
+      emitComm(Out, Pl, /*SendSide=*/true);
     }
     append(Out, emitList(P.topLevel(), 0));
     // Finalization: everyone publishes final values, then collects.
     for (Placed &Pl : Comms) {
       if (!Pl.IsFinal)
         continue;
-      append(Out, genSendFragment(SS, Pl.Plan, Pl.CommId));
-      Pl.SendEmitted = true;
+      emitComm(Out, Pl, /*SendSide=*/true);
     }
     for (Placed &Pl : Comms) {
       if (!Pl.IsFinal)
         continue;
-      append(Out, genRecvFragment(SS, Pl.Plan, Pl.CommId));
-      Pl.RecvEmitted = true;
+      emitComm(Out, Pl, /*SendSide=*/false);
     }
     return Out;
   }
@@ -98,6 +96,12 @@ private:
                      std::vector<SpmdStmt> Frag) {
     for (SpmdStmt &S : Frag)
       Out.push_back(std::move(S));
+  }
+
+  /// Appends \p Pl's send or receive fragment and marks it emitted.
+  void emitComm(std::vector<SpmdStmt> &Out, Placed &Pl, bool SendSide) {
+    append(Out, genCommFragment(SS, Pl.Plan, Pl.CommId, SendSide));
+    (SendSide ? Pl.SendEmitted : Pl.RecvEmitted) = true;
   }
 
   void collectStmts(const Node &N, std::set<unsigned> &Stmts) const {
@@ -118,13 +122,6 @@ private:
       collectStmtsOrdered(C, S);
   }
 
-  const StmtPlan &planOf(unsigned StmtId) const {
-    for (const StmtPlan &SP : Spec.Stmts)
-      if (SP.StmtId == StmtId)
-        return SP;
-    fatalError("missing computation decomposition for a statement");
-  }
-
   std::vector<SpmdStmt> emitList(const std::vector<Node> &Children,
                                  unsigned Depth) {
     std::vector<SpmdStmt> Out;
@@ -139,12 +136,11 @@ private:
           continue;
         if (!Here.count(Pl.Plan.Set.ReadStmtId))
           continue;
-        append(Out, genRecvFragment(SS, Pl.Plan, Pl.CommId));
-        Pl.RecvEmitted = true;
+        emitComm(Out, Pl, /*SendSide=*/false);
       }
 
       if (Child.K == Node::Kind::Stmt) {
-        append(Out, genComputeFragment(SS, planOf(Child.Index), Depth));
+        append(Out, genComputeFragment(SS, *PlanOf[Child.Index], Depth));
       } else {
         // The loop must stay shared (interleaved) if a communication
         // batch boundary lies deeper, or if separating its statements
@@ -183,7 +179,7 @@ private:
           std::vector<unsigned> Inner;
           collectStmtsOrdered(Child, Inner);
           for (unsigned S : Inner) {
-            append(Out, genComputeFragment(SS, planOf(S), Depth));
+            append(Out, genComputeFragment(SS, *PlanOf[S], Depth));
             // Early-send hoist (Section 6, DESIGN.md §11): a batch
             // whose content is complete once this statement's fragment
             // has run is issued here, ahead of the sibling fragments,
@@ -198,8 +194,7 @@ private:
               if (Pl.Plan.Set.FromInitialData ||
                   Pl.Plan.Set.WriteStmtId != S)
                 continue;
-              append(Out, genSendFragment(SS, Pl.Plan, Pl.CommId));
-              Pl.SendEmitted = true;
+              emitComm(Out, Pl, /*SendSide=*/true);
             }
           }
         }
@@ -214,8 +209,7 @@ private:
           continue;
         if (!Here.count(Pl.Plan.Set.WriteStmtId))
           continue;
-        append(Out, genSendFragment(SS, Pl.Plan, Pl.CommId));
-        Pl.SendEmitted = true;
+        emitComm(Out, Pl, /*SendSide=*/true);
       }
     }
     return Out;
@@ -223,7 +217,7 @@ private:
 
   const Program &P;
   SpmdSpace &SS;
-  const CompileSpec &Spec;
+  const std::vector<const StmtPlan *> &PlanOf;
   std::vector<Placed> &Comms;
   const std::vector<FlowDep> &Deps;
 };
@@ -254,15 +248,13 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
     return R;
   };
 
-  auto planOf = [&Spec](unsigned StmtId) -> const StmtPlan & {
-    for (const StmtPlan &SP : Spec.Stmts)
-      if (SP.StmtId == StmtId)
-        return SP;
-    fatalError("compile: missing computation decomposition");
-  };
+  // Each statement's plan: the first Spec.Stmts entry that names it.
+  std::vector<const StmtPlan *> PlanOf(P.numStatements(), nullptr);
+  for (const StmtPlan &SP : Spec.Stmts)
+    if (SP.StmtId < PlanOf.size() && !PlanOf[SP.StmtId])
+      PlanOf[SP.StmtId] = &SP;
   for (unsigned S = 0, E = P.numStatements(); S != E; ++S)
-    if (std::none_of(Spec.Stmts.begin(), Spec.Stmts.end(),
-                     [S](const StmtPlan &SP) { return SP.StmtId == S; })) {
+    if (!PlanOf[S]) {
       Out.Ok = false;
       Out.ErrorMessage = "no computation decomposition for S" +
                          std::to_string(S) +
@@ -288,7 +280,7 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
   // Analysis and communication-set derivation.
   for (unsigned S = 0, E = P.numStatements(); S != E; ++S) {
     const Statement &St = P.statement(S);
-    const StmtPlan &ReaderPlan = planOf(S);
+    const StmtPlan &ReaderPlan = *PlanOf[S];
     std::vector<CommSet> StmtPieces;
     for (unsigned R = 0, RE = St.Reads.size(); R != RE; ++R) {
       LastWriteTree T = buildLWT(P, S, R);
@@ -311,7 +303,7 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
         std::vector<CommSet> Sets;
         if (Ctx.HasWriter) {
           Sets = buildCommSets(P, T, Ctx, ReaderPlan.Comp,
-                               &planOf(Ctx.WriteStmtId).Comp, Init,
+                               &PlanOf[Ctx.WriteStmtId]->Comp, Init,
                                Opts.GridDims);
         } else {
           if (!Init)
@@ -375,7 +367,7 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
         if (!Ctx.HasWriter && !Init)
           continue; // untouched data with no known home: nothing to move
         std::vector<CommSet> Sets = buildFinalizationSets(
-            P, AT, Ctx, Ctx.HasWriter ? &planOf(Ctx.WriteStmtId).Comp
+            P, AT, Ctx, Ctx.HasWriter ? &PlanOf[Ctx.WriteStmtId]->Comp
                                       : nullptr,
             Init, FinalD, Opts.GridDims);
         for (CommSet &CS : Sets) {
@@ -437,7 +429,7 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
 
   {
     PhaseTimer Timer("codegen.emit");
-    Emitter Em(P, SS, Spec, Comms, Deps);
+    Emitter Em(P, SS, PlanOf, Comms, Deps);
     SS.prog().Top = Em.run();
   }
   Out.Spmd = std::move(SS.prog());
