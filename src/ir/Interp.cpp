@@ -30,35 +30,43 @@ SeqInterpreter::SeqInterpreter(
     Env[I] = It->second;
   }
   for (unsigned A = 0, E = P.numArrays(); A != E; ++A) {
+    std::vector<IntT> &DV = Dims.emplace_back();
     IntT Size = 1;
     for (const AffineExpr &D : P.array(A).DimSizes) {
-      IntT DV = D.evaluate(Env);
-      if (DV < 0)
+      DV.push_back(D.evaluate(Env));
+      if (DV.back() < 0)
         fatalError("SeqInterpreter: negative array dimension");
-      Size = mulChk(Size, DV);
+      Size = mulChk(Size, DV.back());
     }
     DimProd.push_back(Size);
     Arrays.emplace_back();
-    WriterOf.emplace_back();
+    Writers.emplace_back();
   }
 }
 
 IntT SeqInterpreter::arraySize(unsigned Id) const { return DimProd[Id]; }
 
-IntT SeqInterpreter::evalExpr(const AffineExpr &E) const {
-  return E.evaluate(Env);
-}
-
 IntT SeqInterpreter::flatIndex(const Access &A, bool &InBounds) const {
-  const ArrayDecl &D = P.array(A.ArrayId);
+  const std::vector<IntT> &D = Dims[A.ArrayId];
   IntT Flat = 0;
   InBounds = true;
   for (unsigned K = 0, E = A.Indices.size(); K != E; ++K) {
-    IntT Dim = D.DimSizes[K].evaluate(Env);
     IntT I = A.Indices[K].evaluate(Env);
-    if (I < 0 || I >= Dim)
+    if (I < 0 || I >= D[K])
       InBounds = false;
-    Flat = addChk(mulChk(Flat, Dim), I);
+    Flat = addChk(mulChk(Flat, D[K]), I);
+  }
+  return Flat;
+}
+
+IntT SeqInterpreter::flatIndex(unsigned Id,
+                               const std::vector<IntT> &Idx) const {
+  const std::vector<IntT> &D = Dims[Id];
+  assert(Idx.size() == D.size() && "wrong arity");
+  IntT Flat = 0;
+  for (unsigned K = 0, E = Idx.size(); K != E; ++K) {
+    assert(Idx[K] >= 0 && Idx[K] < D[K] && "index out of bounds");
+    Flat = addChk(mulChk(Flat, D[K]), Idx[K]);
   }
   return Flat;
 }
@@ -73,24 +81,17 @@ double SeqInterpreter::evalRVal(const Statement &S, int NodeId) {
     IntT Flat = flatIndex(A, InBounds);
     if (!InBounds)
       fatalError("SeqInterpreter: read access out of bounds");
-    std::vector<double> &Store = Arrays[A.ArrayId];
-    std::vector<int> &Writers = WriterOf[A.ArrayId];
-    const WriteInstance *Writer = nullptr;
-    double V;
-    if (Flat < static_cast<IntT>(Store.size()) && Writers[Flat] >= 0) {
-      Writer = &WriteLog[Writers[Flat]];
-      V = Store[Flat];
-    } else {
-      V = initialArrayValue(A.ArrayId, Flat);
+    const std::vector<double> &Store = Arrays[A.ArrayId];
+    if (Flat >= static_cast<IntT>(Store.size())) {
+      if (OnRead)
+        OnRead(S.Id, R.ReadIdx, CurIter, nullptr);
+      return initialArrayValue(A.ArrayId, Flat);
     }
     if (OnRead) {
-      std::vector<IntT> Iter;
-      const Statement &St = S;
-      for (unsigned L : St.Loops)
-        Iter.push_back(Env[P.loop(L).VarIndex]);
-      OnRead(St.Id, R.ReadIdx, Iter, Writer);
+      const WriteInstance &W = Writers[A.ArrayId][Flat];
+      OnRead(S.Id, R.ReadIdx, CurIter, W.StmtId == NoWriter ? nullptr : &W);
     }
-    return V;
+    return Store[Flat];
   }
   case RVal::Kind::ConstF:
     return R.Const;
@@ -113,27 +114,29 @@ double SeqInterpreter::evalRVal(const Statement &S, int NodeId) {
 
 void SeqInterpreter::execStatement(const Statement &S) {
   ++ExecCount;
+  CurIter.clear();
+  for (unsigned L : S.Loops)
+    CurIter.push_back(Env[P.loop(L).VarIndex]);
+  // A read of the element being written must report its previous writer,
+  // so the right-hand side is evaluated before the slot is overwritten.
   double V = evalRVal(S, S.RRoot);
   bool InBounds = true;
   IntT Flat = flatIndex(S.Write, InBounds);
   if (!InBounds)
     fatalError("SeqInterpreter: write access out of bounds");
   std::vector<double> &Store = Arrays[S.Write.ArrayId];
-  std::vector<int> &Writers = WriterOf[S.Write.ArrayId];
+  std::vector<WriteInstance> &Slots = Writers[S.Write.ArrayId];
   if (Flat >= static_cast<IntT>(Store.size())) {
     IntT NewSize = std::min(DimProd[S.Write.ArrayId], Flat + 1);
     IntT Old = Store.size();
     Store.resize(NewSize);
-    Writers.resize(NewSize, -1);
+    Slots.resize(NewSize, WriteInstance{NoWriter, {}});
     for (IntT K = Old; K < NewSize; ++K)
       Store[K] = initialArrayValue(S.Write.ArrayId, K);
   }
-  WriteInstance W;
+  WriteInstance &W = Slots[Flat];
   W.StmtId = S.Id;
-  for (unsigned L : S.Loops)
-    W.Iter.push_back(Env[P.loop(L).VarIndex]);
-  WriteLog.push_back(std::move(W));
-  Writers[Flat] = static_cast<int>(WriteLog.size() - 1);
+  W.Iter.assign(CurIter.begin(), CurIter.end());
   Store[Flat] = V;
 }
 
@@ -174,14 +177,7 @@ void SeqInterpreter::run() { execNodes(P.topLevel()); }
 
 double SeqInterpreter::arrayValue(unsigned Id,
                                   const std::vector<IntT> &Idx) const {
-  const ArrayDecl &D = P.array(Id);
-  assert(Idx.size() == D.DimSizes.size() && "wrong arity");
-  IntT Flat = 0;
-  for (unsigned K = 0, E = Idx.size(); K != E; ++K) {
-    IntT Dim = D.DimSizes[K].evaluate(Env);
-    assert(Idx[K] >= 0 && Idx[K] < Dim && "index out of bounds");
-    Flat = addChk(mulChk(Flat, Dim), Idx[K]);
-  }
+  IntT Flat = flatIndex(Id, Idx);
   if (Flat < static_cast<IntT>(Arrays[Id].size()))
     return Arrays[Id][Flat];
   return initialArrayValue(Id, Flat);
@@ -198,12 +194,9 @@ std::vector<double> SeqInterpreter::arrayContents(unsigned Id) const {
 
 const WriteInstance *SeqInterpreter::lastWriter(
     unsigned Id, const std::vector<IntT> &Idx) const {
-  const ArrayDecl &D = P.array(Id);
-  IntT Flat = 0;
-  for (unsigned K = 0, E = Idx.size(); K != E; ++K)
-    Flat = addChk(mulChk(Flat, D.DimSizes[K].evaluate(Env)), Idx[K]);
-  if (Flat >= static_cast<IntT>(WriterOf[Id].size()) ||
-      WriterOf[Id][Flat] < 0)
+  IntT Flat = flatIndex(Id, Idx);
+  if (Flat >= static_cast<IntT>(Writers[Id].size()) ||
+      Writers[Id][Flat].StmtId == NoWriter)
     return nullptr;
-  return &WriteLog[WriterOf[Id][Flat]];
+  return &Writers[Id][Flat];
 }

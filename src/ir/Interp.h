@@ -7,9 +7,13 @@
 /// \file
 /// Executes a Program sequentially with concrete parameter values. This is
 /// the golden model: the SPMD code produced by the code generator must
-/// compute bitwise-identical arrays, and the instrumentation hooks record
+/// compute bitwise-identical arrays, and the instrumentation hooks report
 /// the actual last-write instance of every read so Last Write Trees can be
 /// property-tested against reality.
+///
+/// The interpreter keeps one last-writer slot per array element, not a log
+/// of every write: a write overwrites its element's slot in place, so its
+/// memory is O(array elements) however many statements run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +46,8 @@ class SeqInterpreter {
 public:
   /// Called for every dynamic read: statement, read slot, the reading
   /// iteration, and the instance that last wrote the value (nullptr if the
-  /// value is the initial array content).
+  /// value is the initial array content). \p Writer is valid only during
+  /// the call.
   using ReadCallback = std::function<void(
       unsigned StmtId, unsigned ReadIdx, const std::vector<IntT> &Iter,
       const WriteInstance *Writer)>;
@@ -64,7 +69,8 @@ public:
   /// The full contents of array \p Id (initials filled in).
   std::vector<double> arrayContents(unsigned Id) const;
 
-  /// Who last wrote the given element, if anyone.
+  /// Who last wrote the given element, if anyone. The pointer refers to
+  /// the element's slot and is valid until the next statement executes.
   const WriteInstance *lastWriter(unsigned Id,
                                   const std::vector<IntT> &Idx) const;
 
@@ -77,14 +83,20 @@ private:
   void execStatement(const Statement &S);
   double evalRVal(const Statement &S, int NodeId);
   IntT flatIndex(const Access &A, bool &InBounds) const;
-  IntT evalExpr(const AffineExpr &E) const;
+  IntT flatIndex(unsigned Id, const std::vector<IntT> &Idx) const;
+
+  /// StmtId of a slot whose element was never written.
+  static constexpr unsigned NoWriter = ~0u;
 
   const Program &P;
   std::vector<IntT> Env;        ///< value per program-space variable
+  /// Per array, sized lazily up to the highest element written so far;
+  /// elements beyond hold their initialArrayValue.
   std::vector<std::vector<double>> Arrays;
-  std::vector<std::vector<int>> WriterOf; ///< index into WriteLog, or -1
-  std::vector<WriteInstance> WriteLog;
+  std::vector<std::vector<WriteInstance>> Writers; ///< parallel to Arrays
+  std::vector<std::vector<IntT>> Dims; ///< per-array dimension sizes
   std::vector<IntT> DimProd;    ///< per-array flat sizes
+  std::vector<IntT> CurIter;    ///< loop values of the executing statement
   ReadCallback OnRead;
   uint64_t ExecCount = 0;
 };

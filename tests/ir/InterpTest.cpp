@@ -90,6 +90,97 @@ for i = 1 to N { A[i] = A[i - 1]; }
   EXPECT_EQ(FromStmt, 2u);
 }
 
+TEST(InterpTest, OverwrittenElementReportsLatestWriter) {
+  Program P = parseProgramOrDie(R"(
+param T;
+param N;
+array A[N];
+for t = 0 to T {
+  for i = 0 to N - 1 { A[i] = t + i; }
+}
+)");
+  SeqInterpreter I(P, {{"T", 9}, {"N", 4}});
+  I.run();
+  EXPECT_EQ(I.executedStatements(), 40u);
+  for (IntT K = 0; K < 4; ++K) {
+    const WriteInstance *W = I.lastWriter(0, {K});
+    ASSERT_NE(W, nullptr);
+    EXPECT_EQ(W->StmtId, 0u);
+    EXPECT_EQ(W->Iter, (std::vector<IntT>{9, K}));
+    EXPECT_DOUBLE_EQ(I.arrayValue(0, {K}), static_cast<double>(9 + K));
+  }
+}
+
+TEST(InterpTest, SelfUpdateReadsPreviousInstance) {
+  // The read of A[i] happens before the write, so it must see the
+  // previous t iteration's instance, or the initial value at t = 0.
+  Program P = parseProgramOrDie(R"(
+param T;
+param N;
+array A[N];
+for t = 0 to T {
+  for i = 0 to N - 1 { A[i] = A[i] + 1; }
+}
+)");
+  SeqInterpreter I(P, {{"T", 3}, {"N", 5}});
+  unsigned Reads = 0, FromInitial = 0;
+  I.setReadCallback([&](unsigned StmtId, unsigned ReadIdx,
+                        const std::vector<IntT> &Iter,
+                        const WriteInstance *Writer) {
+    ++Reads;
+    EXPECT_EQ(StmtId, 0u);
+    EXPECT_EQ(ReadIdx, 0u);
+    ASSERT_EQ(Iter.size(), 2u);
+    if (Iter[0] == 0) {
+      ++FromInitial;
+      EXPECT_EQ(Writer, nullptr);
+      return;
+    }
+    ASSERT_NE(Writer, nullptr);
+    EXPECT_EQ(Writer->StmtId, 0u);
+    EXPECT_EQ(Writer->Iter, (std::vector<IntT>{Iter[0] - 1, Iter[1]}));
+  });
+  I.run();
+  EXPECT_EQ(Reads, 20u);
+  EXPECT_EQ(FromInitial, 5u);
+  for (IntT K = 0; K < 5; ++K)
+    EXPECT_DOUBLE_EQ(I.arrayValue(0, {K}), initialArrayValue(0, K) + 4);
+}
+
+TEST(InterpTest, WriterIterFollowsWriterDepth) {
+  // One element written by statements of different depths: the slot's
+  // Iter must take the latest writer's length, not keep a stale one.
+  Program Deeper = parseProgramOrDie(R"(
+param N;
+array A[N];
+for i = 0 to N - 1 { A[i] = 1; }
+for j = 0 to N - 1 {
+  for k = 0 to 1 { A[j] = k; }
+}
+)");
+  SeqInterpreter I(Deeper, {{"N", 3}});
+  I.run();
+  const WriteInstance *W = I.lastWriter(0, {2});
+  ASSERT_NE(W, nullptr);
+  EXPECT_EQ(W->StmtId, 1u);
+  EXPECT_EQ(W->Iter, (std::vector<IntT>{2, 1}));
+
+  Program Shallower = parseProgramOrDie(R"(
+param N;
+array A[N];
+for j = 0 to N - 1 {
+  for k = 0 to 1 { A[j] = k; }
+}
+for i = 0 to N - 1 { A[i] = 1; }
+)");
+  SeqInterpreter J(Shallower, {{"N", 3}});
+  J.run();
+  W = J.lastWriter(0, {2});
+  ASSERT_NE(W, nullptr);
+  EXPECT_EQ(W->StmtId, 1u);
+  EXPECT_EQ(W->Iter, (std::vector<IntT>{2}));
+}
+
 TEST(InterpTest, LUComputesFactorization) {
   Program P = parseProgramOrDie(R"(
 param N;
