@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include <map>
-#include <set>
 
 using namespace dmcc;
 
@@ -558,31 +557,6 @@ bool dmcc::detectMulticast(CommSet &CS) {
   }
   CS.Multicast = true;
   return true;
-}
-
-uint64_t dmcc::countDistinct(
-    const CommSet &CS, const std::vector<std::vector<unsigned>> &Groups,
-    const std::map<std::string, IntT> &ParamValues, unsigned Budget) {
-  System S = CS.Sys;
-  for (unsigned I = 0, E = S.space().size(); I != E; ++I) {
-    if (S.space().kind(I) != VarKind::Param)
-      continue;
-    auto It = ParamValues.find(S.space().name(I));
-    if (It == ParamValues.end())
-      fatalError("countDistinct: missing parameter value");
-    S.addEQ(S.varExpr(I).plusConst(-It->second));
-  }
-  std::set<std::vector<IntT>> Tuples;
-  S.enumeratePoints(
-      [&](const std::vector<IntT> &Pt) {
-        std::vector<IntT> Key;
-        for (const std::vector<unsigned> &G : Groups)
-          for (unsigned V : G)
-            Key.push_back(Pt[V]);
-        Tuples.insert(std::move(Key));
-      },
-      Budget);
-  return Tuples.size();
 }
 
 std::string CommSet::str() const {

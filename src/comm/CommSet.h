@@ -27,7 +27,6 @@
 #include "decomp/Decomposition.h"
 #include "ir/Program.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -109,15 +108,6 @@ void coalesceCommSets(std::vector<CommSet> &Sets);
 /// Section 6.2.1: marks the set as a multicast when the element range is
 /// independent of the receiver coordinates. Returns the updated flag.
 bool detectMulticast(CommSet &CS);
-
-/// Counts, under concrete parameter values, the number of distinct tuples
-/// of the given variable groups (e.g. {PsVars, ElVars} to count distinct
-/// words leaving each sender). Enumerates the full set; intended for
-/// tests and benchmark reporting, not for compilation.
-uint64_t countDistinct(const CommSet &CS,
-                       const std::vector<std::vector<unsigned>> &Groups,
-                       const std::map<std::string, IntT> &ParamValues,
-                       unsigned Budget = 4000000);
 
 } // namespace dmcc
 

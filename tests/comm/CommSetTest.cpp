@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CountDistinct.h"
 #include "comm/CommSet.h"
 #include "frontend/Parser.h"
 #include "ir/Interp.h"

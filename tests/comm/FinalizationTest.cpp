@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CountDistinct.h"
 #include "comm/CommSet.h"
 #include "frontend/Parser.h"
 
