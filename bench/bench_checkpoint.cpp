@@ -52,8 +52,7 @@ SimOptions simOpts(IntT Procs, IntT N, FaultOptions F,
 
 /// Returns the number of missing-or-wrong elements of X vs the
 /// sequential interpreter.
-unsigned verify(const Program &P, Simulator &Sim, const SeqInterpreter &Gold,
-                IntT N) {
+unsigned verify(Simulator &Sim, const SeqInterpreter &Gold, IntT N) {
   unsigned Bad = 0;
   std::vector<IntT> Idx(2);
   for (Idx[0] = 0; Idx[0] <= N; ++Idx[0])
@@ -112,7 +111,7 @@ int main() {
   {
     Simulator Sim(P, CP, Spec, simOpts(Procs, N, {}, {}));
     SimResult R = Sim.run();
-    if (!R.Ok || verify(P, Sim, Gold, N) != 0) {
+    if (!R.Ok || verify(Sim, Gold, N) != 0) {
       std::fprintf(stderr, "ideal leg failed: %s\n", R.Error.c_str());
       return 1;
     }
@@ -142,7 +141,7 @@ int main() {
     // Crash-free leg: pure checkpoint overhead at this interval.
     Simulator CkSim(P, CP, Spec, simOpts(Procs, N, {}, CK));
     SimResult CkRes = CkSim.run();
-    if (!CkRes.Ok || verify(P, CkSim, Gold, N) != 0) {
+    if (!CkRes.Ok || verify(CkSim, Gold, N) != 0) {
       std::fprintf(stderr, "checkpoint-only leg (interval %llu) failed\n",
                    static_cast<unsigned long long>(CK.IntervalSteps));
       return 1;
@@ -160,7 +159,7 @@ int main() {
                    CrRes.Error.c_str());
       return 1;
     }
-    if (verify(P, CrSim, Gold, N) != 0) {
+    if (verify(CrSim, Gold, N) != 0) {
       std::fprintf(stderr,
                    "crash leg (interval %llu) is NOT bit-exact\n",
                    static_cast<unsigned long long>(CK.IntervalSteps));

@@ -102,8 +102,9 @@ TEST(CoalesceTest, RandomizedNeverGainsOrLosesPoints) {
     }
     // If the union is convex, coalescing must succeed.
     bool Convex = A1 + 1 >= B0 && B1 + 1 >= A0;
-    if (Convex)
+    if (Convex) {
       EXPECT_TRUE(U.has_value()) << "trial " << Trial;
+    }
   }
 }
 

@@ -215,8 +215,9 @@ TEST(LexOptTest, RandomizedAgainstBruteForce) {
       auto Got = evaluatePiecewise(R, paramSpaceN(), {N});
       ASSERT_EQ(Got.has_value(), Best.has_value())
           << "trial " << Trial << " N " << N;
-      if (Best)
+      if (Best) {
         EXPECT_EQ(*Got, *Best) << "trial " << Trial << " N " << N;
+      }
     }
   }
 }

@@ -257,12 +257,15 @@ TEST(ProjectionStats, SequentialSiblingsPartitionUnderOneParent) {
   EXPECT_EQ(Total, projectionStats().FeasQueries)
       << "phase rows must sum to the thread totals";
   for (const PhaseProfile &P : phaseProfiles()) {
-    if (P.Name == "test.parent")
+    if (P.Name == "test.parent") {
       EXPECT_EQ(P.Delta.FeasQueries, 0u);
-    if (P.Name == "test.a")
+    }
+    if (P.Name == "test.a") {
       EXPECT_EQ(P.Delta.FeasQueries, 1u);
-    if (P.Name == "test.b")
+    }
+    if (P.Name == "test.b") {
       EXPECT_EQ(P.Delta.FeasQueries, 2u);
+    }
   }
   resetPhaseProfiles();
 }

@@ -197,8 +197,9 @@ TEST(Fleet, MatrixIsFullyAccountedAndBitExactUnderHostileFaults) {
   ASSERT_EQ(Matrix.size(), 12u);
   // Cells without checkpointing must have been scrubbed of crashes.
   for (const FleetScenario &S : Matrix)
-    if (S.CheckpointInterval == 0)
+    if (S.CheckpointInterval == 0) {
       EXPECT_EQ(S.Faults.CrashRate, 0.0);
+    }
 
   FleetOptions FO;
   FO.Jobs = 4;
@@ -213,9 +214,10 @@ TEST(Fleet, MatrixIsFullyAccountedAndBitExactUnderHostileFaults) {
   for (size_t I = 0; I != Rep.Outcomes.size(); ++I) {
     const ScenarioOutcome &O = Rep.Outcomes[I];
     EXPECT_EQ(O.Scn.Index, static_cast<unsigned>(I));
-    if (O.ok())
+    if (O.ok()) {
       EXPECT_EQ(O.ResultHash, Rep.GoldenHash)
           << "scenario " << O.Scn.Index << " diverged";
+    }
   }
   EXPECT_EQ(Rep.count(ScenarioStatus::Ok), Matrix.size());
   // The sabotaged scenario recovered via retry.
