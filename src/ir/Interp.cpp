@@ -81,17 +81,9 @@ double SeqInterpreter::evalRVal(const Statement &S, int NodeId) {
     IntT Flat = flatIndex(A, InBounds);
     if (!InBounds)
       fatalError("SeqInterpreter: read access out of bounds");
-    const std::vector<double> &Store = Arrays[A.ArrayId];
-    if (Flat >= static_cast<IntT>(Store.size())) {
-      if (OnRead)
-        OnRead(S.Id, R.ReadIdx, CurIter, nullptr);
-      return initialArrayValue(A.ArrayId, Flat);
-    }
-    if (OnRead) {
-      const WriteInstance &W = Writers[A.ArrayId][Flat];
-      OnRead(S.Id, R.ReadIdx, CurIter, W.StmtId == NoWriter ? nullptr : &W);
-    }
-    return Store[Flat];
+    if (OnRead)
+      OnRead(S.Id, R.ReadIdx, CurIter, writerAt(A.ArrayId, Flat));
+    return valueAt(A.ArrayId, Flat);
   }
   case RVal::Kind::ConstF:
     return R.Const;
@@ -175,28 +167,32 @@ void SeqInterpreter::execNodes(const std::vector<Node> &Nodes) {
 
 void SeqInterpreter::run() { execNodes(P.topLevel()); }
 
-double SeqInterpreter::arrayValue(unsigned Id,
-                                  const std::vector<IntT> &Idx) const {
-  IntT Flat = flatIndex(Id, Idx);
+double SeqInterpreter::valueAt(unsigned Id, IntT Flat) const {
   if (Flat < static_cast<IntT>(Arrays[Id].size()))
     return Arrays[Id][Flat];
   return initialArrayValue(Id, Flat);
 }
 
+const WriteInstance *SeqInterpreter::writerAt(unsigned Id, IntT Flat) const {
+  if (Flat >= static_cast<IntT>(Writers[Id].size()) ||
+      Writers[Id][Flat].StmtId == NoWriter)
+    return nullptr;
+  return &Writers[Id][Flat];
+}
+
+double SeqInterpreter::arrayValue(unsigned Id,
+                                  const std::vector<IntT> &Idx) const {
+  return valueAt(Id, flatIndex(Id, Idx));
+}
+
 std::vector<double> SeqInterpreter::arrayContents(unsigned Id) const {
   std::vector<double> Out(DimProd[Id]);
   for (IntT K = 0; K < DimProd[Id]; ++K)
-    Out[K] = K < static_cast<IntT>(Arrays[Id].size())
-                 ? Arrays[Id][K]
-                 : initialArrayValue(Id, K);
+    Out[K] = valueAt(Id, K);
   return Out;
 }
 
 const WriteInstance *SeqInterpreter::lastWriter(
     unsigned Id, const std::vector<IntT> &Idx) const {
-  IntT Flat = flatIndex(Id, Idx);
-  if (Flat >= static_cast<IntT>(Writers[Id].size()) ||
-      Writers[Id][Flat].StmtId == NoWriter)
-    return nullptr;
-  return &Writers[Id][Flat];
+  return writerAt(Id, flatIndex(Id, Idx));
 }

@@ -84,6 +84,10 @@ private:
   double evalRVal(const Statement &S, int NodeId);
   IntT flatIndex(const Access &A, bool &InBounds) const;
   IntT flatIndex(unsigned Id, const std::vector<IntT> &Idx) const;
+  /// The element's stored value, or its initial value if never stored.
+  double valueAt(unsigned Id, IntT Flat) const;
+  /// The element's slot, or nullptr if it was never written.
+  const WriteInstance *writerAt(unsigned Id, IntT Flat) const;
 
   /// StmtId of a slot whose element was never written.
   static constexpr unsigned NoWriter = ~0u;
