@@ -165,7 +165,6 @@ int main() {
   ProjectionOptions Baseline;
   Baseline.Cache = false;
   Baseline.QuickChecks = false;
-  Baseline.OrderHeuristic = false;
 
   // The case lambdas read the current leg's options from here.
   CompilerOptions LegOpts;

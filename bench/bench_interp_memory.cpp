@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SourceCommit.h"
 #include "core/SpecParser.h"
 #include "ir/Interp.h"
 #include "sim/Simulator.h"
@@ -121,24 +122,6 @@ CellResult runForked(int (*Cell)(IntT), IntT N) {
   Res.Ok = WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
   Res.PeakMb = static_cast<double>(RU.ru_maxrss) / 1024.0;
   return Res;
-}
-
-/// `git describe` of the source tree, "-dirty" when it has uncommitted
-/// changes, or "unknown" outside a git work tree.
-std::string sourceCommit() {
-  std::string Cmd = "git -C '" + std::string(DMCC_REPO_ROOT) +
-                    "' describe --always --dirty --abbrev=12 2>/dev/null";
-  std::string Out;
-  if (FILE *F = popen(Cmd.c_str(), "r")) {
-    char Buf[128];
-    while (std::fgets(Buf, sizeof(Buf), F))
-      Out += Buf;
-    if (pclose(F) != 0)
-      Out.clear();
-  }
-  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
-    Out.pop_back();
-  return Out.empty() ? "unknown" : Out;
 }
 
 } // namespace

@@ -6,16 +6,17 @@
 // scanning, and parametric lexicographic optimization.
 //
 // Each case runs two legs: a baseline with the fast-path machinery off
-// (no memoization, no syntactic quick-checks, legacy elimination order)
-// and an optimized leg with the projectionOptions() defaults. Output is
-// one JSON object (same convention as bench_checkpoint), with the build
-// type and hardware_concurrency, so the speedups can be tracked across
-// commits; the checked-in snapshot lives in BENCH_projection.json.
+// (no memoization, no syntactic quick-checks) and an optimized leg with
+// the projectionOptions() defaults. Output is one JSON object (same
+// convention as bench_checkpoint), with the commit, build type and
+// hardware_concurrency, so the speedups can be tracked across commits;
+// the checked-in snapshot lives in BENCH_projection.json.
 //
 // Set DMCC_BENCH_SMALL=1 to run at reduced scale.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SourceCommit.h"
 #include "codegen/Scan.h"
 #include "math/LexOpt.h"
 #include "math/System.h"
@@ -66,10 +67,7 @@ System figure5System() {
 }
 
 void fmChain() {
-  System R = figure5System();
-  for (unsigned I = 0; I != 7; ++I)
-    if (R.involves(I))
-      R = R.fmEliminated(I);
+  System R = figure5System().eliminated({0, 1, 2, 3, 4, 5, 6});
   Sink = Sink + R.numConstraints();
 }
 
@@ -185,11 +183,11 @@ int main() {
   ProjectionOptions Baseline;
   Baseline.Cache = false;
   Baseline.QuickChecks = false;
-  Baseline.OrderHeuristic = false;
 
   std::printf("{\n");
   std::printf("  \"benchmark\": \"projection\",\n");
   std::printf("  \"small\": %s,\n", Small ? "true" : "false");
+  std::printf("  \"commit\": \"%s\",\n", sourceCommit().c_str());
   std::printf("  \"build_type\": \"%s\",\n", DMCC_BUILD_TYPE);
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
@@ -216,8 +214,7 @@ int main() {
   }
   std::printf("  ],\n");
   std::printf("  \"notes\": \"per-iteration wall time; baseline leg runs "
-              "with memoization, syntactic quick-checks and the "
-              "elimination-order heuristic disabled\"\n");
+              "with memoization and syntactic quick-checks disabled\"\n");
   std::printf("}\n");
   return 0;
 }

@@ -106,9 +106,8 @@ std::vector<LocPlan> buildLocationPlans(
   // Project away the post-prefix iteration variables: the remaining set
   // of (owner, reader, elements) per prefix iteration is the polyhedral
   // regular section, over-approximation included.
-  for (unsigned K = PrefixLen; K < LoopV.size(); ++K)
-    if (S.involves(LoopV[K]))
-      S = S.fmEliminated(LoopV[K]);
+  S = S.eliminated(
+      std::vector<unsigned>(LoopV.begin() + PrefixLen, LoopV.end()));
   S.normalize();
   S.removeRedundant(projectionOptions().ScanBudget);
 
@@ -181,10 +180,7 @@ void genLocationFragments(SpmdSpace &SS, LocPlan &Pl, unsigned ArrayId,
   std::vector<SpmdStmt> Pack = MakeItems(SpmdStmt::Kind::PackElem);
   std::vector<SpmdStmt> Unpack = MakeItems(SpmdStmt::Kind::UnpackElem);
 
-  System Outer = Sys;
-  for (unsigned V : El)
-    if (Outer.involves(V))
-      Outer = Outer.fmEliminated(V);
+  System Outer = Sys.eliminated(El);
   Outer.normalize();
   Outer.removeRedundant(projectionOptions().ScanBudget);
 

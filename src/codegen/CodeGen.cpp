@@ -133,10 +133,7 @@ std::vector<unsigned> innerClosure(const System &Sys,
 /// eliminated.
 System outerProjection(const System &Sys,
                        const std::vector<unsigned> &InnerVars) {
-  System R = Sys;
-  for (unsigned V : InnerVars)
-    if (R.involves(V))
-      R = R.fmEliminated(V);
+  System R = Sys.eliminated(InnerVars);
   R.normalize();
   R.removeRedundant();
   return R;
@@ -418,12 +415,13 @@ bool dmcc::computeLocalBox(SpmdSpace &SS, const StmtPlan &SP,
   // Project out the iteration variables so the bounds mention only the
   // processor identity and parameters.
   const Statement &St = P.statement(SP.StmtId);
-  System Proj = Sys;
+  std::vector<unsigned> Iters;
   for (unsigned L : St.Loops) {
-    int J = Proj.space().indexOf(P.space().name(P.loop(L).VarIndex));
-    if (J >= 0 && Proj.involves(static_cast<unsigned>(J)))
-      Proj = Proj.fmEliminated(static_cast<unsigned>(J));
+    int J = Sys.space().indexOf(P.space().name(P.loop(L).VarIndex));
+    if (J >= 0)
+      Iters.push_back(static_cast<unsigned>(J));
   }
+  System Proj = Sys.eliminated(Iters);
   Proj.removeRedundant();
   for (unsigned K = 0, E = ElVars.size(); K != E; ++K) {
     std::vector<VarBound> Lo, Hi;

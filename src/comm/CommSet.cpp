@@ -428,13 +428,11 @@ void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
     if (A.Level == BottomLevel && !A.FromInitialData)
       continue;
     // Project A onto (ps, s, pr, el, r-prefix).
-    unsigned Prefix = A.Level > 0 ? A.Level - 1 : 0;
+    size_t Prefix = std::min<size_t>(A.Level > 0 ? A.Level - 1 : 0,
+                                     A.RVars.size());
+    std::vector<unsigned> Inner(A.RVars.begin() + Prefix, A.RVars.end());
     bool Exact = true;
-    System Proj = A.Sys;
-    for (unsigned K = Prefix; K < A.RVars.size(); ++K)
-      if (Proj.involves(A.RVars[K]))
-        Proj = Proj.fmEliminated(A.RVars[K], &Exact);
-    Proj = eliminateAuxVars(Proj, &Exact);
+    System Proj = eliminateAuxVars(A.Sys.eliminated(Inner, &Exact), &Exact);
     if (!Exact)
       continue;
     Proj.normalize();
@@ -527,13 +525,9 @@ bool dmcc::detectMulticast(CommSet &CS) {
   // Eliminate iteration variables; if no remaining constraint couples an
   // element variable with a receiver coordinate, the message content is
   // receiver-independent and can be multicast.
-  System S = CS.Sys;
-  for (unsigned V : CS.RVars)
-    if (S.involves(V))
-      S = S.fmEliminated(V);
-  for (unsigned V : CS.SVars)
-    if (S.involves(V))
-      S = S.fmEliminated(V);
+  std::vector<unsigned> Iters = CS.RVars;
+  Iters.insert(Iters.end(), CS.SVars.begin(), CS.SVars.end());
+  System S = CS.Sys.eliminated(Iters);
   auto InGroup = [](const std::vector<unsigned> &G, unsigned V) {
     for (unsigned X : G)
       if (X == V)

@@ -34,10 +34,9 @@ private:
     unsigned Obj = Objs[Pos];
     // Project away the less significant objectives so the bounds on Obj
     // are expressed over parameters (and already-introduced aux vars).
-    System Proj = S;
-    for (unsigned Q = Pos + 1, E = Objs.size(); Q != E; ++Q)
-      if (Proj.involves(Objs[Q]))
-        Proj = Proj.fmEliminated(Objs[Q], &Result.Exact);
+    System Proj = S.eliminated(
+        std::vector<unsigned>(Objs.begin() + Pos + 1, Objs.end()),
+        &Result.Exact);
     Proj.normalize();
     Proj.removeRedundant();
 
@@ -181,37 +180,6 @@ LexResult dmcc::lexMin(const System &S, const std::vector<unsigned> &Objs) {
     for (AffineExpr &V : P.Values)
       V = V.negated();
   return R;
-}
-
-std::optional<std::vector<IntT>> dmcc::evaluatePiecewise(
-    const LexResult &R, const Space &ParamSpace,
-    const std::vector<IntT> &ParamVals) {
-  assert(ParamVals.size() == ParamSpace.size() &&
-         "parameter point over a different space");
-  for (const LexPiece &P : R.Pieces) {
-    System Pinned = P.Context;
-    bool Mapped = true;
-    for (unsigned I = 0, E = ParamSpace.size(); I != E; ++I) {
-      int J = Pinned.space().indexOf(ParamSpace.name(I));
-      if (J < 0) {
-        Mapped = false;
-        break;
-      }
-      Pinned.addEQ(Pinned.varExpr(static_cast<unsigned>(J))
-                       .plusConst(-ParamVals[I]));
-    }
-    if (!Mapped)
-      continue;
-    auto Point = Pinned.sampleIntPoint();
-    if (!Point)
-      continue;
-    std::vector<IntT> Out;
-    Out.reserve(P.Values.size());
-    for (const AffineExpr &V : P.Values)
-      Out.push_back(V.evaluate(*Point));
-    return Out;
-  }
-  return std::nullopt;
 }
 
 std::string LexResult::str() const {

@@ -61,15 +61,6 @@ LexResult lexMax(const System &S, const std::vector<unsigned> &Objs);
 /// Lexicographic minimum; same contract as lexMax with boundedness below.
 LexResult lexMin(const System &S, const std::vector<unsigned> &Objs);
 
-/// Evaluates a piecewise solution at a concrete parameter point. The point
-/// assigns values to the variables of \p ParamSpace (matched by name in
-/// each piece context); auxiliary floor variables are solved for
-/// automatically. Returns the objective values, or nullopt if no piece
-/// covers the point (no solution there).
-std::optional<std::vector<IntT>> evaluatePiecewise(
-    const LexResult &R, const Space &ParamSpace,
-    const std::vector<IntT> &ParamVals);
-
 } // namespace dmcc
 
 #endif // DMCC_MATH_LEXOPT_H

@@ -44,11 +44,6 @@ struct FeasEntry {
   unsigned Budget = 0; ///< budget the result was computed under
 };
 
-struct SysEntry {
-  std::vector<Constraint> Cons;
-  bool Inexact = false;
-};
-
 /// Bounded memo: on overflow the whole map is dropped (cheap, keeps the
 /// hot working set warm again within a few queries).
 template <typename V> class BoundedCache {
@@ -72,7 +67,7 @@ private:
 };
 
 thread_local BoundedCache<FeasEntry> FeasCache;
-thread_local BoundedCache<SysEntry> SysCache;
+thread_local BoundedCache<std::vector<Constraint>> SysCache;
 
 } // namespace
 
@@ -103,8 +98,6 @@ ProjectionStats ProjectionStats::operator-(const ProjectionStats &O) const {
   R.RedundancyTests = RedundancyTests - O.RedundancyTests;
   R.RedundancyQuickKills = RedundancyQuickKills - O.RedundancyQuickKills;
   R.RedundancyCacheHits = RedundancyCacheHits - O.RedundancyCacheHits;
-  R.ProjectionCalls = ProjectionCalls - O.ProjectionCalls;
-  R.ProjectionCacheHits = ProjectionCacheHits - O.ProjectionCacheHits;
   R.CacheEvictions = CacheEvictions - O.CacheEvictions;
   R.LexMaxCalls = LexMaxCalls - O.LexMaxCalls;
   R.ScanCalls = ScanCalls - O.ScanCalls;
@@ -122,8 +115,6 @@ ProjectionStats &ProjectionStats::operator+=(const ProjectionStats &O) {
   RedundancyTests += O.RedundancyTests;
   RedundancyQuickKills += O.RedundancyQuickKills;
   RedundancyCacheHits += O.RedundancyCacheHits;
-  ProjectionCalls += O.ProjectionCalls;
-  ProjectionCacheHits += O.ProjectionCacheHits;
   CacheEvictions += O.CacheEvictions;
   LexMaxCalls += O.LexMaxCalls;
   ScanCalls += O.ScanCalls;
@@ -194,17 +185,15 @@ void detail::feasCacheStore(const CacheKey &K, unsigned Budget,
   FeasCache.insert(K, FeasEntry{R, Budget});
 }
 
-bool detail::sysCacheLookup(const CacheKey &K, std::vector<Constraint> &Out,
-                            bool &Inexact) {
-  SysEntry *E = SysCache.find(K);
+bool detail::sysCacheLookup(const CacheKey &K, std::vector<Constraint> &Out) {
+  std::vector<Constraint> *E = SysCache.find(K);
   if (!E)
     return false;
-  Out = E->Cons;
-  Inexact = E->Inexact;
+  Out = *E;
   return true;
 }
 
 void detail::sysCacheStore(const CacheKey &K,
-                           const std::vector<Constraint> &V, bool Inexact) {
-  SysCache.insert(K, SysEntry{V, Inexact});
+                           const std::vector<Constraint> &V) {
+  SysCache.insert(K, V);
 }

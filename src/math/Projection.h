@@ -66,15 +66,12 @@ struct ProjectionOptions {
   /// the caller does not pass one.
   unsigned SearchBudget = 20000;
 
-  /// Memoize feasibility / redundancy / projection results keyed on the
+  /// Memoize feasibility and redundancy-removal results keyed on the
   /// canonicalized constraint matrix.
   bool Cache = true;
   /// Syntactic accelerators in front of the exact tests (duplicate and
   /// dominated constraints, equality-implied inequalities).
   bool QuickChecks = true;
-  /// Pick the Fourier-Motzkin elimination order that minimizes the
-  /// pos*neg constraint product instead of highest-index-first.
-  bool OrderHeuristic = true;
   /// Entries per cache before a wholesale eviction (bounds memory).
   unsigned CacheCapacity = 8192;
 };
@@ -90,13 +87,11 @@ struct ProjectionStats {
   uint64_t FeasCacheMisses = 0;   ///< keyed but had to search
   uint64_t FeasUnknown = 0;       ///< budget-exhausted answers
   uint64_t NodesExpanded = 0;     ///< branch-and-bound nodes tried
-  uint64_t FmEliminations = 0;    ///< System::fmEliminated calls
+  uint64_t FmEliminations = 0;    ///< variables eliminated by FM
   uint64_t RedundancyCalls = 0;   ///< removeRedundant entries
   uint64_t RedundancyTests = 0;   ///< exact per-constraint tests run
   uint64_t RedundancyQuickKills = 0; ///< constraints dropped syntactically
   uint64_t RedundancyCacheHits = 0;  ///< whole-result cache hits
-  uint64_t ProjectionCalls = 0;   ///< projectedOnto entries
-  uint64_t ProjectionCacheHits = 0;
   uint64_t CacheEvictions = 0;    ///< wholesale cache clears on overflow
   uint64_t LexMaxCalls = 0;       ///< parametric lex-opt solves
   uint64_t ScanCalls = 0;         ///< polyhedron scans
@@ -175,12 +170,9 @@ struct CacheKeyHash {
 bool feasCacheLookup(const CacheKey &K, unsigned Budget, Feasibility &R);
 void feasCacheStore(const CacheKey &K, unsigned Budget, Feasibility R);
 
-/// System-shaped memo (removeRedundant results, projectedOnto results):
-/// stores the resulting constraint rows plus an inexactness flag.
-bool sysCacheLookup(const CacheKey &K, std::vector<Constraint> &Out,
-                    bool &Inexact);
-void sysCacheStore(const CacheKey &K, const std::vector<Constraint> &V,
-                   bool Inexact);
+/// removeRedundant memo: the constraints left for a key and budget.
+bool sysCacheLookup(const CacheKey &K, std::vector<Constraint> &Out);
+void sysCacheStore(const CacheKey &K, const std::vector<Constraint> &V);
 
 } // namespace detail
 

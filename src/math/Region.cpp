@@ -7,13 +7,13 @@ using namespace dmcc;
 System dmcc::eliminateAuxVars(const System &S, bool *Exact) {
   System R = S;
   R.normalize();
-  for (unsigned I = R.space().size(); I-- > 0;) {
-    if (R.space().kind(I) != VarKind::Aux)
-      continue;
-    if (R.involves(I))
-      R = R.fmEliminated(I, Exact);
+  std::vector<unsigned> Aux; // highest index first
+  for (unsigned I = R.space().size(); I-- > 0;)
+    if (R.space().kind(I) == VarKind::Aux)
+      Aux.push_back(I);
+  R = R.eliminated(Aux, Exact);
+  for (unsigned I : Aux)
     R.removeVar(I);
-  }
   return R;
 }
 
@@ -126,11 +126,6 @@ void Region::addPiece(const System &S) {
   Pieces.push_back(S);
 }
 
-void Region::intersectWith(const System &S) {
-  for (System &P : Pieces)
-    P.addAllMapped(S);
-}
-
 std::vector<System> Region::subtractSystem(const System &P, const System &S,
                                            bool *ExactOut) const {
   std::vector<System> Out;
@@ -170,29 +165,6 @@ bool Region::isIntegerEmpty(unsigned NodeBudget) const {
     if (P.checkIntegerFeasible(NodeBudget) != Feasibility::Empty)
       return false;
   return true;
-}
-
-bool Region::containsPoint(const std::vector<IntT> &Vals) const {
-  assert(Vals.size() == Base.size() && "point over a different space");
-  for (const System &P : Pieces) {
-    // Pin the base variables to the point and search for aux witnesses.
-    System Pinned = P;
-    bool BadMapping = false;
-    for (unsigned I = 0, E = Base.size(); I != E; ++I) {
-      int J = Pinned.space().indexOf(Base.name(I));
-      if (J < 0) {
-        BadMapping = true;
-        break;
-      }
-      AffineExpr E2 = Pinned.varExpr(static_cast<unsigned>(J));
-      Pinned.addEQ(E2.plusConst(-Vals[I]));
-    }
-    if (BadMapping)
-      continue;
-    if (Pinned.checkIntegerFeasible() == Feasibility::Feasible)
-      return true;
-  }
-  return false;
 }
 
 std::optional<System> dmcc::coalesceSystems(const System &A,

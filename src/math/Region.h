@@ -50,10 +50,6 @@ public:
   /// by name (order may differ); Aux variables are existential witnesses.
   void addPiece(const System &S);
 
-  /// Intersects every piece with the constraints of \p S (mapped by name;
-  /// S must be over base-space variables only).
-  void intersectWith(const System &S);
-
   /// Returns this \ Other. Requires eliminating Other's Aux variables; if
   /// that elimination is integer-inexact the result is marked inexact.
   Region subtract(const Region &Other) const;
@@ -64,10 +60,6 @@ public:
 
   /// True if all pieces are provably integer-empty.
   bool isIntegerEmpty(unsigned NodeBudget = 0) const;
-
-  /// True if the point (over base-space variables, in base order) lies in
-  /// some piece; existential Aux variables are searched exhaustively.
-  bool containsPoint(const std::vector<IntT> &Vals) const;
 
   std::string str() const;
 

@@ -34,189 +34,15 @@ void System::addAllMapped(const System &Other) {
     addMapped(C, Other.space());
 }
 
-bool System::normalize() {
-  // Rows are copied into Out, not moved: on a false return Cons keeps
-  // every row, rewritten in place up to the failing one, and callers
-  // that ignore the verdict (fmEliminated) go on from those rows.
-  std::vector<Constraint> Out;
-  Out.reserve(Cons.size());
-  for (Constraint &C : Cons) {
-    AffineExpr &E = C.Expr;
-    if (E.isConstant()) {
-      if (C.isEquality() ? E.constant() != 0 : E.constant() < 0)
-        return false;
-      continue; // tautology
-    }
-    IntT G = E.coeffGcd();
-    assert(G > 0 && "non-constant expression must have a nonzero gcd");
-    if (C.isEquality()) {
-      if (E.constant() % G != 0)
-        return false; // GCD divisibility test: no integer solutions
-      if (G > 1)
-        E.divExact(G);
-      // Canonicalize sign: first nonzero coefficient positive.
-      unsigned FV;
-      if (E.firstVar(FV) && E.coeff(FV) < 0)
-        E.scale(-1);
-    } else if (G > 1) {
-      // Tighten:  G*e + c >= 0  <=>  e >= ceil(-c/G)  <=>  e + floor(c/G) >= 0
-      IntT C0 = E.constant();
-      E.constant() = 0;
-      E.divExact(G);
-      E.constant() = floorDiv(C0, G);
-    }
-    Out.push_back(C);
-  }
-
-  // Deduplicate, and merge GE pairs {E >= 0, -E >= 0} into E == 0.
-  std::vector<Constraint> Final;
-  Final.reserve(Out.size());
-  for (Constraint &C : Out) {
-    bool Skip = false;
-    for (Constraint &F : Final) {
-      if (F == C) {
-        Skip = true;
-        break;
-      }
-      if (!C.isEquality() && !F.isEquality() &&
-          C.Expr.isNegationOf(F.Expr)) {
-        // F says E >= 0 with E = -C.Expr; together they force C.Expr == 0.
-        F.Rel = RelKind::EQ;
-        unsigned FV;
-        if (F.Expr.firstVar(FV) && F.Expr.coeff(FV) < 0)
-          F.Expr.scale(-1);
-        Skip = true;
-        break;
-      }
-      // A GE implied by an existing EQ over the same expression.
-      if (!C.isEquality() && F.isEquality() &&
-          (F.Expr == C.Expr || C.Expr.isNegationOf(F.Expr))) {
-        Skip = true;
-        break;
-      }
-    }
-    if (!Skip)
-      Final.push_back(std::move(C));
-  }
-  Cons = std::move(Final);
-  return true;
-}
-
-bool System::involves(unsigned I) const {
-  for (const Constraint &C : Cons)
-    if (C.Expr.involves(I))
-      return true;
-  return false;
-}
-
-void System::substitute(unsigned I, const AffineExpr &Repl) {
-  for (Constraint &C : Cons)
-    C.Expr.substitute(I, Repl);
-}
-
-void System::removeVar(unsigned I) {
-  assert(!involves(I) && "removing a variable still in use");
-  for (Constraint &C : Cons)
-    C.Expr.removeVar(I);
-  Sp.remove(I);
-}
-
-System System::fmEliminated(unsigned I, bool *Exact) const {
-  assert(I < Sp.size() && "variable index out of range");
-  ++projectionStats().FmEliminations;
-
-  // Prefer an exact substitution through a unit-coefficient equality.
-  for (unsigned CI = 0, CE = Cons.size(); CI != CE; ++CI) {
-    const Constraint &C = Cons[CI];
-    if (!C.isEquality())
-      continue;
-    IntT A = C.Expr.coeff(I);
-    if (A != 1 && A != -1)
-      continue;
-    // A*v + R == 0  =>  v = -R/A. For A == 1: v = -R; for A == -1: v = R.
-    AffineExpr Repl = C.Expr;
-    Repl.coeff(I) = 0;
-    if (A == 1)
-      Repl.scale(-1);
-    System R(Sp);
-    R.Cons.reserve(Cons.size() - 1);
-    for (unsigned CJ = 0, CF = Cons.size(); CJ != CF; ++CJ) {
-      if (CJ == CI)
-        continue;
-      Constraint NC = Cons[CJ];
-      NC.Expr.substitute(I, Repl);
-      R.addConstraint(std::move(NC));
-    }
-    R.normalize();
-    return R;
-  }
-
-  System R(Sp);
-  std::vector<const Constraint *> Low, Up;
-  Low.reserve(Cons.size());
-  Up.reserve(Cons.size());
-  for (const Constraint &C : Cons) {
-    IntT A = C.Expr.coeff(I);
-    if (A == 0) {
-      R.addConstraint(C);
-      continue;
-    }
-    if (C.isEquality()) {
-      // Split a non-unit equality into two inequalities; this loses
-      // divisibility information, so the elimination is inexact.
-      if (Exact)
-        *Exact = false;
-    }
-    if (A > 0 || C.isEquality())
-      Low.push_back(&C);
-    if (A < 0 || C.isEquality())
-      Up.push_back(&C);
-  }
-
-  R.Cons.reserve(R.Cons.size() + Low.size() * Up.size());
-  for (const Constraint *L : Low) {
-    IntT AL = L->Expr.coeff(I);
-    AffineExpr LE = AL > 0 ? L->Expr : L->Expr.negated();
-    IntT A = AL > 0 ? AL : -AL; // coefficient of v in LE, > 0
-    for (const Constraint *U : Up) {
-      if (U == L)
-        continue;
-      IntT AU = U->Expr.coeff(I);
-      AffineExpr UE = AU < 0 ? U->Expr : U->Expr.negated();
-      IntT B = AU < 0 ? -AU : AU; // -coefficient of v in UE, > 0
-      IntT G = gcdInt(A, B);
-      // Dark-shadow condition: the combination is integer-exact when one
-      // of the original coefficients is 1 (conservative otherwise).
-      if (Exact && A != 1 && B != 1)
-        *Exact = false;
-      AffineExpr NE = LE;
-      AffineExpr Scaled = UE;
-      // Cross-multiplying bound pairs is where Fourier-Motzkin grows
-      // coefficients; diagnose overflow here with its cause instead of
-      // letting the raw arithmetic abort anonymously.
-      if (!NE.scaleChecked(B / G) || !Scaled.scaleChecked(A / G) ||
-          !NE.addChecked(Scaled))
-        fatalError("coefficient overflow during Fourier-Motzkin "
-                   "elimination: combining bounds exceeds the 64-bit "
-                   "coefficient range (system too complex or input "
-                   "coefficients too large)");
-      assert(NE.coeff(I) == 0 && "elimination failed to cancel");
-      R.addGE(std::move(NE));
-    }
-  }
-  R.normalize();
-  return R;
-}
-
 namespace {
 
 /// Constraints as one flat integer matrix: row R is
 ///   Data[R*Width, (R+1)*Width) = [rel, const, c0 ... c(Width-3)]
-/// with rel 0 for Expr >= 0 and 1 for Expr == 0. The integer-feasibility
-/// kernel works on these rows from the cache key to the verdict; it
-/// mirrors System::normalize and System::fmEliminated rule for rule and
-/// row for row, so its chain, bounds and search are those of the System
-/// versions.
+/// with rel 0 for Expr >= 0 and 1 for Expr == 0. Normalization and
+/// Fourier-Motzkin elimination exist only on these rows: System's
+/// normalize, fmEliminated and eliminated load their constraints once,
+/// run the kernel and write the rows back, and the integer-feasibility
+/// search works on them from the cache key to the verdict.
 struct RowMatrix {
   static constexpr IntT GE = 0, EQ = 1;
 
@@ -238,24 +64,53 @@ struct RowMatrix {
     Data.resize(Data.size() + Width);
     return row(Rows++);
   }
-  /// Appends the first Width entries of \p Src.
-  void appendPrefix(const IntT *Src) {
-    Data.insert(Data.end(), Src, Src + Width);
+  /// Appends \p Src, a row one entry wider than this matrix's, without
+  /// its entry \p V.
+  void appendWithout(const IntT *Src, unsigned V) {
+    Data.insert(Data.end(), Src, Src + V);
+    Data.insert(Data.end(), Src + V + 1, Src + Width + 1);
     ++Rows;
   }
 };
 
-/// Loads \p S's constraints as rows over all of its variables.
-void loadRows(const System &S, RowMatrix &M) {
-  const unsigned N = S.numVars();
+/// Loads \p Cons, constraints over \p N variables, as rows.
+void loadRows(const std::vector<Constraint> &Cons, unsigned N,
+              RowMatrix &M) {
   M.reset(N + 2);
-  M.Data.reserve(size_t(S.numConstraints()) * M.Width);
-  for (const Constraint &C : S.constraints()) {
+  M.Data.reserve(size_t(Cons.size()) * M.Width);
+  for (const Constraint &C : Cons) {
     IntT *R = M.appendRow();
     R[0] = C.isEquality() ? RowMatrix::EQ : RowMatrix::GE;
     R[1] = C.Expr.constant();
     for (unsigned I = 0; I != N; ++I)
       R[2 + I] = C.Expr.coeff(I);
+  }
+}
+
+/// Writes \p M back into \p Cons, reusing its storage, as constraints
+/// over \p N variables: the variables in \p Gone (ascending) were
+/// eliminated and get zero coefficients, and M's columns hold the others
+/// in order.
+void storeRows(const RowMatrix &M, unsigned N,
+               const std::vector<unsigned> &Gone,
+               std::vector<Constraint> &Cons) {
+  Cons.resize(M.Rows);
+  for (unsigned R = 0; R != M.Rows; ++R) {
+    const IntT *P = M.row(R);
+    AffineExpr &E = Cons[R].Expr;
+    Cons[R].Rel = P[0] == RowMatrix::EQ ? RelKind::EQ : RelKind::GE;
+    if (E.size() != N)
+      E = AffineExpr(N);
+    E.constant() = P[1];
+    auto G = Gone.begin();
+    for (unsigned I = 0, Col = 2; I != N; ++I) {
+      if (G != Gone.end() && *G == I) {
+        E.coeff(I) = 0;
+        ++G;
+      } else {
+        E.coeff(I) = P[Col++];
+      }
+    }
   }
 }
 
@@ -289,11 +144,12 @@ bool isNegationRow(const IntT *C, const IntT *F, unsigned Width) {
   return true;
 }
 
-/// System::normalize on rows, in place and with the same rules in the
-/// same order: gcd tightening, the equality divisibility test, sign
-/// canonicalization, then first-match dedupe with GE-pair merging. On
-/// false the rows are left as normalize leaves Cons: rewritten in place
-/// up to the failing row, with nothing dropped.
+/// Normalizes rows in place: gcd tightening, the equality divisibility
+/// test, sign canonicalization (first nonzero coefficient of an equality
+/// positive), then first-match dedupe with GE-pair merging. Returns
+/// false when a row is unsatisfiable on its face; the rows are then left
+/// rewritten in place up to the failing one, with nothing dropped, and
+/// callers that ignore the verdict (elimination) go on from them.
 bool normalizeRows(RowMatrix &M) {
   const unsigned W = M.Width;
   for (unsigned R = 0; R != M.Rows; ++R) {
@@ -332,7 +188,7 @@ bool normalizeRows(RowMatrix &M) {
 
   // Drop tautologies, deduplicate, and merge GE pairs {E >= 0, -E >= 0}
   // into E == 0, compacting the kept rows to the front. The first kept
-  // row that matches decides, as in System::normalize.
+  // row that matches decides.
   unsigned Kept = 0;
   for (unsigned R = 0; R != M.Rows; ++R) {
     const IntT *C = M.row(R);
@@ -370,14 +226,25 @@ struct ElimScratch {
   std::vector<IntT> LE, UE;
 };
 
-/// System::fmEliminated on rows: eliminates the last live column of
-/// \p In into \p Out, whose rows drop that column. A unit-coefficient
-/// equality substitutes first; otherwise every Low x Up pair combines in
-/// the same order with the same checked arithmetic. Like fmEliminated,
-/// the result is normalized and normalize's verdict ignored.
-void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
+/// True when some row of \p M has a nonzero entry in column \p Col.
+bool involvesColumn(const RowMatrix &M, unsigned Col) {
+  for (unsigned R = 0; R != M.Rows; ++R)
+    if (M.row(R)[Col] != 0)
+      return true;
+  return false;
+}
+
+/// Fourier-Motzkin eliminates column \p V of \p In into \p Out, whose rows
+/// drop that column. A unit-coefficient equality substitutes first and
+/// is exact. Otherwise the rows without the variable are kept in order,
+/// then every Low x Up pair combines; a split non-unit equality, or a
+/// pair where neither coefficient is 1, sets *Exact (when given) to
+/// false, since integer points may be gained. The result is normalized
+/// and normalizeRows' verdict ignored.
+void eliminateColumn(const RowMatrix &In, RowMatrix &Out, unsigned V,
+                     ElimScratch &S, bool *Exact) {
   ++projectionStats().FmEliminations;
-  const unsigned W = In.Width, V = W - 1; // V: the eliminated column
+  const unsigned W = In.Width;
   Out.reset(W - 1);
 
   for (unsigned CI = 0; CI != In.Rows; ++CI) {
@@ -385,22 +252,25 @@ void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
     if (C[0] != RowMatrix::EQ || (C[V] != 1 && C[V] != -1))
       continue;
     // A*v + R == 0  =>  v = -R/A. For A == 1: v = -R; for A == -1: v = R.
-    S.LE.assign(C, C + V);
+    S.LE.assign(C, C + W);
     if (C[V] == 1)
-      negateChk(S.LE.data() + 1, V - 1);
+      negateChk(S.LE.data() + 1, W - 1);
     const IntT *Repl = S.LE.data();
     Out.Data.reserve(size_t(In.Rows - 1) * Out.Width);
     for (unsigned CJ = 0; CJ != In.Rows; ++CJ) {
       if (CJ == CI)
         continue;
       const IntT *Src = In.row(CJ);
-      Out.appendPrefix(Src);
+      Out.appendWithout(Src, V);
       IntT A = Src[V];
       if (A == 0)
         continue;
       IntT *P = Out.row(Out.Rows - 1);
-      for (unsigned I = 2; I != V; ++I)
-        P[I] = addChk(P[I], mulChk(A, Repl[I]));
+      for (unsigned I = 2; I != W; ++I)
+        if (I != V) {
+          IntT &X = P[I < V ? I : I - 1];
+          X = addChk(X, mulChk(A, Repl[I]));
+        }
       P[1] = addChk(P[1], mulChk(A, Repl[1]));
     }
     normalizeRows(Out);
@@ -413,10 +283,12 @@ void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
     const IntT *C = In.row(CI);
     IntT A = C[V];
     if (A == 0) {
-      Out.appendPrefix(C);
+      Out.appendWithout(C, V);
       continue;
     }
     bool IsEq = C[0] == RowMatrix::EQ;
+    if (IsEq && Exact)
+      *Exact = false; // the split loses the equality's divisibility
     if (A > 0 || IsEq)
       S.Low.push_back(CI);
     if (A < 0 || IsEq)
@@ -447,12 +319,15 @@ void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
         UE = S.UE.data();
       }
       IntT B = AU < 0 ? -AU : AU; // -coefficient of v in UE, > 0
+      // Dark-shadow condition: the combination is integer-exact when one
+      // of the original coefficients is 1 (conservative otherwise).
+      if (Exact && A != 1 && B != 1)
+        *Exact = false;
       IntT G = gcdInt(A, B);
       IntT FL = B / G, FU = A / G;
       // Cross-multiplying bound pairs is where Fourier-Motzkin grows
-      // coefficients. fmEliminated scales and adds whole expressions;
-      // any overflow there, the eliminated column's included, is this
-      // one diagnostic.
+      // coefficients. Every column is checked, the eliminated one
+      // included, and any overflow is this one diagnostic.
       IntT *P = Out.appendRow();
       P[0] = RowMatrix::GE;
       for (unsigned I = 1; I != W; ++I) {
@@ -464,10 +339,10 @@ void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
                      "elimination: combining bounds exceeds the 64-bit "
                      "coefficient range (system too complex or input "
                      "coefficients too large)");
-        if (I != V)
-          P[I] = Sum;
-        else
+        if (I == V)
           assert(Sum == 0 && "elimination failed to cancel");
+        else
+          P[I < V ? I : I - 1] = Sum;
       }
     }
   }
@@ -476,7 +351,7 @@ void eliminateLast(const RowMatrix &In, RowMatrix &Out, ElimScratch &S) {
 
 /// Normalizes \p S into rows; false when it is empty on its face.
 bool normalizedRows(const System &S, RowMatrix &M) {
-  loadRows(S, M);
+  loadRows(S.constraints(), S.numVars(), M);
   return normalizeRows(M);
 }
 
@@ -501,8 +376,7 @@ void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
     Key.insert(Key.end(), M.row(R), M.row(R) + W);
 }
 
-/// The memo key of \p S (see buildKey) for the projection and
-/// redundancy caches. Returns false when \p S is empty on its face.
+/// The memo key of \p S (see buildKey) for the redundancy cache. Returns false when \p S is empty on its face.
 bool canonicalKey(const System &S, detail::CacheKey &Key) {
   RowMatrix M;
   if (!normalizedRows(S, M))
@@ -513,108 +387,66 @@ bool canonicalKey(const System &S, detail::CacheKey &Key) {
 
 } // namespace
 
-namespace {
-
-/// Fourier-Motzkin growth estimate for eliminating \p I from \p S: 0 when
-/// a unit-coefficient equality gives an exact substitution, otherwise the
-/// pos*neg product of bounding-constraint counts (the number of combined
-/// constraints the elimination would emit).
-uint64_t eliminationScore(const System &S, unsigned I) {
-  uint64_t Pos = 0, Neg = 0;
-  for (const Constraint &C : S.constraints()) {
-    IntT A = C.Expr.coeff(I);
-    if (A == 0)
-      continue;
-    if (C.isEquality()) {
-      if (A == 1 || A == -1)
-        return 0; // exact substitution, no growth
-      ++Pos;
-      ++Neg;
-      continue;
-    }
-    if (A > 0)
-      ++Pos;
-    else
-      ++Neg;
-  }
-  return Pos * Neg;
+bool System::normalize() {
+  RowMatrix M;
+  loadRows(Cons, Sp.size(), M);
+  bool Ok = normalizeRows(M);
+  storeRows(M, Sp.size(), {}, Cons);
+  return Ok;
 }
 
-} // namespace
-
-System System::projectedOnto(const std::vector<unsigned> &Keep,
-                             bool *Exact) const {
-  assert(std::is_sorted(Keep.begin(), Keep.end()) &&
-         "projection target must preserve variable order");
-  const ProjectionOptions &PO = projectionOptions();
-  ProjectionStats &PS = projectionStats();
-  ++PS.ProjectionCalls;
-
-  detail::CacheKey Key;
-  bool Keyed = false;
-  if (PO.Cache && canonicalKey(*this, Key)) {
-    Key.push_back(-2); // tag: projection (vs. -1 = redundancy removal)
-    for (unsigned K : Keep)
-      Key.push_back(static_cast<IntT>(K));
-    std::vector<Constraint> Cached;
-    bool Inexact = false;
-    if (detail::sysCacheLookup(Key, Cached, Inexact)) {
-      ++PS.ProjectionCacheHits;
-      if (Inexact && Exact)
-        *Exact = false;
-      Space RS;
-      for (unsigned K : Keep)
-        RS.add(Sp.name(K), Sp.kind(K));
-      System Out(std::move(RS));
-      Out.Cons.reserve(Cached.size());
-      for (Constraint &C : Cached)
-        Out.addConstraint(std::move(C));
-      return Out;
-    }
-    Keyed = true;
-  }
-
-  bool StillExact = true;
-  System R = *this;
-  R.normalize();
-  if (PO.OrderHeuristic) {
-    // Greedily eliminate the cheapest variable first (min pos*neg,
-    // exact unit-equality substitutions free) to keep intermediate
-    // constraint counts down.
-    for (;;) {
-      unsigned Best = Sp.size();
-      uint64_t BestScore = 0;
-      for (unsigned I = 0, E = Sp.size(); I != E; ++I) {
-        if (std::binary_search(Keep.begin(), Keep.end(), I) ||
-            !R.involves(I))
-          continue;
-        uint64_t Score = eliminationScore(R, I);
-        if (Best == Sp.size() || Score < BestScore) {
-          Best = I;
-          BestScore = Score;
-        }
-      }
-      if (Best == Sp.size())
-        break;
-      R = R.fmEliminated(Best, &StillExact);
-    }
-  } else {
-    // Legacy order: eliminate in reverse index order.
-    for (unsigned I = Sp.size(); I-- > 0;) {
-      if (std::binary_search(Keep.begin(), Keep.end(), I))
-        continue;
-      if (R.involves(I))
-        R = R.fmEliminated(I, &StillExact);
-    }
-  }
-  for (unsigned I = Sp.size(); I-- > 0;)
-    if (!std::binary_search(Keep.begin(), Keep.end(), I))
-      R.removeVar(I);
-  if (Keyed)
-    detail::sysCacheStore(Key, R.Cons, !StillExact);
-  if (!StillExact && Exact)
-    *Exact = false;
+System System::fmEliminated(unsigned I, bool *Exact) const {
+  assert(I < Sp.size() && "variable index out of range");
+  RowMatrix In, Out;
+  ElimScratch S;
+  loadRows(Cons, Sp.size(), In);
+  eliminateColumn(In, Out, 2 + I, S, Exact);
+  System R(Sp);
+  storeRows(Out, Sp.size(), {I}, R.Cons);
   return R;
+}
+
+System System::eliminated(const std::vector<unsigned> &Vars,
+                          bool *Exact) const {
+  RowMatrix M, Next;
+  ElimScratch S;
+  loadRows(Cons, Sp.size(), M);
+  std::vector<unsigned> Gone; // eliminated so far, ascending
+  for (unsigned V : Vars) {
+    assert(V < Sp.size() && "variable index out of range");
+    auto It = std::lower_bound(Gone.begin(), Gone.end(), V);
+    if (It != Gone.end() && *It == V)
+      continue;
+    // Column of V once the variables before it in Gone are dropped.
+    unsigned Col = 2 + V - static_cast<unsigned>(It - Gone.begin());
+    if (!involvesColumn(M, Col))
+      continue;
+    eliminateColumn(M, Next, Col, S, Exact);
+    std::swap(M, Next);
+    Gone.insert(It, V);
+  }
+  System R(Sp);
+  storeRows(M, Sp.size(), Gone, R.Cons);
+  return R;
+}
+
+bool System::involves(unsigned I) const {
+  for (const Constraint &C : Cons)
+    if (C.Expr.involves(I))
+      return true;
+  return false;
+}
+
+void System::substitute(unsigned I, const AffineExpr &Repl) {
+  for (Constraint &C : Cons)
+    C.Expr.substitute(I, Repl);
+}
+
+void System::removeVar(unsigned I) {
+  assert(!involves(I) && "removing a variable still in use");
+  for (Constraint &C : Cons)
+    C.Expr.removeVar(I);
+  Sp.remove(I);
 }
 
 void System::boundsOf(unsigned I, std::vector<VarBound> &Lower,
@@ -636,14 +468,6 @@ void System::boundsOf(unsigned I, std::vector<VarBound> &Lower,
       Upper.push_back(VarBound{std::move(Num), A < 0 ? -A : A});
     }
   }
-}
-
-std::vector<Constraint> System::constraintsWithout(unsigned I) const {
-  std::vector<Constraint> R;
-  for (const Constraint &C : Cons)
-    if (!C.Expr.involves(I))
-      R.push_back(C);
-  return R;
 }
 
 bool System::holds(const std::vector<IntT> &Vals) const {
@@ -675,7 +499,7 @@ public:
     ElimScratch S;
     for (unsigned K = Levels.size(); K-- > 0;) {
       extractBounds(Base, K);
-      eliminateLast(Base, Next, S);
+      eliminateColumn(Base, Next, Base.Width - 1, S, nullptr);
       std::swap(Base, Next);
     }
     for (unsigned R = 0; R != Base.Rows; ++R) {
@@ -1060,13 +884,9 @@ void System::removeRedundant(unsigned NodeBudget) {
   detail::CacheKey Key;
   bool Keyed = false;
   if (PO.Cache && canonicalKey(*this, Key)) {
-    Key.push_back(-1); // tag: redundancy removal (vs. -2 = projection)
     Key.push_back(static_cast<IntT>(NodeBudget));
-    std::vector<Constraint> Cached;
-    bool Inexact = false;
-    if (detail::sysCacheLookup(Key, Cached, Inexact)) {
+    if (detail::sysCacheLookup(Key, Cons)) {
       ++PS.RedundancyCacheHits;
-      Cons = std::move(Cached);
       return;
     }
     Keyed = true;
@@ -1121,7 +941,7 @@ void System::removeRedundant(unsigned NodeBudget) {
     Cons.erase(Cons.begin() + I);
   }
   if (Keyed)
-    detail::sysCacheStore(Key, Cons, false);
+    detail::sysCacheStore(Key, Cons);
 }
 
 std::string System::str() const {

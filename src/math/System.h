@@ -83,8 +83,10 @@ public:
   void addAllMapped(const System &Other);
 
   /// Gcd-reduces constraints (with GE tightening and the EQ divisibility
-  /// test), drops tautologies and duplicates. Returns false if a constraint
-  /// is unsatisfiable on its face (the system is empty).
+  /// test), drops tautologies and duplicates, and merges  E >= 0, -E >= 0
+  /// into  E == 0. Returns false if a constraint is unsatisfiable on its
+  /// face (the system is empty); the constraints are then left rewritten
+  /// up to that one, with none dropped.
   bool normalize();
 
   /// True if any constraint mentions variable \p I.
@@ -98,25 +100,24 @@ public:
   void removeVar(unsigned I);
 
   /// Fourier-Motzkin eliminates variable \p I, keeping the space unchanged
-  /// (the variable simply no longer appears in any constraint). If the
-  /// elimination is exact over the integers, *Exact is left unchanged;
-  /// otherwise it is set to false. Equalities with a +/-1 coefficient are
-  /// used as exact substitutions first.
+  /// (the variable simply no longer appears in any constraint), and
+  /// normalizes the result. If the elimination is exact over the
+  /// integers, *Exact is left unchanged; otherwise it is set to false.
+  /// Equalities with a +/-1 coefficient are used as exact substitutions
+  /// first.
   System fmEliminated(unsigned I, bool *Exact = nullptr) const;
 
-  /// Eliminates every variable not in \p Keep (by FM), then removes the
-  /// eliminated dimensions so the result's space is exactly the Keep
-  /// variables in their original order.
-  System projectedOnto(const std::vector<unsigned> &Keep,
-                       bool *Exact = nullptr) const;
+  /// Projects out \p Vars in the given order: each one that still
+  /// appears in a constraint is eliminated as by fmEliminated, the rest
+  /// are skipped (and not counted), and the space stays unchanged. The
+  /// constraints are loaded once for the whole chain.
+  System eliminated(const std::vector<unsigned> &Vars,
+                    bool *Exact = nullptr) const;
 
   /// Extracts all bounds on variable \p I. Equalities contribute to both
   /// sides. Bounds may reference any other variable of the space.
   void boundsOf(unsigned I, std::vector<VarBound> &Lower,
                 std::vector<VarBound> &Upper) const;
-
-  /// Constraints that do not mention \p I.
-  std::vector<Constraint> constraintsWithout(unsigned I) const;
 
   /// True under the assignment \p Vals (one value per space variable).
   bool holds(const std::vector<IntT> &Vals) const;

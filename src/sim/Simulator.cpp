@@ -1000,12 +1000,13 @@ void Simulator::computeVirtualGrid() {
     for (unsigned Dd = 0; Dd != Dims; ++Dd) {
       if (D.dim(Dd).Replicated)
         continue;
-      System Proj = Dom;
       // Parameters are pinned by equalities above, so eliminating them is
       // an exact substitution; the resulting bounds are constants.
-      for (unsigned I = 0; I != Proj.space().size(); ++I)
-        if (I != PVs[Dd] && Proj.involves(I))
-          Proj = Proj.fmEliminated(I);
+      std::vector<unsigned> Others;
+      for (unsigned I = 0; I != Dom.space().size(); ++I)
+        if (I != PVs[Dd])
+          Others.push_back(I);
+      System Proj = Dom.eliminated(Others);
       std::vector<VarBound> Lo, Hi;
       Proj.normalize();
       Proj.boundsOf(PVs[Dd], Lo, Hi);

@@ -11,8 +11,12 @@
 //  - foldBounds: max(Lower) and min(Upper) keep their value at every
 //    context point, and a range it reports empty is empty at every point.
 //
+// Runs under its own binary (dmcc_gistfuzz_test) with the `fuzz` ctest
+// label; DMCC_FUZZ_ITERS sets the number of cases per test.
+//
 //===----------------------------------------------------------------------===//
 
+#include "FuzzIters.h"
 #include "codegen/Simplify.h"
 
 #include <gtest/gtest.h>
@@ -41,7 +45,7 @@ struct Rng {
 };
 
 constexpr IntT Box = 4;
-constexpr unsigned Cases = 5000;
+constexpr unsigned DefaultCases = 5000;
 
 /// A random expression over the variables not equal to \p Skip.
 AffineExpr randomExpr(Rng &R, unsigned N, int Skip = -1) {
@@ -106,6 +110,7 @@ std::vector<Constraint> randomContext(Rng &R, unsigned N, int Skip) {
 
 TEST(GistFuzz, DroppedConditionsHoldAndDeletedGuardsAreEmpty) {
   Rng R(0x5eed0001);
+  const unsigned Cases = fuzzIters(DefaultCases);
   unsigned Deleted = 0, Dropped = 0;
   for (unsigned Case = 0; Case != Cases; ++Case) {
     unsigned N = static_cast<unsigned>(R.range(1, 4));
@@ -144,6 +149,7 @@ TEST(GistFuzz, DroppedConditionsHoldAndDeletedGuardsAreEmpty) {
 
 TEST(GistFuzz, FoldedBoundsKeepTheirValueAndEmptyRangesAreEmpty) {
   Rng R(0x5eed0002);
+  const unsigned Cases = fuzzIters(DefaultCases);
   unsigned Folded = 0, Empty = 0;
   for (unsigned Case = 0; Case != Cases; ++Case) {
     unsigned N = static_cast<unsigned>(R.range(1, 4));

@@ -11,10 +11,11 @@
 // A u B by enumerating a box.
 //
 // Runs under its own binary (dmcc_coalescefuzz_test) with the `fuzz`
-// ctest label.
+// ctest label; DMCC_FUZZ_ITERS sets the number of pairs.
 //
 //===----------------------------------------------------------------------===//
 
+#include "FuzzIters.h"
 #include "math/Region.h"
 
 #include <gtest/gtest.h>
@@ -262,7 +263,7 @@ void expectSamePoints(const System &U, const Pair &Pr, unsigned Trial) {
 
 TEST(CoalesceFuzz, MatchesTheReferenceOnSeededPairs) {
   ProjectionOptions Saved = projectionOptions();
-  constexpr unsigned NumPairs = 2000;
+  const unsigned NumPairs = fuzzIters(2000);
   unsigned Merged = 0;
   std::mt19937 Rng(20261017);
   for (unsigned Trial = 0; Trial != NumPairs; ++Trial) {

@@ -1,21 +1,27 @@
 //===- tests/math/FeasibilityKernelFuzzTest.cpp ---------------*- C++ -*-===//
 //
-// Differential fuzzing of the integer-feasibility kernel. checkIntegerFeasible,
-// sampleIntPoint and enumeratePoints run on flat constraint rows; this test
-// carries its own reference, the chain built with the public
-// System::normalize, System::fmEliminated and System::boundsOf and
-// searched with the same 72-wide depth-first scan, and requires the two
-// to agree on every seeded system: verdict, sampled point, enumerated
-// points, and the NodesExpanded and FmEliminations deltas. The systems
-// mix unit and non-unit equalities, one-sided and unbounded variables,
-// and equalities that fail the gcd test only after a substitution
-// (normalize's failure path inside an elimination).
+// Differential fuzzing of the flat-row constraint kernel. System's
+// normalize, fmEliminated and eliminated, and the integer-feasibility
+// search behind checkIntegerFeasible, sampleIntPoint and enumeratePoints,
+// all run on flat constraint rows. This test carries its own reference:
+// normalize and fmEliminated as they were written on Constraint objects
+// before the row kernel replaced them, a chain built from those plus the
+// public System::boundsOf, and the same 72-wide depth-first scan. On
+// every seeded system the two must agree row for row after normalize,
+// after eliminating each variable, and after eliminating a seeded
+// sequence of variables, with the same exactness verdicts; and on the
+// search's verdict, sampled point, enumerated points, and the
+// NodesExpanded and FmEliminations deltas. The systems mix unit and
+// non-unit equalities, one-sided and unbounded variables, and equalities
+// that fail the gcd test only after a substitution (normalize's failure
+// path inside an elimination).
 //
 // Runs under its own binary (dmcc_feaskernelfuzz_test) with the `fuzz`
-// ctest label.
+// ctest label; DMCC_FUZZ_ITERS sets the number of seeded systems.
 //
 //===----------------------------------------------------------------------===//
 
+#include "FuzzIters.h"
 #include "math/System.h"
 
 #include <gtest/gtest.h>
@@ -43,8 +49,197 @@ struct ProjectionSandbox {
   ProjectionOptions Saved;
 };
 
-/// The search as it is specified: a Fourier-Motzkin chain of Systems,
-/// bound lists from boundsOf, and a depth-first scan that widens a
+/// \p Cons as a System over \p Sp.
+System withConstraints(const Space &Sp, std::vector<Constraint> Cons) {
+  System S(Sp);
+  for (Constraint &C : Cons)
+    S.addConstraint(std::move(C));
+  return S;
+}
+
+/// System::normalize as it was written on Constraint objects, before the
+/// flat-row kernel replaced it: the reference the kernel must match.
+bool referenceNormalize(std::vector<Constraint> &Cons) {
+  // Rows are copied into Out, not moved: on a false return Cons keeps
+  // every row, rewritten in place up to the failing one, and callers
+  // that ignore the verdict (fmEliminated) go on from those rows.
+  std::vector<Constraint> Out;
+  Out.reserve(Cons.size());
+  for (Constraint &C : Cons) {
+    AffineExpr &E = C.Expr;
+    if (E.isConstant()) {
+      if (C.isEquality() ? E.constant() != 0 : E.constant() < 0)
+        return false;
+      continue; // tautology
+    }
+    IntT G = E.coeffGcd();
+    assert(G > 0 && "non-constant expression must have a nonzero gcd");
+    if (C.isEquality()) {
+      if (E.constant() % G != 0)
+        return false; // GCD divisibility test: no integer solutions
+      if (G > 1)
+        E.divExact(G);
+      // Canonicalize sign: first nonzero coefficient positive.
+      unsigned FV;
+      if (E.firstVar(FV) && E.coeff(FV) < 0)
+        E.scale(-1);
+    } else if (G > 1) {
+      // Tighten:  G*e + c >= 0  <=>  e >= ceil(-c/G)  <=>  e + floor(c/G) >= 0
+      IntT C0 = E.constant();
+      E.constant() = 0;
+      E.divExact(G);
+      E.constant() = floorDiv(C0, G);
+    }
+    Out.push_back(C);
+  }
+
+  // Deduplicate, and merge GE pairs {E >= 0, -E >= 0} into E == 0.
+  std::vector<Constraint> Final;
+  Final.reserve(Out.size());
+  for (Constraint &C : Out) {
+    bool Skip = false;
+    for (Constraint &F : Final) {
+      if (F == C) {
+        Skip = true;
+        break;
+      }
+      if (!C.isEquality() && !F.isEquality() &&
+          C.Expr.isNegationOf(F.Expr)) {
+        // F says E >= 0 with E = -C.Expr; together they force C.Expr == 0.
+        F.Rel = RelKind::EQ;
+        unsigned FV;
+        if (F.Expr.firstVar(FV) && F.Expr.coeff(FV) < 0)
+          F.Expr.scale(-1);
+        Skip = true;
+        break;
+      }
+      // A GE implied by an existing EQ over the same expression.
+      if (!C.isEquality() && F.isEquality() &&
+          (F.Expr == C.Expr || C.Expr.isNegationOf(F.Expr))) {
+        Skip = true;
+        break;
+      }
+    }
+    if (!Skip)
+      Final.push_back(std::move(C));
+  }
+  Cons = std::move(Final);
+  return true;
+}
+
+/// referenceNormalize on a whole System.
+bool referenceNormalize(System &S) {
+  std::vector<Constraint> Cons = S.constraints();
+  bool Ok = referenceNormalize(Cons);
+  S = withConstraints(S.space(), std::move(Cons));
+  return Ok;
+}
+
+/// System::fmEliminated as it was written on Constraint objects, before
+/// the flat-row kernel replaced it.
+System referenceFmEliminated(const System &Src, unsigned I,
+                             bool *Exact = nullptr) {
+  const Space &Sp = Src.space();
+  const std::vector<Constraint> &Cons = Src.constraints();
+  assert(I < Sp.size() && "variable index out of range");
+  ++projectionStats().FmEliminations;
+
+  // Prefer an exact substitution through a unit-coefficient equality.
+  for (unsigned CI = 0, CE = Cons.size(); CI != CE; ++CI) {
+    const Constraint &C = Cons[CI];
+    if (!C.isEquality())
+      continue;
+    IntT A = C.Expr.coeff(I);
+    if (A != 1 && A != -1)
+      continue;
+    // A*v + R == 0  =>  v = -R/A. For A == 1: v = -R; for A == -1: v = R.
+    AffineExpr Repl = C.Expr;
+    Repl.coeff(I) = 0;
+    if (A == 1)
+      Repl.scale(-1);
+    std::vector<Constraint> R;
+    R.reserve(Cons.size() - 1);
+    for (unsigned CJ = 0, CF = Cons.size(); CJ != CF; ++CJ) {
+      if (CJ == CI)
+        continue;
+      Constraint NC = Cons[CJ];
+      NC.Expr.substitute(I, Repl);
+      R.push_back(std::move(NC));
+    }
+    referenceNormalize(R);
+    return withConstraints(Sp, std::move(R));
+  }
+
+  std::vector<Constraint> R;
+  std::vector<const Constraint *> Low, Up;
+  Low.reserve(Cons.size());
+  Up.reserve(Cons.size());
+  for (const Constraint &C : Cons) {
+    IntT A = C.Expr.coeff(I);
+    if (A == 0) {
+      R.push_back(C);
+      continue;
+    }
+    if (C.isEquality()) {
+      // Split a non-unit equality into two inequalities; this loses
+      // divisibility information, so the elimination is inexact.
+      if (Exact)
+        *Exact = false;
+    }
+    if (A > 0 || C.isEquality())
+      Low.push_back(&C);
+    if (A < 0 || C.isEquality())
+      Up.push_back(&C);
+  }
+
+  R.reserve(R.size() + Low.size() * Up.size());
+  for (const Constraint *L : Low) {
+    IntT AL = L->Expr.coeff(I);
+    AffineExpr LE = AL > 0 ? L->Expr : L->Expr.negated();
+    IntT A = AL > 0 ? AL : -AL; // coefficient of v in LE, > 0
+    for (const Constraint *U : Up) {
+      if (U == L)
+        continue;
+      IntT AU = U->Expr.coeff(I);
+      AffineExpr UE = AU < 0 ? U->Expr : U->Expr.negated();
+      IntT B = AU < 0 ? -AU : AU; // -coefficient of v in UE, > 0
+      IntT G = gcdInt(A, B);
+      // Dark-shadow condition: the combination is integer-exact when one
+      // of the original coefficients is 1 (conservative otherwise).
+      if (Exact && A != 1 && B != 1)
+        *Exact = false;
+      AffineExpr NE = LE;
+      AffineExpr Scaled = UE;
+      // Cross-multiplying bound pairs is where Fourier-Motzkin grows
+      // coefficients; diagnose overflow here with its cause instead of
+      // letting the raw arithmetic abort anonymously.
+      if (!NE.scaleChecked(B / G) || !Scaled.scaleChecked(A / G) ||
+          !NE.addChecked(Scaled))
+        fatalError("coefficient overflow during Fourier-Motzkin "
+                   "elimination: combining bounds exceeds the 64-bit "
+                   "coefficient range (system too complex or input "
+                   "coefficients too large)");
+      assert(NE.coeff(I) == 0 && "elimination failed to cancel");
+      R.push_back(Constraint::ge(std::move(NE)));
+    }
+  }
+  referenceNormalize(R);
+  return withConstraints(Sp, std::move(R));
+}
+
+/// The projection loop that System::eliminated replaced at its call
+/// sites: each listed variable that is still involved, in order.
+System referenceEliminated(const System &S, const std::vector<unsigned> &Vars,
+                           bool *Exact) {
+  System R = S;
+  for (unsigned V : Vars)
+    if (R.involves(V))
+      R = referenceFmEliminated(R, V, Exact);
+  return R;
+}
+
+/// The search as it is specified: a Fourier-Motzkin chain of reference
+/// eliminations, bound lists from boundsOf, and a depth-first scan that widens a
 /// missing or over-wide range end to a 72-value window.
 class ReferenceSearch {
 public:
@@ -59,19 +254,19 @@ public:
   /// and whether any level lacks a lower or an upper bound.
   bool prepare() {
     System Base = Orig;
-    if (!Base.normalize())
+    if (!referenceNormalize(Base))
       return false;
     unsigned N = Base.numVars();
     Chain.resize(N + 1);
     Chain[N] = std::move(Base);
     bool LevelFailed = false;
     for (unsigned K = N; K-- > 0;) {
-      Chain[K] = Chain[K + 1].fmEliminated(K);
+      Chain[K] = referenceFmEliminated(Chain[K + 1], K);
       System Copy = Chain[K];
-      LevelFailed |= !Copy.normalize();
+      LevelFailed |= !referenceNormalize(Copy);
     }
     System C0 = Chain[0];
-    if (!C0.normalize())
+    if (!referenceNormalize(C0))
       return false;
     FailurePathSearched = LevelFailed;
     LowerAt.resize(N);
@@ -310,19 +505,39 @@ System randomSystem(std::mt19937_64 &Rng) {
   return S;
 }
 
+/// A seeded system and the starved budget its search also runs under.
+struct SeededCase {
+  System S;
+  unsigned Starved;
+};
+
+/// The first \p Count seeded cases; every test below runs on the same
+/// ones.
+std::vector<SeededCase> seededCases(unsigned Count) {
+  std::mt19937_64 Rng(20261018);
+  std::vector<SeededCase> Cases;
+  Cases.reserve(Count);
+  for (unsigned I = 0; I != Count; ++I) {
+    System S = randomSystem(Rng);
+    unsigned Starved = 1 + Rng() % 40;
+    Cases.push_back({std::move(S), Starved});
+  }
+  return Cases;
+}
+
 } // namespace
 
 TEST(FeasibilityKernelFuzz, MatchesTheSystemChainOnSeededSystems) {
   ProjectionSandbox Sandbox;
   projectionOptions().Cache = false;
-  std::mt19937_64 Rng(20261018);
-  constexpr unsigned Cases = 5000;
+  const std::vector<SeededCase> Cases = seededCases(fuzzIters(5000));
+  const unsigned N = Cases.size();
   constexpr unsigned FullBudget = 2000;
   unsigned Verdicts[3] = {}, StarvedUnknown = 0, FailurePath = 0,
            Enumerated = 0;
-  for (unsigned Case = 0; Case != Cases; ++Case) {
-    System S = randomSystem(Rng);
-    unsigned Starved = 1 + Rng() % 40;
+  for (unsigned Case = 0; Case != N; ++Case) {
+    const System &S = Cases[Case].S;
+    unsigned Starved = Cases[Case].Starved;
     for (unsigned Budget : {FullBudget, Starved}) {
       SCOPED_TRACE("case " + std::to_string(Case) + ", budget " +
                    std::to_string(Budget) + "\n" + S.str());
@@ -362,14 +577,74 @@ TEST(FeasibilityKernelFuzz, MatchesTheSystemChainOnSeededSystems) {
     }
   }
   // Every verdict, the starved search and normalize's failure path are
-  // exercised (counts for this seed: about 2,600 / 2,300 / 90 verdicts,
-  // 390 starved Unknowns, 140 searches after a failed normalize).
-  EXPECT_GT(Verdicts[static_cast<unsigned>(Feasibility::Empty)], 1000u);
-  EXPECT_GT(Verdicts[static_cast<unsigned>(Feasibility::Feasible)], 1000u);
-  EXPECT_GT(Verdicts[static_cast<unsigned>(Feasibility::Unknown)], 40u);
-  EXPECT_GT(StarvedUnknown, 200u);
-  EXPECT_GT(FailurePath, 50u);
-  EXPECT_GT(Enumerated, 300u);
+  // exercised (counts for the first 5,000 cases: about 2,600 / 2,300 /
+  // 90 verdicts, 390 starved Unknowns, 140 searches after a failed
+  // normalize, 440 enumerations).
+  EXPECT_GT(Verdicts[static_cast<unsigned>(Feasibility::Empty)], N / 5);
+  EXPECT_GT(Verdicts[static_cast<unsigned>(Feasibility::Feasible)], N / 5);
+  EXPECT_GT(Verdicts[static_cast<unsigned>(Feasibility::Unknown)], N / 125);
+  EXPECT_GT(StarvedUnknown, N / 25);
+  EXPECT_GT(FailurePath, N / 100);
+  EXPECT_GT(Enumerated, N * 3 / 50);
+}
+
+TEST(FeasibilityKernelFuzz, SystemWrappersMatchTheReferenceRowForRow) {
+  ProjectionSandbox Sandbox;
+  const std::vector<SeededCase> Cases = seededCases(fuzzIters(5000));
+  const unsigned N = Cases.size();
+  unsigned Inexact = 0, EmptyResults = 0, Chains = 0;
+  // normalize on \p Sys, against the reference on a copy of its rows.
+  auto ExpectSameNormalize = [](const System &Sys) {
+    System Got = Sys;
+    std::vector<Constraint> Want = Sys.constraints();
+    bool WantOk = referenceNormalize(Want);
+    EXPECT_EQ(Got.normalize(), WantOk);
+    EXPECT_EQ(Got.constraints(), Want);
+    return WantOk;
+  };
+  for (unsigned Case = 0; Case != N; ++Case) {
+    const System &S = Cases[Case].S;
+    SCOPED_TRACE("case " + std::to_string(Case) + "\n" + S.str());
+    ExpectSameNormalize(S);
+
+    for (unsigned I = 0; I != S.numVars(); ++I) {
+      bool GotExact = true, WantExact = true;
+      System Got = S.fmEliminated(I, &GotExact);
+      System Want = referenceFmEliminated(S, I, &WantExact);
+      EXPECT_EQ(Got.space(), Want.space());
+      ASSERT_EQ(Got.constraints(), Want.constraints())
+          << "eliminating v" << I << ", got:\n" << Got.str() << "want:\n"
+          << Want.str();
+      ASSERT_EQ(GotExact, WantExact) << "eliminating v" << I;
+      Inexact += !WantExact;
+      // Normalizing the result again: rows left by normalize's failure
+      // path inside the elimination fail again here.
+      EmptyResults += !ExpectSameNormalize(Want);
+    }
+
+    // A seeded sequence of variables, repeats included.
+    std::mt19937_64 OrderRng(Case);
+    std::vector<unsigned> Vars(OrderRng() % (S.numVars() + 2));
+    for (unsigned &V : Vars)
+      V = OrderRng() % S.numVars();
+    bool GotExact = true, WantExact = true;
+    uint64_t Fm0 = projectionStats().FmEliminations;
+    System Got = S.eliminated(Vars, &GotExact);
+    uint64_t Fm1 = projectionStats().FmEliminations;
+    System Want = referenceEliminated(S, Vars, &WantExact);
+    uint64_t Fm2 = projectionStats().FmEliminations;
+    ASSERT_EQ(Got.constraints(), Want.constraints())
+        << "got:\n" << Got.str() << "want:\n" << Want.str();
+    ASSERT_EQ(GotExact, WantExact);
+    ASSERT_EQ(Fm1 - Fm0, Fm2 - Fm1);
+    Chains += Fm2 - Fm1 > 1;
+  }
+  // Inexact eliminations, results that are empty on their face, and
+  // chains of several eliminations are all compared (counts for the
+  // first 5,000 cases: about 4,400 / 3,400 / 2,900).
+  EXPECT_GT(Inexact, N / 2);
+  EXPECT_GT(EmptyResults, N / 3);
+  EXPECT_GT(Chains, N / 3);
 }
 
 namespace {

@@ -26,6 +26,42 @@ Space paramSpaceN() {
   return Sp;
 }
 
+/// Evaluates a piecewise solution at a concrete parameter point. The point
+/// assigns values to the variables of \p ParamSpace (matched by name in
+/// each piece context); auxiliary floor variables are solved for
+/// automatically. Returns the objective values, or nullopt if no piece
+/// covers the point (no solution there).
+std::optional<std::vector<IntT>> evaluatePiecewise(
+    const LexResult &R, const Space &ParamSpace,
+    const std::vector<IntT> &ParamVals) {
+  assert(ParamVals.size() == ParamSpace.size() &&
+         "parameter point over a different space");
+  for (const LexPiece &P : R.Pieces) {
+    System Pinned = P.Context;
+    bool Mapped = true;
+    for (unsigned I = 0, E = ParamSpace.size(); I != E; ++I) {
+      int J = Pinned.space().indexOf(ParamSpace.name(I));
+      if (J < 0) {
+        Mapped = false;
+        break;
+      }
+      Pinned.addEQ(Pinned.varExpr(static_cast<unsigned>(J))
+                       .plusConst(-ParamVals[I]));
+    }
+    if (!Mapped)
+      continue;
+    auto Point = Pinned.sampleIntPoint();
+    if (!Point)
+      continue;
+    std::vector<IntT> Out;
+    Out.reserve(P.Values.size());
+    for (const AffineExpr &V : P.Values)
+      Out.push_back(V.evaluate(*Point));
+    return Out;
+  }
+  return std::nullopt;
+}
+
 } // namespace
 
 TEST(LexOptTest, ConstantBox) {

@@ -1,11 +1,12 @@
 //===- tests/math/ProjectionFuzzTest.cpp ----------------------*- C++ -*-===//
 //
 // Differential fuzzing of the polyhedral fast path: random constraint
-// systems are solved twice, once with the memoization cache, syntactic
-// quick-checks and elimination-order heuristic enabled and once with
-// everything off. The accelerators must never change a definite
-// feasibility verdict, the solution set survived by removeRedundant,
-// or the overapproximation property of projections.
+// systems are solved twice, once with the memoization cache and the
+// syntactic quick-checks enabled and once with both off. The
+// accelerators must never change a definite feasibility verdict or the
+// solution set survived by removeRedundant. Projections by
+// System::eliminated, in two elimination orders, must contain the true
+// shadow and agree with each other when both are exact.
 //
 // Runs under its own binary (dmcc_projfuzz_test) with the `fuzz` ctest
 // label so the default suite stays fast; DMCC_FUZZ_ITERS overrides the
@@ -13,11 +14,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "FuzzIters.h"
 #include "math/System.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -28,11 +29,7 @@ namespace {
 constexpr IntT BoxLo = -5;
 constexpr IntT BoxHi = 5;
 
-unsigned fuzzIters() {
-  if (const char *E = std::getenv("DMCC_FUZZ_ITERS"))
-    return static_cast<unsigned>(std::atoi(E));
-  return 400;
-}
+constexpr unsigned DefaultIters = 400;
 
 /// Restores the process-wide projection state on scope exit.
 struct ProjectionSandbox {
@@ -56,7 +53,6 @@ ProjectionOptions slowOptions() {
   ProjectionOptions O;
   O.Cache = false;
   O.QuickChecks = false;
-  O.OrderHeuristic = false;
   return O;
 }
 
@@ -110,7 +106,7 @@ std::vector<std::vector<IntT>> boxPoints(const System &S) {
 TEST(ProjectionFuzz, FeasibilityVerdictsAgree) {
   ProjectionSandbox Sandbox;
   std::mt19937 Rng(20260806);
-  unsigned Iters = fuzzIters();
+  unsigned Iters = fuzzIters(DefaultIters);
   for (unsigned It = 0; It != Iters; ++It) {
     System S = randomSystem(Rng);
 
@@ -138,7 +134,7 @@ TEST(ProjectionFuzz, FeasibilityVerdictsAgree) {
 TEST(ProjectionFuzz, SampledPointsSatisfyTheSystem) {
   ProjectionSandbox Sandbox;
   std::mt19937 Rng(987654321);
-  unsigned Iters = fuzzIters();
+  unsigned Iters = fuzzIters(DefaultIters);
   for (unsigned It = 0; It != Iters; ++It) {
     System S = randomSystem(Rng);
     projectionOptions() = fastOptions();
@@ -159,7 +155,7 @@ TEST(ProjectionFuzz, SampledPointsSatisfyTheSystem) {
 TEST(ProjectionFuzz, RemoveRedundantPreservesTheSolutionSet) {
   ProjectionSandbox Sandbox;
   std::mt19937 Rng(13572468);
-  unsigned Iters = fuzzIters();
+  unsigned Iters = fuzzIters(DefaultIters);
   for (unsigned It = 0; It != Iters; ++It) {
     System S = randomSystem(Rng);
 
@@ -196,37 +192,42 @@ TEST(ProjectionFuzz, RemoveRedundantPreservesTheSolutionSet) {
 TEST(ProjectionFuzz, ProjectionsContainTheTrueShadow) {
   ProjectionSandbox Sandbox;
   std::mt19937 Rng(24681357);
-  unsigned Iters = fuzzIters();
+  unsigned Iters = fuzzIters(DefaultIters);
   for (unsigned It = 0; It != Iters; ++It) {
     System S = randomSystem(Rng);
     // Project onto a strict prefix of the variables.
     std::uniform_int_distribution<unsigned> KeepDist(1, S.numVars() - 1);
     unsigned NumKeep = KeepDist(Rng);
-    std::vector<unsigned> Keep;
-    for (unsigned I = 0; I != NumKeep; ++I)
-      Keep.push_back(I);
-
-    projectionOptions() = fastOptions();
-    bool FastExact = true;
-    System Fast = S.projectedOnto(Keep, &FastExact);
-    projectionOptions() = slowOptions();
-    bool SlowExact = true;
-    System Slow = S.projectedOnto(Keep, &SlowExact);
+    // Eliminate the rest highest index first, as the compiler's callers
+    // mostly do, and lowest first, then drop their dimensions.
+    std::vector<unsigned> Down, Up;
+    for (unsigned I = S.numVars(); I-- > NumKeep;)
+      Down.push_back(I);
+    Up.assign(Down.rbegin(), Down.rend());
+    auto Project = [&](const std::vector<unsigned> &Order, bool &Exact) {
+      System R = S.eliminated(Order, &Exact);
+      for (unsigned I : Down)
+        R.removeVar(I);
+      return R;
+    };
+    bool DownExact = true, UpExact = true;
+    System ByDown = Project(Down, DownExact);
+    System ByUp = Project(Up, UpExact);
 
     // Every integer point of S projects into both results: projections
     // are overapproximations of the true shadow at worst.
     for (const std::vector<IntT> &P : boxPoints(S)) {
       std::vector<IntT> Sub(P.begin(), P.begin() + NumKeep);
-      EXPECT_TRUE(Fast.holds(Sub)) << "iteration " << It << "\n" << S.str();
-      EXPECT_TRUE(Slow.holds(Sub)) << "iteration " << It << "\n" << S.str();
+      EXPECT_TRUE(ByDown.holds(Sub)) << "iteration " << It << "\n" << S.str();
+      EXPECT_TRUE(ByUp.holds(Sub)) << "iteration " << It << "\n" << S.str();
     }
 
-    // When both legs are exact they describe the same set: points
+    // When both orders are exact they describe the same set: points
     // accepted by one must be accepted by the other.
-    if (FastExact && SlowExact) {
+    if (DownExact && UpExact) {
       std::vector<IntT> V(NumKeep, BoxLo);
       for (;;) {
-        EXPECT_EQ(Fast.holds(V), Slow.holds(V))
+        EXPECT_EQ(ByDown.holds(V), ByUp.holds(V))
             << "iteration " << It << "\n" << S.str();
         unsigned K = NumKeep;
         bool Done = false;

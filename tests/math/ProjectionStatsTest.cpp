@@ -159,47 +159,6 @@ TEST(ProjectionStats, RedundancyQuickKillsAreCounted) {
   EXPECT_GT(projectionStats().RedundancyQuickKills, 0u);
 }
 
-TEST(ProjectionStats, ProjectionCacheServesRepeatedQueries) {
-  ProjectionSandbox Sandbox;
-  System S = boxSystem(0, 10);
-  S.addGE(S.varExpr(1) - S.varExpr(0)); // x <= y
-  System P1 = S.projectedOnto({0});
-  System P2 = S.projectedOnto({0});
-  EXPECT_EQ(projectionStats().ProjectionCalls, 2u);
-  EXPECT_EQ(projectionStats().ProjectionCacheHits, 1u);
-  EXPECT_EQ(P1.numConstraints(), P2.numConstraints());
-  EXPECT_EQ(P1.numVars(), 1u);
-}
-
-TEST(ProjectionStats, OrderHeuristicPreservesProjectionSemantics) {
-  ProjectionSandbox Sandbox;
-  projectionOptions().Cache = false;
-  System S = boxSystem(-6, 6);
-  S.addGE(S.varExpr(0).scale(2) - S.varExpr(1).plusConst(-1));
-  S.addGE(S.varExpr(1).scale(3) - S.varExpr(0));
-
-  projectionOptions().OrderHeuristic = true;
-  bool ExactOn = true;
-  System POn = S.projectedOnto({1}, &ExactOn);
-  projectionOptions().OrderHeuristic = false;
-  bool ExactOff = true;
-  System POff = S.projectedOnto({1}, &ExactOff);
-
-  // Every y of an integer point of S lies in both projections (they are
-  // overapproximations at worst); when both legs are exact they must
-  // agree everywhere.
-  for (IntT X = -6; X <= 6; ++X)
-    for (IntT Y = -6; Y <= 6; ++Y)
-      if (S.holds({X, Y})) {
-        EXPECT_TRUE(POn.holds({Y})) << "y = " << Y;
-        EXPECT_TRUE(POff.holds({Y})) << "y = " << Y;
-      }
-  if (ExactOn && ExactOff) {
-    for (IntT Y = -8; Y <= 8; ++Y)
-      EXPECT_EQ(POn.holds({Y}), POff.holds({Y})) << "y = " << Y;
-  }
-}
-
 TEST(ProjectionStats, PhaseTimerAttributesExclusiveTime) {
   ProjectionSandbox Sandbox;
   resetPhaseProfiles();

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "math/Region.h"
+#include "RegionPoints.h"
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,7 @@ System randomPiece(std::mt19937 &Rng) {
 }
 
 bool bruteIn(const Region &R, IntT X, IntT Y) {
-  return R.containsPoint({X, Y});
+  return containsPoint(R, {X, Y});
 }
 
 class RegionProperty : public ::testing::TestWithParam<unsigned> {};
@@ -72,7 +72,7 @@ TEST_P(RegionProperty, SubtractThenIntersectIsEmpty) {
   for (int Trial = 0; Trial != 10; ++Trial) {
     System A = randomPiece(Rng), B = randomPiece(Rng);
     Region D = Region::fromSystem(A).subtract(Region::fromSystem(B));
-    D.intersectWith(B);
+    intersectWith(D, B);
     EXPECT_TRUE(D.isIntegerEmpty())
         << "seed " << GetParam() << " trial " << Trial;
   }

@@ -1,6 +1,6 @@
 //===- tests/math/RegionTest.cpp ------------------------------*- C++ -*-===//
 
-#include "math/Region.h"
+#include "RegionPoints.h"
 
 #include <gtest/gtest.h>
 
@@ -21,10 +21,10 @@ System lineSegment(IntT Lo, IntT Hi) {
 TEST(RegionTest, FromSystemAndContains) {
   Region R = Region::fromSystem(lineSegment(0, 9));
   EXPECT_TRUE(R.hasPieces());
-  EXPECT_TRUE(R.containsPoint({0}));
-  EXPECT_TRUE(R.containsPoint({9}));
-  EXPECT_FALSE(R.containsPoint({10}));
-  EXPECT_FALSE(R.containsPoint({-1}));
+  EXPECT_TRUE(containsPoint(R, {0}));
+  EXPECT_TRUE(containsPoint(R, {9}));
+  EXPECT_FALSE(containsPoint(R, {10}));
+  EXPECT_FALSE(containsPoint(R, {-1}));
 }
 
 TEST(RegionTest, SubtractInterval) {
@@ -33,7 +33,7 @@ TEST(RegionTest, SubtractInterval) {
   Region D = A.subtract(B);
   EXPECT_TRUE(D.isExact());
   for (IntT I = 0; I <= 9; ++I)
-    EXPECT_EQ(D.containsPoint({I}), I < 3 || I > 5) << "at " << I;
+    EXPECT_EQ(containsPoint(D, {I}), I < 3 || I > 5) << "at " << I;
 }
 
 TEST(RegionTest, SubtractToEmpty) {
@@ -52,16 +52,16 @@ TEST(RegionTest, SubtractEqualityPiece) {
   Region B = Region::fromSystem(Eq);
   Region D = A.subtract(B);
   for (IntT I = 0; I <= 9; ++I)
-    EXPECT_EQ(D.containsPoint({I}), I != 4) << "at " << I;
+    EXPECT_EQ(containsPoint(D, {I}), I != 4) << "at " << I;
 }
 
 TEST(RegionTest, IntersectWith) {
   Region A = Region::fromSystem(lineSegment(0, 9));
   System Half(A.baseSpace());
   Half.addGE(Half.varExpr(0).plusConst(-6)); // i >= 6
-  A.intersectWith(Half);
-  EXPECT_FALSE(A.containsPoint({5}));
-  EXPECT_TRUE(A.containsPoint({6}));
+  intersectWith(A, Half);
+  EXPECT_FALSE(containsPoint(A, {5}));
+  EXPECT_TRUE(containsPoint(A, {6}));
 }
 
 TEST(RegionTest, AuxVarsAreExistential) {
@@ -74,8 +74,8 @@ TEST(RegionTest, AuxVarsAreExistential) {
   S.addEq(S.varExpr(0), S.varExpr(Q).scale(2));
   Region R = Region::fromSystem(S);
   EXPECT_EQ(R.baseSpace().size(), 1u);
-  EXPECT_TRUE(R.containsPoint({4}));
-  EXPECT_FALSE(R.containsPoint({5}));
+  EXPECT_TRUE(containsPoint(R, {4}));
+  EXPECT_FALSE(containsPoint(R, {5}));
 }
 
 TEST(RegionTest, SubtractEvenNumbersViaAuxElimination) {

@@ -210,7 +210,8 @@ TEST(SystemTest, ProjectedOnto) {
   S.addGE(S.varExpr(0));
   S.addGE(S.varExpr(1) - S.varExpr(0));
   S.addGE(S.varExpr(2) - S.varExpr(1));
-  System R = S.projectedOnto({0, 2});
+  System R = S.eliminated({1});
+  R.removeVar(1);
   EXPECT_EQ(R.numVars(), 2u);
   EXPECT_EQ(R.space().name(0), "i");
   EXPECT_EQ(R.space().name(1), "N");

@@ -40,13 +40,13 @@
 //                            message latency with computation and
 //                            reports per-run overlap telemetry
 //     --stats                compile-phase profile: wall time per phase,
-//                            feasibility/projection cache hit rates,
+//                            feasibility and redundancy cache hits,
 //                            Fourier-Motzkin counters
 //     --node-budget N        branch-and-bound node budget for all
 //                            polyhedral queries (0 keeps the defaults)
-//     --no-proj-cache        disable projection/feasibility memoization
-//     --no-proj-heuristics   disable syntactic quick-checks and the
-//                            elimination-order heuristic
+//     --no-proj-cache        disable feasibility/redundancy memoization
+//     --no-proj-heuristics   disable the syntactic quick-checks in front
+//                            of redundancy removal's exact tests
 //
 //   Fault injection (simulation only; enables the reliable transport):
 //     --fault-seed S         deterministic fault-schedule seed
@@ -133,11 +133,9 @@ void printCompileStats(const CompileStats &St) {
               PS.feasHitRate() * 100.0,
               static_cast<unsigned long long>(PS.FeasUnknown),
               static_cast<unsigned long long>(PS.NodesExpanded));
-  std::printf("projection: %llu FM eliminations, %llu projections "
-              "(%llu cached), %llu lexmax, %llu scans\n",
+  std::printf("projection: %llu FM eliminations, %llu lexmax, %llu "
+              "scans\n",
               static_cast<unsigned long long>(PS.FmEliminations),
-              static_cast<unsigned long long>(PS.ProjectionCalls),
-              static_cast<unsigned long long>(PS.ProjectionCacheHits),
               static_cast<unsigned long long>(PS.LexMaxCalls),
               static_cast<unsigned long long>(PS.ScanCalls));
   std::printf("redundancy: %llu calls (%llu cached), %llu exact tests, "
@@ -261,10 +259,8 @@ int main(int Argc, char **Argv) {
       }
     } else if (std::strcmp(A, "--no-proj-cache") == 0)
       Opts.Projection.Cache = false;
-    else if (std::strcmp(A, "--no-proj-heuristics") == 0) {
+    else if (std::strcmp(A, "--no-proj-heuristics") == 0)
       Opts.Projection.QuickChecks = false;
-      Opts.Projection.OrderHeuristic = false;
-    }
     else if (std::strcmp(A, "--simulate") == 0 && I + 1 < Argc) {
       SimProcs = std::atoll(Argv[++I]);
       SimulateGiven = true;
