@@ -376,7 +376,8 @@ void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
     Key.insert(Key.end(), M.row(R), M.row(R) + W);
 }
 
-/// The memo key of \p S (see buildKey) for the redundancy cache. Returns false when \p S is empty on its face.
+/// The memo key of \p S (see buildKey) for the redundancy cache. Returns
+/// false when \p S is empty on its face.
 bool canonicalKey(const System &S, detail::CacheKey &Key) {
   RowMatrix M;
   if (!normalizedRows(S, M))

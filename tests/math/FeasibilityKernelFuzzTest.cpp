@@ -239,8 +239,8 @@ System referenceEliminated(const System &S, const std::vector<unsigned> &Vars,
 }
 
 /// The search as it is specified: a Fourier-Motzkin chain of reference
-/// eliminations, bound lists from boundsOf, and a depth-first scan that widens a
-/// missing or over-wide range end to a 72-value window.
+/// eliminations, bound lists from boundsOf, and a depth-first scan that
+/// widens a missing or over-wide range end to a 72-value window.
 class ReferenceSearch {
 public:
   static constexpr IntT Window = 72;
