@@ -67,7 +67,6 @@ private:
 };
 
 thread_local BoundedCache<FeasEntry> FeasCache;
-thread_local BoundedCache<std::vector<Constraint>> SysCache;
 
 } // namespace
 
@@ -77,13 +76,10 @@ ProjectionStats &dmcc::projectionStats() { return GlobalStats; }
 
 void dmcc::resetProjectionStats() { GlobalStats = ProjectionStats(); }
 
-void dmcc::clearProjectionCaches() {
-  FeasCache.clear();
-  SysCache.clear();
-}
+void dmcc::clearProjectionCaches() { FeasCache.clear(); }
 
 std::size_t dmcc::projectionCacheEntries() {
-  return FeasCache.size() + SysCache.size();
+  return FeasCache.size();
 }
 
 ProjectionStats ProjectionStats::operator-(const ProjectionStats &O) const {
@@ -97,7 +93,6 @@ ProjectionStats ProjectionStats::operator-(const ProjectionStats &O) const {
   R.RedundancyCalls = RedundancyCalls - O.RedundancyCalls;
   R.RedundancyTests = RedundancyTests - O.RedundancyTests;
   R.RedundancyQuickKills = RedundancyQuickKills - O.RedundancyQuickKills;
-  R.RedundancyCacheHits = RedundancyCacheHits - O.RedundancyCacheHits;
   R.CacheEvictions = CacheEvictions - O.CacheEvictions;
   R.LexMaxCalls = LexMaxCalls - O.LexMaxCalls;
   R.ScanCalls = ScanCalls - O.ScanCalls;
@@ -114,7 +109,6 @@ ProjectionStats &ProjectionStats::operator+=(const ProjectionStats &O) {
   RedundancyCalls += O.RedundancyCalls;
   RedundancyTests += O.RedundancyTests;
   RedundancyQuickKills += O.RedundancyQuickKills;
-  RedundancyCacheHits += O.RedundancyCacheHits;
   CacheEvictions += O.CacheEvictions;
   LexMaxCalls += O.LexMaxCalls;
   ScanCalls += O.ScanCalls;
@@ -183,17 +177,4 @@ void detail::feasCacheStore(const CacheKey &K, unsigned Budget,
       return;
   }
   FeasCache.insert(K, FeasEntry{R, Budget});
-}
-
-bool detail::sysCacheLookup(const CacheKey &K, std::vector<Constraint> &Out) {
-  std::vector<Constraint> *E = SysCache.find(K);
-  if (!E)
-    return false;
-  Out = *E;
-  return true;
-}
-
-void detail::sysCacheStore(const CacheKey &K,
-                           const std::vector<Constraint> &V) {
-  SysCache.insert(K, V);
 }

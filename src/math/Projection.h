@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The knobs, counters and memoization caches of the polyhedral core.
+/// The knobs, counters and feasibility memo of the polyhedral core.
 /// Every question the compiler asks — communication sets (Section 4),
 /// superfluous-constraint removal (Section 5.1), polyhedron scanning
 /// (Section 5.2), last-write resolution — reduces to Fourier-Motzkin
@@ -18,10 +18,14 @@
 ///     nodes, FM eliminations, cache hits/misses, quick-kills;
 ///   * PhaseTimer       — RAII wall-time + counter-delta attribution so
 ///     `--stats` can say where compile time goes;
-///   * the canonicalizing memo caches used by System (keyed on the
-///     normalized, sorted constraint matrix, with a bounded size).
+///   * the feasibility memo used by System (keyed on the normalized,
+///     sorted constraint matrix, with a bounded size). It is the only
+///     memo: redundancy removal's exact tests are feasibility queries,
+///     so repeated removals are answered there, and a whole-result memo
+///     would hand back the row order of whichever equivalent system was
+///     reduced first.
 ///
-/// Every piece of mutable state here — options, counters, caches, the
+/// Every piece of mutable state here — options, counters, the memo, the
 /// phase table — is thread_local: each thread gets a private instance,
 /// so concurrent compilations (e.g. driven from the threaded simulator's
 /// workers) never contend or corrupt each other, and the single-threaded
@@ -66,13 +70,13 @@ struct ProjectionOptions {
   /// the caller does not pass one.
   unsigned SearchBudget = 20000;
 
-  /// Memoize feasibility and redundancy-removal results keyed on the
-  /// canonicalized constraint matrix.
+  /// Memoize feasibility results keyed on the canonicalized constraint
+  /// matrix.
   bool Cache = true;
   /// Syntactic accelerators in front of the exact tests (duplicate and
   /// dominated constraints, equality-implied inequalities).
   bool QuickChecks = true;
-  /// Entries per cache before a wholesale eviction (bounds memory).
+  /// Memo entries before a wholesale eviction (bounds memory).
   unsigned CacheCapacity = 8192;
 };
 
@@ -91,7 +95,6 @@ struct ProjectionStats {
   uint64_t RedundancyCalls = 0;   ///< removeRedundant entries
   uint64_t RedundancyTests = 0;   ///< exact per-constraint tests run
   uint64_t RedundancyQuickKills = 0; ///< constraints dropped syntactically
-  uint64_t RedundancyCacheHits = 0;  ///< whole-result cache hits
   uint64_t CacheEvictions = 0;    ///< wholesale cache clears on overflow
   uint64_t LexMaxCalls = 0;       ///< parametric lex-opt solves
   uint64_t ScanCalls = 0;         ///< polyhedron scans
@@ -112,7 +115,7 @@ void resetProjectionStats();
 
 /// Drops every memoized result (counters are unaffected).
 void clearProjectionCaches();
-/// Total entries currently held across all memo caches.
+/// Entries currently held by the feasibility memo.
 std::size_t projectionCacheEntries();
 
 /// Wall time and counter deltas attributed to one named compile phase.
@@ -169,10 +172,6 @@ struct CacheKeyHash {
 /// does not exceed the budget that failed.
 bool feasCacheLookup(const CacheKey &K, unsigned Budget, Feasibility &R);
 void feasCacheStore(const CacheKey &K, unsigned Budget, Feasibility R);
-
-/// removeRedundant memo: the constraints left for a key and budget.
-bool sysCacheLookup(const CacheKey &K, std::vector<Constraint> &Out);
-void sysCacheStore(const CacheKey &K, const std::vector<Constraint> &V);
 
 } // namespace detail
 

@@ -376,16 +376,6 @@ void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
     Key.insert(Key.end(), M.row(R), M.row(R) + W);
 }
 
-/// The memo key of \p S (see buildKey) for the redundancy cache. Returns
-/// false when \p S is empty on its face.
-bool canonicalKey(const System &S, detail::CacheKey &Key) {
-  RowMatrix M;
-  if (!normalizedRows(S, M))
-    return false;
-  buildKey(M, Key);
-  return true;
-}
-
 } // namespace
 
 bool System::normalize() {
@@ -882,17 +872,6 @@ void System::removeRedundant(unsigned NodeBudget) {
   if (!normalize())
     return;
 
-  detail::CacheKey Key;
-  bool Keyed = false;
-  if (PO.Cache && canonicalKey(*this, Key)) {
-    Key.push_back(static_cast<IntT>(NodeBudget));
-    if (detail::sysCacheLookup(Key, Cons)) {
-      ++PS.RedundancyCacheHits;
-      return;
-    }
-    Keyed = true;
-  }
-
   if (PO.QuickChecks && Cons.size() > 1) {
     // Syntactic accelerators: drop inequalities another constraint
     // implies on its face before paying for an exact feasibility test
@@ -941,8 +920,6 @@ void System::removeRedundant(unsigned NodeBudget) {
     }
     Cons.erase(Cons.begin() + I);
   }
-  if (Keyed)
-    detail::sysCacheStore(Key, Cons);
 }
 
 std::string System::str() const {

@@ -150,8 +150,8 @@ public:
   /// bounds each per-constraint test; 0 means
   /// projectionOptions().RedundancyBudget. Budget-exhausted (Unknown)
   /// tests conservatively keep the constraint. Syntactic quick-checks
-  /// and a whole-result memo run in front of the exact tests when
-  /// enabled in projectionOptions().
+  /// run in front of the exact tests when enabled in
+  /// projectionOptions().
   void removeRedundant(unsigned NodeBudget = 0);
 
   /// Renders one constraint per line.

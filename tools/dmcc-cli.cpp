@@ -40,11 +40,11 @@
 //                            message latency with computation and
 //                            reports per-run overlap telemetry
 //     --stats                compile-phase profile: wall time per phase,
-//                            feasibility and redundancy cache hits,
-//                            Fourier-Motzkin counters
+//                            feasibility cache hits, redundancy-removal
+//                            tests, Fourier-Motzkin counters
 //     --node-budget N        branch-and-bound node budget for all
 //                            polyhedral queries (0 keeps the defaults)
-//     --no-proj-cache        disable feasibility/redundancy memoization
+//     --no-proj-cache        disable feasibility memoization
 //     --no-proj-heuristics   disable the syntactic quick-checks in front
 //                            of redundancy removal's exact tests
 //
@@ -138,10 +138,9 @@ void printCompileStats(const CompileStats &St) {
               static_cast<unsigned long long>(PS.FmEliminations),
               static_cast<unsigned long long>(PS.LexMaxCalls),
               static_cast<unsigned long long>(PS.ScanCalls));
-  std::printf("redundancy: %llu calls (%llu cached), %llu exact tests, "
-              "%llu quick kills\n",
+  std::printf("redundancy: %llu calls, %llu exact tests, %llu quick "
+              "kills\n",
               static_cast<unsigned long long>(PS.RedundancyCalls),
-              static_cast<unsigned long long>(PS.RedundancyCacheHits),
               static_cast<unsigned long long>(PS.RedundancyTests),
               static_cast<unsigned long long>(PS.RedundancyQuickKills));
   std::printf("caches: %llu entries live, %llu evictions\n",
