@@ -43,9 +43,7 @@ std::vector<Dependence> dmcc::dependencesOnto(const Program &P,
           return "w." + N;
         return N;
       };
-      for (const Constraint &Cn : WDom.constraints())
-        S.addConstraint(Constraint(
-            mapExpr(Cn.Expr, WDom.space(), S.space(), RenW), Cn.Rel));
+      S.addAllMapped(WDom, RenW);
       S.addAllMapped(RDom);
       auto RenProg = [&P](const std::string &N) -> std::string {
         int I = P.space().indexOf(N);

@@ -66,9 +66,7 @@ std::vector<LocPlan> buildLocationPlans(
         return LoopNames[K];
     return N;
   };
-  for (const Constraint &C : Dom.constraints())
-    S.addConstraint(
-        Constraint(mapExpr(C.Expr, Dom.space(), S.space(), MapLoop), C.Rel));
+  S.addAllMapped(Dom, MapLoop);
   // el == fr(iteration).
   for (unsigned K = 0; K != RA.Indices.size(); ++K) {
     AffineExpr FR = mapExpr(RA.Indices[K], P.space(), S.space(), MapLoop);

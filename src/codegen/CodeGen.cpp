@@ -43,9 +43,7 @@ System SpmdSpace::importSystem(
   }
   System R((Space(Out.Sp)));
   auto Map = [&NameMap](const std::string &N) { return NameMap.at(N); };
-  for (const Constraint &C : S.constraints())
-    R.addConstraint(
-        Constraint(mapExpr(C.Expr, S.space(), R.space(), Map), C.Rel));
+  R.addAllMapped(S, Map);
   return R;
 }
 
@@ -105,17 +103,17 @@ std::vector<unsigned> innerClosure(const System &Sys,
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (const Constraint &C : Sys.constraints()) {
+    for (ConstraintRef C : Sys.constraints()) {
       bool Touches = false;
       for (unsigned V = 0; V != Sys.numVars(); ++V)
-        if (In[V] && C.Expr.involves(V)) {
+        if (In[V] && C.involves(V)) {
           Touches = true;
           break;
         }
       if (!Touches)
         continue;
       for (unsigned V = 0; V != Sys.numVars(); ++V) {
-        if (In[V] || !C.Expr.involves(V))
+        if (In[V] || !C.involves(V))
           continue;
         if (Sys.space().kind(V) != VarKind::Aux)
           continue;
@@ -293,9 +291,7 @@ bool dmcc::aggregationSafe(const Program &P, const CommSet &CS,
     Prime[CS.Sys.space().name(I)] = N;
   }
   auto MapPrime = [&Prime](const std::string &N) { return Prime.at(N); };
-  for (const Constraint &C : CS.Sys.constraints())
-    T.addConstraint(Constraint(
-        mapExpr(C.Expr, CS.Sys.space(), T.space(), MapPrime), C.Rel));
+  T.addAllMapped(CS.Sys, MapPrime);
   auto PrimedOf = [&](unsigned V) {
     return static_cast<unsigned>(
         T.space().indexOf(Prime.at(CS.Sys.space().name(V))));
@@ -343,9 +339,7 @@ bool dmcc::aggregationSafe(const Program &P, const CommSet &CS,
         continue;
       M.addVar(CS.Sys.space().name(I) + "$2", CS.Sys.space().kind(I));
     }
-    for (const Constraint &C : CS.Sys.constraints())
-      M.addConstraint(Constraint(
-          mapExpr(C.Expr, CS.Sys.space(), M.space(), MapPrime), C.Rel));
+    M.addAllMapped(CS.Sys, MapPrime);
     auto P2 = [&](unsigned V) {
       return static_cast<unsigned>(
           M.space().indexOf(Prime.at(CS.Sys.space().name(V))));

@@ -20,8 +20,8 @@ public:
     std::vector<SpmdStmt> Inner = emitFrom(0);
     const System &Base = Proj[0];
     std::vector<Constraint> Guard;
-    for (const Constraint &C : Base.constraints())
-      Guard.push_back(C);
+    for (ConstraintRef C : Base.constraints())
+      Guard.push_back(C.constraint());
     if (Guard.empty())
       return Inner;
     SpmdStmt If;
@@ -44,9 +44,9 @@ private:
 
     // Constraints of this level that involve the variable.
     std::vector<Constraint> Involving;
-    for (const Constraint &C : S.constraints())
-      if (C.Expr.involves(VP.Var))
-        Involving.push_back(C);
+    for (ConstraintRef C : S.constraints())
+      if (C.involves(VP.Var))
+        Involving.push_back(C.constraint());
 
     std::vector<SpmdStmt> Out;
     if (VP.BindTo) {

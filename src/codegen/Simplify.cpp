@@ -223,12 +223,12 @@ void SpmdContext::forget(unsigned Var) {
     unsigned Col = static_cast<unsigned>(
         std::find(Cols.begin(), Cols.end(), Var) - Cols.begin());
     System Projected = S.fmEliminated(Col);
-    for (const Constraint &C : Projected.constraints()) {
+    for (ConstraintRef C : Projected.constraints()) {
       AffineExpr E(NumVars);
       for (unsigned J = 0; J != Cols.size(); ++J)
-        E.coeff(Cols[J]) = C.Expr.coeff(J);
-      E.constant() = C.Expr.constant();
-      Derived.push_back(Constraint(std::move(E), C.Rel));
+        E.coeff(Cols[J]) = C.coeff(J);
+      E.constant() = C.constant();
+      Derived.push_back(Constraint(std::move(E), C.rel()));
     }
   }
   std::erase_if(Facts,

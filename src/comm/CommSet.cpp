@@ -80,9 +80,7 @@ CommSet buildBase(const Program &P, const LastWriteTree &T,
     }
   }
   auto MapName = [&NameMap](const std::string &N) { return NameMap.at(N); };
-  for (const Constraint &C : Ctx.Domain.constraints())
-    S.addConstraint(
-        Constraint(mapExpr(C.Expr, ASp, S.space(), MapName), C.Rel));
+  S.addAllMapped(Ctx.Domain, MapName);
 
   // Writer instance: s == the context's write-instance map.
   if (Ctx.HasWriter) {
@@ -218,15 +216,15 @@ std::vector<CommSet> dmcc::buildCommSets(
     InitialData->addConstraints(Own, Vals, CS.PrVars);
     // CS.Sys \ Own: negate each ownership constraint in turn.
     System Prefix = CS.Sys;
-    for (const Constraint &C : Own.constraints()) {
+    for (ConstraintRef C : Own.constraints()) {
       assert(!C.isEquality() && "ownership constraints are inequalities");
       CommSet Piece = CS;
       Piece.Sys = Prefix;
-      Piece.Sys.addGE(C.Expr.negated().plusConst(-1));
+      Piece.Sys.addGE(C.expr().negated().plusConst(-1));
       if (Piece.Sys.normalize() &&
           Piece.Sys.checkIntegerFeasible(feasBudget()) != Feasibility::Empty)
         Thinned.push_back(std::move(Piece));
-      Prefix.addGE(C.Expr);
+      Prefix.addGE(C.expr());
     }
     if (Own.constraints().empty())
       Thinned.push_back(std::move(CS));
@@ -283,9 +281,7 @@ std::vector<CommSet> dmcc::buildFinalizationSets(
     }
   }
   auto MapName = [&NameMap](const std::string &N) { return NameMap.at(N); };
-  for (const Constraint &C : Ctx.Domain.constraints())
-    S.addConstraint(
-        Constraint(mapExpr(C.Expr, ASp, S.space(), MapName), C.Rel));
+  S.addAllMapped(Ctx.Domain, MapName);
 
   if (Ctx.HasWriter) {
     assert(WriterComp && "writer context needs a writer decomposition");
@@ -456,11 +452,11 @@ void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
       System PrefixSys = B.Sys;
       bool Mapped = true;
       std::vector<AffineExpr> Mappable;
-      for (const Constraint &C : Proj.constraints()) {
+      for (ConstraintRef C : Proj.constraints()) {
         // All of Proj's variables must exist in B's space.
         bool Ok = true;
         for (unsigned V = 0; V != Proj.space().size(); ++V)
-          if (C.Expr.involves(V) &&
+          if (C.involves(V) &&
               !B.Sys.space().contains(Proj.space().name(V)))
             Ok = false;
         if (!Ok) {
@@ -472,8 +468,8 @@ void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
         Next.push_back(std::move(B));
         continue;
       }
-      for (const Constraint &C : Proj.constraints()) {
-        AffineExpr E = mapExpr(C.Expr, Proj.space(), PrefixSys.space());
+      for (ConstraintRef C : Proj.constraints()) {
+        AffineExpr E = mapExpr(C.expr(), Proj.space(), PrefixSys.space());
         if (C.isEquality()) {
           CommSet PieceLt = B;
           PieceLt.Sys = PrefixSys;
@@ -534,10 +530,10 @@ bool dmcc::detectMulticast(CommSet &CS) {
         return true;
     return false;
   };
-  for (const Constraint &C : S.constraints()) {
+  for (ConstraintRef C : S.constraints()) {
     bool HasEl = false, HasPr = false;
     for (unsigned V = 0; V != S.numVars(); ++V) {
-      if (!C.Expr.involves(V))
+      if (!C.involves(V))
         continue;
       if (InGroup(CS.ElVars, V))
         HasEl = true;

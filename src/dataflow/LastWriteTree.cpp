@@ -157,10 +157,7 @@ private:
         return writeCopyName(N);
       return N;
     };
-    for (const Constraint &C : WDom.constraints())
-      S.addConstraint(
-          Constraint(mapExpr(C.Expr, WDom.space(), S.space(), Rename),
-                     C.Rel));
+    S.addAllMapped(WDom, Rename);
     // Reader's domain (anchor variables keep their names).
     S.addAllMapped(ReadDomain);
     // Same array element: fw(iw) == fr(ir), dimension by dimension.
@@ -235,9 +232,7 @@ private:
       }
     }
     auto Map = [&NameMap](const std::string &N) { return NameMap.at(N); };
-    for (const Constraint &C : B.constraints())
-      Out.addConstraint(
-          Constraint(mapExpr(C.Expr, B.space(), Out.space(), Map), C.Rel));
+    Out.addAllMapped(B, Map);
     for (AffineExpr &E : IwB)
       E = mapExpr(E, B.space(), Out.space(), Map);
     return Out;

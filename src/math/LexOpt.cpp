@@ -169,8 +169,8 @@ LexResult dmcc::lexMax(const System &S, const std::vector<unsigned> &Objs) {
 LexResult dmcc::lexMin(const System &S, const std::vector<unsigned> &Objs) {
   // lexmin(x) = -lexmax(-x): flip the objective columns, maximize, negate.
   System Out(S.space());
-  for (const Constraint &C : S.constraints()) {
-    Constraint NC = C;
+  for (ConstraintRef C : S.constraints()) {
+    Constraint NC = C.constraint();
     for (unsigned O : Objs)
       NC.Expr.coeff(O) = -NC.Expr.coeff(O);
     Out.addConstraint(std::move(NC));

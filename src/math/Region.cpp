@@ -22,10 +22,10 @@ namespace {
 /// Expands equalities into inequality pairs.
 std::vector<AffineExpr> asInequalities(const System &S) {
   std::vector<AffineExpr> Out;
-  for (const Constraint &C : S.constraints()) {
-    Out.push_back(C.Expr);
+  for (ConstraintRef C : S.constraints()) {
+    Out.push_back(C.expr());
     if (C.isEquality())
-      Out.push_back(C.Expr.negated());
+      Out.push_back(Out.back().negated());
   }
   return Out;
 }
@@ -36,14 +36,6 @@ bool entails(const System &S, const AffineExpr &E) {
   Q.addGE(E.negated().plusConst(-1));
   return Q.checkIntegerFeasible(projectionOptions().FeasibilityBudget) ==
          Feasibility::Empty;
-}
-
-/// True if some constraint of \p S implies E >= 0 on its face.
-bool impliedOnItsFace(const System &S, const AffineExpr &E) {
-  for (const Constraint &C : S.constraints())
-    if (impliesOnItsFace(C, E))
-      return true;
-  return false;
 }
 
 /// A constraint E >= 0 or E == 0 of a system being subtracted, over the
@@ -64,15 +56,15 @@ std::vector<Cut> cutsOf(const System &S, const System &P, bool SkipImplied,
                         bool *Exact) {
   System SB = eliminateAuxVars(S, Exact);
   auto Implied = [&](const AffineExpr &E) {
-    return SkipImplied && impliedOnItsFace(P, E);
+    return SkipImplied && P.impliesOnItsFace(E);
   };
   std::vector<Cut> Out;
-  for (const Constraint &C : SB.constraints()) {
-    AffineExpr E = mapExpr(C.Expr, SB.space(), P.space());
+  for (ConstraintRef C : SB.constraints()) {
+    AffineExpr E = mapExpr(C.expr(), SB.space(), P.space());
     bool Below = !Implied(E);
     bool Above = C.isEquality() && !Implied(E.negated());
     if (Below || Above)
-      Out.push_back(Cut{Constraint(std::move(E), C.Rel), Below, Above});
+      Out.push_back(Cut{Constraint(std::move(E), C.rel()), Below, Above});
   }
   return Out;
 }
@@ -184,7 +176,7 @@ std::optional<System> dmcc::coalesceSystems(const System &A,
   System U(A.space());
   auto addFacesOf = [&](const System &From, const System &Other) {
     for (const AffineExpr &E : asInequalities(From))
-      if ((Quick && impliedOnItsFace(Other, E)) || entails(Other, E))
+      if ((Quick && Other.impliesOnItsFace(E)) || entails(Other, E))
         U.addGE(E);
   };
   addFacesOf(NA, NB);

@@ -6,113 +6,9 @@
 
 using namespace dmcc;
 
-unsigned System::addVar(const std::string &Name, VarKind Kind) {
-  unsigned I = Sp.add(Name, Kind);
-  for (Constraint &C : Cons)
-    C.Expr.appendVar();
-  return I;
-}
-
-void System::addConstraint(Constraint C) {
-  assert(C.Expr.size() == Sp.size() && "constraint over a different space");
-  Cons.push_back(std::move(C));
-}
-
-void System::addRange(unsigned I, IntT Lo, IntT Hi) {
-  addGE(varExpr(I).plusConst(-Lo));
-  addGE(varExpr(I).negated().plusConst(Hi));
-}
-
-void System::addMapped(const Constraint &C, const Space &From) {
-  Constraint M = C;
-  M.Expr = mapExpr(C.Expr, From, Sp);
-  addConstraint(std::move(M));
-}
-
-void System::addAllMapped(const System &Other) {
-  for (const Constraint &C : Other.constraints())
-    addMapped(C, Other.space());
-}
+using detail::RowMatrix;
 
 namespace {
-
-/// Constraints as one flat integer matrix: row R is
-///   Data[R*Width, (R+1)*Width) = [rel, const, c0 ... c(Width-3)]
-/// with rel 0 for Expr >= 0 and 1 for Expr == 0. Normalization and
-/// Fourier-Motzkin elimination exist only on these rows: System's
-/// normalize, fmEliminated and eliminated load their constraints once,
-/// run the kernel and write the rows back, and the integer-feasibility
-/// search works on them from the cache key to the verdict.
-struct RowMatrix {
-  static constexpr IntT GE = 0, EQ = 1;
-
-  unsigned Width = 2; ///< 2 + number of live columns
-  unsigned Rows = 0;
-  std::vector<IntT> Data;
-
-  IntT *row(unsigned R) { return Data.data() + size_t(R) * Width; }
-  const IntT *row(unsigned R) const {
-    return Data.data() + size_t(R) * Width;
-  }
-  void reset(unsigned W) {
-    Width = W;
-    Rows = 0;
-    Data.clear();
-  }
-  /// Appends a zeroed row and returns it.
-  IntT *appendRow() {
-    Data.resize(Data.size() + Width);
-    return row(Rows++);
-  }
-  /// Appends \p Src, a row one entry wider than this matrix's, without
-  /// its entry \p V.
-  void appendWithout(const IntT *Src, unsigned V) {
-    Data.insert(Data.end(), Src, Src + V);
-    Data.insert(Data.end(), Src + V + 1, Src + Width + 1);
-    ++Rows;
-  }
-};
-
-/// Loads \p Cons, constraints over \p N variables, as rows.
-void loadRows(const std::vector<Constraint> &Cons, unsigned N,
-              RowMatrix &M) {
-  M.reset(N + 2);
-  M.Data.reserve(size_t(Cons.size()) * M.Width);
-  for (const Constraint &C : Cons) {
-    IntT *R = M.appendRow();
-    R[0] = C.isEquality() ? RowMatrix::EQ : RowMatrix::GE;
-    R[1] = C.Expr.constant();
-    for (unsigned I = 0; I != N; ++I)
-      R[2 + I] = C.Expr.coeff(I);
-  }
-}
-
-/// Writes \p M back into \p Cons, reusing its storage, as constraints
-/// over \p N variables: the variables in \p Gone (ascending) were
-/// eliminated and get zero coefficients, and M's columns hold the others
-/// in order.
-void storeRows(const RowMatrix &M, unsigned N,
-               const std::vector<unsigned> &Gone,
-               std::vector<Constraint> &Cons) {
-  Cons.resize(M.Rows);
-  for (unsigned R = 0; R != M.Rows; ++R) {
-    const IntT *P = M.row(R);
-    AffineExpr &E = Cons[R].Expr;
-    Cons[R].Rel = P[0] == RowMatrix::EQ ? RelKind::EQ : RelKind::GE;
-    if (E.size() != N)
-      E = AffineExpr(N);
-    E.constant() = P[1];
-    auto G = Gone.begin();
-    for (unsigned I = 0, Col = 2; I != N; ++I) {
-      if (G != Gone.end() && *G == I) {
-        E.coeff(I) = 0;
-        ++G;
-      } else {
-        E.coeff(I) = P[Col++];
-      }
-    }
-  }
-}
 
 /// Negates \p Len entries in place, aborting like AffineExpr::scale(-1).
 void negateChk(IntT *P, unsigned Len) {
@@ -349,10 +245,26 @@ void eliminateColumn(const RowMatrix &In, RowMatrix &Out, unsigned V,
   normalizeRows(Out);
 }
 
-/// Normalizes \p S into rows; false when it is empty on its face.
-bool normalizedRows(const System &S, RowMatrix &M) {
-  loadRows(S.constraints(), S.numVars(), M);
-  return normalizeRows(M);
+/// Copies \p In into \p Out as rows over N variables: the variables in
+/// \p Gone (ascending) were eliminated from In and get zero
+/// coefficients, and In's columns hold the others in order.
+void widenRows(const RowMatrix &In, unsigned N,
+               const std::vector<unsigned> &Gone, RowMatrix &Out) {
+  Out.reset(N + 2);
+  Out.Data.reserve(size_t(In.Rows) * Out.Width);
+  for (unsigned R = 0; R != In.Rows; ++R) {
+    const IntT *Src = In.row(R);
+    IntT *P = Out.appendRow();
+    P[0] = Src[0];
+    P[1] = Src[1];
+    auto G = Gone.begin();
+    for (unsigned I = 0, Col = 2; I != N; ++I) {
+      if (G != Gone.end() && *G == I)
+        ++G; // stays zero
+      else
+        P[2 + I] = Src[Col++];
+    }
+  }
 }
 
 /// The cache key of normalized rows \p M: variable and row counts, then
@@ -376,99 +288,42 @@ void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
     Key.insert(Key.end(), M.row(R), M.row(R) + W);
 }
 
-} // namespace
-
-bool System::normalize() {
-  RowMatrix M;
-  loadRows(Cons, Sp.size(), M);
-  bool Ok = normalizeRows(M);
-  storeRows(M, Sp.size(), {}, Cons);
-  return Ok;
-}
-
-System System::fmEliminated(unsigned I, bool *Exact) const {
-  assert(I < Sp.size() && "variable index out of range");
-  RowMatrix In, Out;
-  ElimScratch S;
-  loadRows(Cons, Sp.size(), In);
-  eliminateColumn(In, Out, 2 + I, S, Exact);
-  System R(Sp);
-  storeRows(Out, Sp.size(), {I}, R.Cons);
-  return R;
-}
-
-System System::eliminated(const std::vector<unsigned> &Vars,
-                          bool *Exact) const {
-  RowMatrix M, Next;
-  ElimScratch S;
-  loadRows(Cons, Sp.size(), M);
-  std::vector<unsigned> Gone; // eliminated so far, ascending
-  for (unsigned V : Vars) {
-    assert(V < Sp.size() && "variable index out of range");
-    auto It = std::lower_bound(Gone.begin(), Gone.end(), V);
-    if (It != Gone.end() && *It == V)
-      continue;
-    // Column of V once the variables before it in Gone are dropped.
-    unsigned Col = 2 + V - static_cast<unsigned>(It - Gone.begin());
-    if (!involvesColumn(M, Col))
-      continue;
-    eliminateColumn(M, Next, Col, S, Exact);
-    std::swap(M, Next);
-    Gone.insert(It, V);
-  }
-  System R(Sp);
-  storeRows(M, Sp.size(), Gone, R.Cons);
-  return R;
-}
-
-bool System::involves(unsigned I) const {
-  for (const Constraint &C : Cons)
-    if (C.Expr.involves(I))
-      return true;
-  return false;
-}
-
-void System::substitute(unsigned I, const AffineExpr &Repl) {
-  for (Constraint &C : Cons)
-    C.Expr.substitute(I, Repl);
-}
-
-void System::removeVar(unsigned I) {
-  assert(!involves(I) && "removing a variable still in use");
-  for (Constraint &C : Cons)
-    C.Expr.removeVar(I);
-  Sp.remove(I);
-}
-
-void System::boundsOf(unsigned I, std::vector<VarBound> &Lower,
-                      std::vector<VarBound> &Upper) const {
-  for (const Constraint &C : Cons) {
-    IntT A = C.Expr.coeff(I);
-    if (A == 0)
-      continue;
-    AffineExpr Rest = C.Expr;
-    Rest.coeff(I) = 0;
-    if (A > 0 || C.isEquality()) {
-      // A*v + R >= 0  (A > 0)  =>  v >= ceil(-R / A)
-      AffineExpr Num = A > 0 ? Rest.negated() : Rest;
-      Lower.push_back(VarBound{std::move(Num), A > 0 ? A : -A});
-    }
-    if (A < 0 || C.isEquality()) {
-      // A*v + R >= 0  (A < 0)  =>  v <= floor(R / -A)
-      AffineExpr Num = A < 0 ? Rest : Rest.negated();
-      Upper.push_back(VarBound{std::move(Num), A < 0 ? -A : A});
-    }
-  }
-}
-
-bool System::holds(const std::vector<IntT> &Vals) const {
-  for (const Constraint &C : Cons)
-    if (!C.holds(Vals))
+/// True under the assignment \p Vals, each row evaluated with
+/// AffineExpr::evaluate's checked operations in its order.
+bool rowsHold(const RowMatrix &M, const std::vector<IntT> &Vals) {
+  const unsigned W = M.Width;
+  for (unsigned R = 0; R != M.Rows; ++R) {
+    const IntT *P = M.row(R);
+    IntT V = P[1];
+    for (unsigned I = 2; I != W; ++I)
+      if (P[I] != 0)
+        V = addChk(V, mulChk(P[I], Vals[I - 2]));
+    if (P[0] == RowMatrix::EQ ? V != 0 : V < 0)
       return false;
+  }
   return true;
 }
 
-namespace {
+/// The rule behind impliesOnItsFace: \p C (an equality when \p CIsEq)
+/// alone implies  E >= 0. C and E are AffineExprs or ConstraintRefs over
+/// \p N variables.
+template <typename CT, typename ET>
+bool faceImplies(const CT &C, bool CIsEq, const ET &E, unsigned N) {
+  // c + a >= 0 implies c + b >= 0 whenever b >= a; c + a == 0 forces
+  // c = -a, so it implies c + b >= 0 when b >= a and -c + b >= 0 when
+  // a + b >= 0.
+  bool Same = true, Neg = CIsEq;
+  for (unsigned I = 0; I != N && (Same || Neg); ++I) {
+    IntT A = C.coeff(I), B = E.coeff(I);
+    Same = Same && A == B;
+    Neg = Neg && A != INT64_MIN && B == -A;
+  }
+  IntT CA = C.constant(), CB = E.constant();
+  if (Same)
+    return CB >= CA;
+  IntT Sum;
+  return Neg && !__builtin_add_overflow(CA, CB, &Sum) && Sum >= 0;
+}
 
 /// The bound lists of a Fourier-Motzkin chain for scanning variables
 /// 0..N-1 in index order, as boundsOf would extract them. Level K+1 of
@@ -604,8 +459,8 @@ private:
 /// original system at the leaves.
 class IntSearch {
 public:
-  IntSearch(const System &S, unsigned NodeBudget)
-      : Orig(S), Budget(NodeBudget) {}
+  IntSearch(const RowMatrix &Orig, unsigned NodeBudget)
+      : Orig(Orig), Budget(NodeBudget) {}
 
   /// Window of values explored at a truncated or unbounded range end.
   static constexpr IntT Window = 72;
@@ -622,8 +477,7 @@ public:
   }
 
   Feasibility run(std::vector<IntT> *Point) {
-    unsigned N = Orig.numVars();
-    Vals.assign(N, 0);
+    Vals.assign(Orig.Width - 2, 0);
     Incomplete = false;
     BudgetHit = false;
     bool Found = dfs(0);
@@ -640,9 +494,8 @@ public:
 
 private:
   bool dfs(unsigned K) {
-    unsigned N = Orig.numVars();
-    if (K == N)
-      return Orig.holds(Vals);
+    if (K == Vals.size())
+      return rowsHold(Orig, Vals);
     if (Budget == 0) {
       BudgetHit = true;
       return false;
@@ -694,7 +547,7 @@ private:
     return dfs(K + 1);
   }
 
-  const System &Orig;
+  const RowMatrix &Orig;
   FmChain Chain;
   std::vector<IntT> Vals;
   unsigned Budget;
@@ -707,18 +560,18 @@ private:
 /// level's range, aborting on an unbounded level or a spent budget.
 class PointEnumerator {
 public:
-  PointEnumerator(const System &S, const FmChain &Chain,
+  PointEnumerator(const RowMatrix &Orig, const FmChain &Chain,
                   const std::function<void(const std::vector<IntT> &)> &Fn,
                   unsigned Budget)
-      : Orig(S), Chain(Chain), Fn(Fn), Budget(Budget),
-        Vals(S.numVars(), 0) {}
+      : Orig(Orig), Chain(Chain), Fn(Fn), Budget(Budget),
+        Vals(Orig.Width - 2, 0) {}
 
   void scan(unsigned K) {
     if (Used >= Budget)
       fatalError("enumeratePoints budget exhausted (unbounded system?)");
     if (K == Vals.size()) {
       ++Used;
-      if (Orig.holds(Vals))
+      if (rowsHold(Orig, Vals))
         Fn(Vals);
       return;
     }
@@ -735,7 +588,7 @@ public:
   }
 
 private:
-  const System &Orig;
+  const RowMatrix &Orig;
   const FmChain &Chain;
   const std::function<void(const std::vector<IntT> &)> &Fn;
   unsigned Budget;
@@ -743,9 +596,8 @@ private:
   std::vector<IntT> Vals;
 };
 
-} // namespace
-
-Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
+/// System::checkIntegerFeasible on the rows \p Orig.
+Feasibility rowsFeasibility(const RowMatrix &Orig, unsigned NodeBudget) {
   const ProjectionOptions &PO = projectionOptions();
   ProjectionStats &PS = projectionStats();
   if (NodeBudget == 0)
@@ -753,8 +605,8 @@ Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
   ++PS.FeasQueries;
 
   // One normalization serves the key and the search.
-  RowMatrix Rows;
-  bool NonEmpty = normalizedRows(*this, Rows);
+  RowMatrix Rows = Orig;
+  bool NonEmpty = normalizeRows(Rows);
   detail::CacheKey Key;
   bool Keyed = false;
   if (PO.Cache) {
@@ -770,7 +622,7 @@ Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
     Keyed = true;
   }
 
-  IntSearch Search(*this, NodeBudget);
+  IntSearch Search(Orig, NodeBudget);
   Feasibility R = NonEmpty && Search.prepare(Rows) ? Search.run(nullptr)
                                                    : Feasibility::Empty;
   if (R == Feasibility::Unknown)
@@ -780,14 +632,189 @@ Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
   return R;
 }
 
+} // namespace
+
+AffineExpr ConstraintRef::expr() const {
+  AffineExpr E(N);
+  E.constant() = Row[1];
+  for (unsigned I = 0; I != N; ++I)
+    E.coeff(I) = Row[2 + I];
+  return E;
+}
+
+unsigned System::addVar(const std::string &Name, VarKind Kind) {
+  unsigned I = Sp.add(Name, Kind);
+  assert(I + 2 == M.Width && "variables are appended");
+  RowMatrix Wider;
+  Wider.reset(M.Width + 1);
+  Wider.Data.reserve(size_t(M.Rows) * Wider.Width);
+  for (unsigned R = 0; R != M.Rows; ++R) {
+    Wider.Data.insert(Wider.Data.end(), M.row(R), M.row(R) + M.Width);
+    Wider.Data.push_back(0);
+  }
+  Wider.Rows = M.Rows;
+  M = std::move(Wider);
+  return I;
+}
+
+void System::addConstraint(const Constraint &C) {
+  assert(C.Expr.size() == Sp.size() && "constraint over a different space");
+  IntT *P = M.appendRow();
+  P[0] = C.isEquality() ? RowMatrix::EQ : RowMatrix::GE;
+  P[1] = C.Expr.constant();
+  for (unsigned I = 0, N = Sp.size(); I != N; ++I)
+    P[2 + I] = C.Expr.coeff(I);
+}
+
+void System::addRange(unsigned I, IntT Lo, IntT Hi) {
+  addGE(varExpr(I).plusConst(-Lo));
+  addGE(varExpr(I).negated().plusConst(Hi));
+}
+
+void System::addAllMapped(const System &Other, const NameMapFn &MapName) {
+  assert(&Other != this && "mapping a system into itself");
+  // This space's column of each variable of Other that some row uses;
+  // unused variables are not looked up, as mapExpr skips zero terms.
+  const unsigned NO = Other.numVars();
+  std::vector<unsigned> Col(NO, 0);
+  for (unsigned I = 0; I != NO; ++I) {
+    if (!Other.involves(I))
+      continue;
+    const std::string &From = Other.Sp.name(I);
+    int J = Sp.indexOf(MapName ? MapName(From) : From);
+    if (J < 0)
+      fatalError("mapExpr: variable missing in target space");
+    Col[I] = 2 + static_cast<unsigned>(J);
+  }
+  M.Data.reserve(M.Data.size() + size_t(Other.M.Rows) * M.Width);
+  for (unsigned R = 0; R != Other.M.Rows; ++R) {
+    const IntT *Src = Other.M.row(R);
+    IntT *P = M.appendRow();
+    P[0] = Src[0];
+    P[1] = Src[1];
+    for (unsigned I = 0; I != NO; ++I)
+      if (Src[2 + I] != 0)
+        P[Col[I]] = Src[2 + I];
+  }
+}
+
+bool System::normalize() { return normalizeRows(M); }
+
+System System::fmEliminated(unsigned I, bool *Exact) const {
+  assert(I < Sp.size() && "variable index out of range");
+  RowMatrix Out;
+  ElimScratch S;
+  eliminateColumn(M, Out, 2 + I, S, Exact);
+  System R(Sp);
+  widenRows(Out, Sp.size(), {I}, R.M);
+  return R;
+}
+
+System System::eliminated(const std::vector<unsigned> &Vars,
+                          bool *Exact) const {
+  const RowMatrix *In = &M; // the rows so far
+  RowMatrix Cur, Next;
+  ElimScratch S;
+  std::vector<unsigned> Gone; // eliminated so far, ascending
+  for (unsigned V : Vars) {
+    assert(V < Sp.size() && "variable index out of range");
+    auto It = std::lower_bound(Gone.begin(), Gone.end(), V);
+    if (It != Gone.end() && *It == V)
+      continue;
+    // Column of V once the variables before it in Gone are dropped.
+    unsigned Col = 2 + V - static_cast<unsigned>(It - Gone.begin());
+    if (!involvesColumn(*In, Col))
+      continue;
+    eliminateColumn(*In, Next, Col, S, Exact);
+    std::swap(Cur, Next);
+    In = &Cur;
+    Gone.insert(It, V);
+  }
+  System R(Sp);
+  widenRows(*In, Sp.size(), Gone, R.M);
+  return R;
+}
+
+bool System::involves(unsigned I) const {
+  assert(I < Sp.size() && "variable index out of range");
+  return involvesColumn(M, 2 + I);
+}
+
+void System::substitute(unsigned I, const AffineExpr &Repl) {
+  assert(Repl.size() == Sp.size() && "substitution over a different space");
+  assert(!Repl.involves(I) && "substitution must not involve the variable");
+  // AffineExpr::substitute on every row that uses the variable.
+  for (unsigned R = 0; R != M.Rows; ++R) {
+    IntT *P = M.row(R);
+    IntT A = P[2 + I];
+    if (A == 0)
+      continue;
+    P[2 + I] = 0;
+    for (unsigned J = 0, N = Sp.size(); J != N; ++J)
+      P[2 + J] = addChk(P[2 + J], mulChk(A, Repl.coeff(J)));
+    P[1] = addChk(P[1], mulChk(A, Repl.constant()));
+  }
+}
+
+void System::removeVar(unsigned I) {
+  assert(!involves(I) && "removing a variable still in use");
+  RowMatrix Narrow;
+  Narrow.reset(M.Width - 1);
+  Narrow.Data.reserve(size_t(M.Rows) * Narrow.Width);
+  for (unsigned R = 0; R != M.Rows; ++R)
+    Narrow.appendWithout(M.row(R), 2 + I);
+  M = std::move(Narrow);
+  Sp.remove(I);
+}
+
+void System::boundsOf(unsigned I, std::vector<VarBound> &Lower,
+                      std::vector<VarBound> &Upper) const {
+  for (ConstraintRef C : constraints()) {
+    IntT A = C.coeff(I);
+    if (A == 0)
+      continue;
+    AffineExpr Rest = C.expr();
+    Rest.coeff(I) = 0;
+    if (A > 0 || C.isEquality()) {
+      // A*v + R >= 0  (A > 0)  =>  v >= ceil(-R / A)
+      AffineExpr Num = A > 0 ? Rest.negated() : Rest;
+      Lower.push_back(VarBound{std::move(Num), A > 0 ? A : -A});
+    }
+    if (A < 0 || C.isEquality()) {
+      // A*v + R >= 0  (A < 0)  =>  v <= floor(R / -A)
+      AffineExpr Num = A < 0 ? Rest : Rest.negated();
+      Upper.push_back(VarBound{std::move(Num), A < 0 ? -A : A});
+    }
+  }
+}
+
+bool System::holds(const std::vector<IntT> &Vals) const {
+  return rowsHold(M, Vals);
+}
+
+bool dmcc::impliesOnItsFace(const Constraint &C, const AffineExpr &E) {
+  return faceImplies(C.Expr, C.isEquality(), E, E.size());
+}
+
+bool System::impliesOnItsFace(const AffineExpr &E) const {
+  for (ConstraintRef C : constraints())
+    if (faceImplies(C, C.isEquality(), E, numVars()))
+      return true;
+  return false;
+}
+
+Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
+  return rowsFeasibility(M, NodeBudget);
+}
+
 std::optional<std::vector<IntT>> System::sampleIntPoint(
     unsigned NodeBudget) const {
   const ProjectionOptions &PO = projectionOptions();
   if (NodeBudget == 0)
     NodeBudget = PO.SearchBudget;
 
-  RowMatrix Rows;
-  if (!normalizedRows(*this, Rows))
+  RowMatrix Rows = M;
+  if (!normalizeRows(Rows))
     return std::nullopt;
   // A memoized Empty verdict saves the search; a Feasible one still
   // needs a point, so only the negative side short-circuits.
@@ -802,7 +829,7 @@ std::optional<std::vector<IntT>> System::sampleIntPoint(
     Keyed = true;
   }
 
-  IntSearch Search(*this, NodeBudget);
+  IntSearch Search(M, NodeBudget);
   if (!Search.prepare(Rows))
     return std::nullopt;
   std::vector<IntT> Point;
@@ -817,50 +844,14 @@ std::optional<std::vector<IntT>> System::sampleIntPoint(
 void System::enumeratePoints(
     const std::function<void(const std::vector<IntT> &)> &Fn,
     unsigned Budget) const {
-  RowMatrix Rows;
-  if (!normalizedRows(*this, Rows))
+  RowMatrix Rows = M;
+  if (!normalizeRows(Rows))
     return;
   // Level 0's verdict is not consulted: an empty range stops the scan,
   // and an unbounded level reached before it still aborts.
   FmChain Chain;
   (void)Chain.build(Rows);
-  PointEnumerator(*this, Chain, Fn, Budget).scan(0);
-}
-
-namespace {
-
-/// True iff A and B have identical coefficient rows (constants ignored).
-bool sameCoeffRow(const AffineExpr &A, const AffineExpr &B) {
-  for (unsigned I = 0, E = A.size(); I != E; ++I)
-    if (A.coeff(I) != B.coeff(I))
-      return false;
-  return true;
-}
-
-/// True iff A's coefficient row is the negation of B's (constants
-/// ignored); false on any non-representable negation.
-bool negCoeffRow(const AffineExpr &A, const AffineExpr &B) {
-  for (unsigned I = 0, E = A.size(); I != E; ++I) {
-    IntT C = B.coeff(I);
-    if (C == INT64_MIN || A.coeff(I) != -C)
-      return false;
-  }
-  return true;
-}
-
-} // namespace
-
-bool dmcc::impliesOnItsFace(const Constraint &C, const AffineExpr &E) {
-  // c + a >= 0 implies c + b >= 0 whenever b >= a; c + a == 0 forces
-  // c = -a, so it implies c + b >= 0 when b >= a and -c + b >= 0 when
-  // a + b >= 0.
-  IntT CA = C.Expr.constant(), CB = E.constant();
-  if (sameCoeffRow(C.Expr, E))
-    return CB >= CA;
-  if (!C.isEquality() || !negCoeffRow(E, C.Expr))
-    return false;
-  IntT Sum;
-  return !__builtin_add_overflow(CA, CB, &Sum) && Sum >= 0;
+  PointEnumerator(M, Chain, Fn, Budget).scan(0);
 }
 
 void System::removeRedundant(unsigned NodeBudget) {
@@ -872,69 +863,82 @@ void System::removeRedundant(unsigned NodeBudget) {
   if (!normalize())
     return;
 
-  if (PO.QuickChecks && Cons.size() > 1) {
+  const unsigned W = M.Width;
+  if (PO.QuickChecks && M.Rows > 1) {
     // Syntactic accelerators: drop inequalities another constraint
     // implies on its face before paying for an exact feasibility test
     // each. normalize() has removed duplicates, so two inequalities never
     // imply each other.
-    std::vector<bool> Drop(Cons.size(), false);
-    for (unsigned J = 0; J != Cons.size(); ++J) {
+    ConstraintList Cons = constraints();
+    std::vector<bool> Drop(M.Rows, false);
+    for (unsigned J = 0; J != M.Rows; ++J) {
       if (Cons[J].isEquality())
         continue;
-      for (unsigned I = 0; I != Cons.size() && !Drop[J]; ++I)
-        if (I != J && !Drop[I] && impliesOnItsFace(Cons[I], Cons[J].Expr))
+      for (unsigned I = 0; I != M.Rows && !Drop[J]; ++I)
+        if (I != J && !Drop[I] &&
+            faceImplies(Cons[I], Cons[I].isEquality(), Cons[J], W - 2))
           Drop[J] = true;
     }
-    std::vector<Constraint> Kept;
-    Kept.reserve(Cons.size());
-    for (unsigned I = 0; I != Cons.size(); ++I) {
-      if (Drop[I]) {
+    unsigned Kept = 0;
+    for (unsigned R = 0; R != M.Rows; ++R) {
+      if (Drop[R]) {
         ++PS.RedundancyQuickKills;
         continue;
       }
-      Kept.push_back(std::move(Cons[I]));
+      if (Kept != R)
+        std::copy(M.row(R), M.row(R) + W, M.row(Kept));
+      ++Kept;
     }
-    Cons = std::move(Kept);
+    M.Rows = Kept;
+    M.Data.resize(size_t(Kept) * W);
   }
 
-  for (unsigned I = Cons.size(); I-- > 0;) {
-    ++PS.RedundancyTests;
-    const Constraint C = Cons[I];
-    System Test(Sp);
-    for (unsigned J = 0, E = Cons.size(); J != E; ++J)
+  // True when the other rows and one strict side of row I, Expr <= -1
+  // (\p Below) or Expr >= 1, have no integer point.
+  RowMatrix Test;
+  auto SideIsEmpty = [&](unsigned I, bool Below) {
+    Test.reset(W);
+    for (unsigned J = 0; J != M.Rows; ++J)
       if (J != I)
-        Test.addConstraint(Cons[J]);
-    if (C.isEquality()) {
-      // EQ is redundant iff both strict sides are empty.
-      System TestLt = Test;
-      TestLt.addGE(C.Expr.negated().plusConst(-1)); // Expr <= -1
-      if (TestLt.checkIntegerFeasible(NodeBudget) != Feasibility::Empty)
-        continue;
-      Test.addGE(C.Expr.plusConst(-1)); // Expr >= 1
-      if (Test.checkIntegerFeasible(NodeBudget) != Feasibility::Empty)
-        continue;
-    } else {
-      Test.addGE(C.Expr.negated().plusConst(-1)); // Expr <= -1
-      if (Test.checkIntegerFeasible(NodeBudget) != Feasibility::Empty)
-        continue;
+        Test.Data.insert(Test.Data.end(), M.row(J), M.row(J) + W);
+    Test.Rows = M.Rows - 1;
+    const IntT *C = M.row(I);
+    IntT *P = Test.appendRow();
+    std::copy(C + 1, C + W, P + 1);
+    if (Below) {
+      // AffineExpr::negated's order: coefficients, then the constant.
+      negateChk(P + 2, W - 2);
+      P[1] = mulChk(P[1], -1);
     }
-    Cons.erase(Cons.begin() + I);
+    P[0] = RowMatrix::GE;
+    P[1] = addChk(P[1], -1);
+    return rowsFeasibility(Test, NodeBudget) == Feasibility::Empty;
+  };
+  for (unsigned I = M.Rows; I-- > 0;) {
+    ++PS.RedundancyTests;
+    // An equality is redundant iff both strict sides are empty.
+    if (!SideIsEmpty(I, true))
+      continue;
+    if (M.row(I)[0] == RowMatrix::EQ && !SideIsEmpty(I, false))
+      continue;
+    M.Data.erase(M.Data.begin() + size_t(I) * W,
+                 M.Data.begin() + size_t(I + 1) * W);
+    --M.Rows;
   }
 }
 
 std::string System::str() const {
   std::string S;
-  for (const Constraint &C : Cons) {
+  for (ConstraintRef C : constraints()) {
     S += "  ";
-    S += C.str(Sp);
+    S += C.constraint().str(Sp);
     S += "\n";
   }
   return S;
 }
 
-AffineExpr dmcc::mapExpr(
-    const AffineExpr &E, const Space &From, const Space &To,
-    const std::function<std::string(const std::string &)> &MapName) {
+AffineExpr dmcc::mapExpr(const AffineExpr &E, const Space &From,
+                         const Space &To, const NameMapFn &MapName) {
   assert(E.size() == From.size() && "expression over a different space");
   AffineExpr R(To.size());
   R.constant() = E.constant();

@@ -37,17 +37,120 @@ struct VarBound {
   IntT Den = 1;
 };
 
-/// A conjunction of affine constraints over a Space.
+namespace detail {
+
+/// The constraints of a System as one flat integer matrix: row R is
+///   Data[R*Width, (R+1)*Width) = [rel, const, c0 ... c(Width-3)]
+/// with rel GE for Expr >= 0 and EQ for Expr == 0. Normalization,
+/// Fourier-Motzkin elimination and the integer-feasibility search all
+/// run on these rows (System.cpp); callers read them through
+/// ConstraintRef.
+struct RowMatrix {
+  static constexpr IntT GE = 0, EQ = 1;
+
+  unsigned Width = 2; ///< 2 + number of live columns
+  unsigned Rows = 0;
+  std::vector<IntT> Data;
+
+  IntT *row(unsigned R) { return Data.data() + size_t(R) * Width; }
+  const IntT *row(unsigned R) const {
+    return Data.data() + size_t(R) * Width;
+  }
+  void reset(unsigned W) {
+    Width = W;
+    Rows = 0;
+    Data.clear();
+  }
+  /// Appends a zeroed row and returns it.
+  IntT *appendRow() {
+    Data.resize(Data.size() + Width);
+    return row(Rows++);
+  }
+  /// Appends \p Src, a row one entry wider than this matrix's, without
+  /// its entry \p V.
+  void appendWithout(const IntT *Src, unsigned V) {
+    Data.insert(Data.end(), Src, Src + V);
+    Data.insert(Data.end(), Src + V + 1, Src + Width + 1);
+    ++Rows;
+  }
+};
+
+} // namespace detail
+
+/// A read-only view of one constraint of a System, valid until the
+/// System changes.
+class ConstraintRef {
+public:
+  RelKind rel() const { return isEquality() ? RelKind::EQ : RelKind::GE; }
+  bool isEquality() const { return Row[0] == detail::RowMatrix::EQ; }
+  IntT constant() const { return Row[1]; }
+  IntT coeff(unsigned I) const {
+    assert(I < N && "coefficient index out of range");
+    return Row[2 + I];
+  }
+  bool involves(unsigned I) const { return coeff(I) != 0; }
+  /// The constraint's expression, over the System's space.
+  AffineExpr expr() const;
+  Constraint constraint() const { return Constraint(expr(), rel()); }
+
+private:
+  friend class ConstraintList;
+  ConstraintRef(const IntT *Row, unsigned N) : Row(Row), N(N) {}
+  const IntT *Row;
+  unsigned N;
+};
+
+/// The constraints of a System in order, as ConstraintRefs.
+class ConstraintList {
+public:
+  class iterator {
+  public:
+    ConstraintRef operator*() const { return ConstraintRef(P, N); }
+    iterator &operator++() {
+      P += N + 2;
+      return *this;
+    }
+    bool operator==(const iterator &O) const { return P == O.P; }
+
+  private:
+    friend class ConstraintList;
+    iterator(const IntT *P, unsigned N) : P(P), N(N) {}
+    const IntT *P;
+    unsigned N;
+  };
+
+  iterator begin() const { return iterator(M.Data.data(), M.Width - 2); }
+  iterator end() const {
+    return iterator(M.Data.data() + M.Data.size(), M.Width - 2);
+  }
+  unsigned size() const { return M.Rows; }
+  bool empty() const { return M.Rows == 0; }
+  ConstraintRef operator[](unsigned R) const {
+    assert(R < M.Rows && "constraint index out of range");
+    return ConstraintRef(M.row(R), M.Width - 2);
+  }
+
+private:
+  friend class System;
+  explicit ConstraintList(const detail::RowMatrix &M) : M(M) {}
+  const detail::RowMatrix &M;
+};
+
+/// Maps a variable name of one space to a name of another.
+using NameMapFn = std::function<std::string(const std::string &)>;
+
+/// A conjunction of affine constraints over a Space, stored as flat rows
+/// (detail::RowMatrix).
 class System {
 public:
   System() = default;
-  explicit System(Space Sp) : Sp(std::move(Sp)) {}
+  explicit System(Space Sp) : Sp(std::move(Sp)) { M.Width = numVars() + 2; }
 
   const Space &space() const { return Sp; }
   unsigned numVars() const { return Sp.size(); }
 
-  const std::vector<Constraint> &constraints() const { return Cons; }
-  unsigned numConstraints() const { return Cons.size(); }
+  ConstraintList constraints() const { return ConstraintList(M); }
+  unsigned numConstraints() const { return M.Rows; }
 
   /// Appends a variable to the space, extending every constraint with a
   /// zero coefficient. Returns the new variable's index.
@@ -64,7 +167,7 @@ public:
     return AffineExpr::constant(Sp.size(), C);
   }
 
-  void addConstraint(Constraint C);
+  void addConstraint(const Constraint &C);
   /// Adds  E >= 0.
   void addGE(AffineExpr E) { addConstraint(Constraint::ge(std::move(E))); }
   /// Adds  E == 0.
@@ -76,11 +179,11 @@ public:
   /// Adds  Lo <= v_I <= Hi  for constants.
   void addRange(unsigned I, IntT Lo, IntT Hi);
 
-  /// Adds \p C, translating variable indices from \p From to this space by
-  /// name. Every variable used by \p C must exist here.
-  void addMapped(const Constraint &C, const Space &From);
-  /// Adds every constraint of \p Other, mapped by name.
-  void addAllMapped(const System &Other);
+  /// Adds every constraint of \p Other, translating its variables to this
+  /// space by \p MapName(name), or by equal name when it is null, as
+  /// mapExpr does. Every variable a constraint of \p Other uses must map
+  /// to a variable here.
+  void addAllMapped(const System &Other, const NameMapFn &MapName = nullptr);
 
   /// Gcd-reduces constraints (with GE tightening and the EQ divisibility
   /// test), drops tautologies and duplicates, and merges  E >= 0, -E >= 0
@@ -109,8 +212,7 @@ public:
 
   /// Projects out \p Vars in the given order: each one that still
   /// appears in a constraint is eliminated as by fmEliminated, the rest
-  /// are skipped (and not counted), and the space stays unchanged. The
-  /// constraints are loaded once for the whole chain.
+  /// are skipped (and not counted), and the space stays unchanged.
   System eliminated(const std::vector<unsigned> &Vars,
                     bool *Exact = nullptr) const;
 
@@ -121,6 +223,10 @@ public:
 
   /// True under the assignment \p Vals (one value per space variable).
   bool holds(const std::vector<IntT> &Vals) const;
+
+  /// True when some constraint alone implies  E >= 0  on its face (see
+  /// the free impliesOnItsFace).
+  bool impliesOnItsFace(const AffineExpr &E) const;
 
   /// Exhaustive-by-construction integer feasibility (branch and bound over
   /// a Fourier-Motzkin chain). \p NodeBudget bounds the search; 0 means
@@ -159,7 +265,7 @@ public:
 
 private:
   Space Sp;
-  std::vector<Constraint> Cons;
+  detail::RowMatrix M; ///< Width == numVars() + 2
 };
 
 /// True when \p C alone implies  E >= 0  on its face, with no feasibility
@@ -172,8 +278,7 @@ bool impliesOnItsFace(const Constraint &C, const AffineExpr &E);
 /// \p MapName(name); every mapped name must exist in \p To. Passing the
 /// identity function maps variables by equal name.
 AffineExpr mapExpr(const AffineExpr &E, const Space &From, const Space &To,
-                   const std::function<std::string(const std::string &)>
-                       &MapName = nullptr);
+                   const NameMapFn &MapName = nullptr);
 
 } // namespace dmcc
 

@@ -70,12 +70,12 @@ private:
 
   void drop(System &Ctx, const std::set<unsigned> &Vars) const {
     System Kept(Ctx.space());
-    for (const Constraint &C : Ctx.constraints()) {
+    for (ConstraintRef C : Ctx.constraints()) {
       bool Reads = false;
       for (unsigned V : Vars)
-        Reads = Reads || C.Expr.involves(V);
+        Reads = Reads || C.involves(V);
       if (!Reads)
-        Kept.addConstraint(C);
+        Kept.addConstraint(C.constraint());
     }
     Ctx = std::move(Kept);
   }
@@ -133,12 +133,12 @@ private:
                               << " has an empty range\n"
                               << In.str();
       System Body(In.space());
-      for (const Constraint &C : In.constraints()) {
+      for (ConstraintRef C : In.constraints()) {
         bool Stale = false;
         for (unsigned V : Assigned)
-          Stale = Stale || (V != S.Var && C.Expr.involves(V));
+          Stale = Stale || (V != S.Var && C.involves(V));
         if (!Stale)
-          Body.addConstraint(C);
+          Body.addConstraint(C.constraint());
       }
       list(S.Body, Body);
       break;

@@ -202,5 +202,5 @@ TEST(FailureModeTest, FourierMotzkinLargeButSafeCoefficients) {
   EXPECT_FALSE(R.involves(0));
   ASSERT_EQ(R.numConstraints(), 1u);
   // 5K*y >= 0, gcd-normalized to y >= 0.
-  EXPECT_EQ(R.constraints()[0].Expr.coeff(1), 1);
+  EXPECT_EQ(R.constraints()[0].coeff(1), 1);
 }

@@ -33,10 +33,10 @@ namespace {
 /// Expands equalities into inequality pairs.
 std::vector<AffineExpr> asInequalities(const System &S) {
   std::vector<AffineExpr> Out;
-  for (const Constraint &C : S.constraints()) {
-    Out.push_back(C.Expr);
+  for (ConstraintRef C : S.constraints()) {
+    Out.push_back(C.expr());
     if (C.isEquality())
-      Out.push_back(C.Expr.negated());
+      Out.push_back(Out.back().negated());
   }
   return Out;
 }
@@ -282,11 +282,11 @@ TEST(CoalesceFuzz, MatchesTheReferenceOnSeededPairs) {
           << ")\nA:\n" << Pr.A.str() << "B:\n" << Pr.B.str();
       if (!Got)
         continue;
-      EXPECT_EQ(Got->space(), Want->space()) << "trial " << Trial;
-      ASSERT_EQ(Got->constraints(), Want->constraints())
+      ASSERT_EQ(Got->space(), Want->space()) << "trial " << Trial;
+      // Over one space, equal renderings are equal rows.
+      ASSERT_EQ(Got->str(), Want->str())
           << "trial " << Trial << " (" << Pr.Kind << ", quick " << Quick
-          << ")\nA:\n" << Pr.A.str() << "B:\n" << Pr.B.str()
-          << "got:\n" << Got->str() << "want:\n" << Want->str();
+          << ")\nA:\n" << Pr.A.str() << "B:\n" << Pr.B.str();
       Merged += Quick;
       if (Quick)
         expectSamePoints(*Got, Pr, Trial);

@@ -127,9 +127,9 @@ TEST(ProjectionStats, RemoveRedundantKeepsConstraintsOnUnknown) {
   projectionOptions().Cache = false; // no cross-talk between the runs
 
   auto hasGapRow = [](const System &Sys) {
-    for (const Constraint &C : Sys.constraints())
-      if (!C.isEquality() && C.Expr.coeff(0) == 2 &&
-          C.Expr.coeff(1) == 3 && C.Expr.constant() == -5)
+    for (ConstraintRef C : Sys.constraints())
+      if (!C.isEquality() && C.coeff(0) == 2 && C.coeff(1) == 3 &&
+          C.constant() == -5)
         return true;
     return false;
   };

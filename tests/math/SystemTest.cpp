@@ -41,8 +41,8 @@ TEST(SystemTest, NormalizeGcdTightensInequalities) {
   S.addGE(S.varExpr(0).scale(2).plusConst(-5));
   EXPECT_TRUE(S.normalize());
   ASSERT_EQ(S.numConstraints(), 1u);
-  EXPECT_EQ(S.constraints()[0].Expr.coeff(0), 1);
-  EXPECT_EQ(S.constraints()[0].Expr.constant(), -3);
+  EXPECT_EQ(S.constraints()[0].coeff(0), 1);
+  EXPECT_EQ(S.constraints()[0].constant(), -3);
 }
 
 TEST(SystemTest, NormalizeGcdTestOnEqualities) {
@@ -198,8 +198,8 @@ TEST(SystemTest, RemoveRedundant) {
   S.removeRedundant();
   // j's two range constraints merge to an equality; i keeps 2 constraints.
   unsigned CountI = 0;
-  for (const Constraint &C : S.constraints())
-    if (C.Expr.involves(0))
+  for (ConstraintRef C : S.constraints())
+    if (C.involves(0))
       ++CountI;
   EXPECT_EQ(CountI, 2u);
 }
