@@ -42,7 +42,8 @@ bool isNegationRow(const IntT *C, const IntT *F, unsigned Width) {
 
 /// Normalizes rows in place: gcd tightening, the equality divisibility
 /// test, sign canonicalization (first nonzero coefficient of an equality
-/// positive), then first-match dedupe with GE-pair merging. Returns
+/// positive), then first-match dedupe with GE-pair merging, repeated
+/// until it merges nothing, so normalizing again changes no row. Returns
 /// false when a row is unsatisfiable on its face; the rows are then left
 /// rewritten in place up to the failing one, with nothing dropped, and
 /// callers that ignore the verdict (elimination) go on from them.
@@ -84,35 +85,40 @@ bool normalizeRows(RowMatrix &M) {
 
   // Drop tautologies, deduplicate, and merge GE pairs {E >= 0, -E >= 0}
   // into E == 0, compacting the kept rows to the front. The first kept
-  // row that matches decides.
-  unsigned Kept = 0;
-  for (unsigned R = 0; R != M.Rows; ++R) {
-    const IntT *C = M.row(R);
-    if (firstCoeff(C, W) == W)
-      continue; // tautology
-    bool Skip = false;
-    for (unsigned FI = 0; FI != Kept && !Skip; ++FI) {
-      IntT *F = M.row(FI);
-      if (std::equal(C + 1, C + W, F + 1)) {
-        // Same expression: a duplicate, or a GE implied by an EQ.
-        Skip = C[0] == F[0] || C[0] == RowMatrix::GE;
-      } else if (C[0] == RowMatrix::GE && isNegationRow(C, F, W)) {
-        // F says -C.Expr >= 0 (merge into C.Expr == 0) or pins it.
-        if (F[0] == RowMatrix::GE) {
-          F[0] = RowMatrix::EQ;
-          canonicalizeSign(F, W);
+  // row that matches decides. A merge can turn a kept row into a copy of
+  // another kept equality, so a pass that merged runs again.
+  for (bool Merged = true; Merged;) {
+    Merged = false;
+    unsigned Kept = 0;
+    for (unsigned R = 0; R != M.Rows; ++R) {
+      const IntT *C = M.row(R);
+      if (firstCoeff(C, W) == W)
+        continue; // tautology
+      bool Skip = false;
+      for (unsigned FI = 0; FI != Kept && !Skip; ++FI) {
+        IntT *F = M.row(FI);
+        if (std::equal(C + 1, C + W, F + 1)) {
+          // Same expression: a duplicate, or a GE implied by an EQ.
+          Skip = C[0] == F[0] || C[0] == RowMatrix::GE;
+        } else if (C[0] == RowMatrix::GE && isNegationRow(C, F, W)) {
+          // F says -C.Expr >= 0 (merge into C.Expr == 0) or pins it.
+          if (F[0] == RowMatrix::GE) {
+            F[0] = RowMatrix::EQ;
+            canonicalizeSign(F, W);
+            Merged = true;
+          }
+          Skip = true;
         }
-        Skip = true;
       }
+      if (Skip)
+        continue;
+      if (Kept != R)
+        std::copy(C, C + W, M.row(Kept));
+      ++Kept;
     }
-    if (Skip)
-      continue;
-    if (Kept != R)
-      std::copy(C, C + W, M.row(Kept));
-    ++Kept;
+    M.Rows = Kept;
   }
-  M.Rows = Kept;
-  M.Data.resize(size_t(Kept) * W);
+  M.Data.resize(size_t(M.Rows) * W);
   return true;
 }
 

@@ -187,9 +187,10 @@ public:
 
   /// Gcd-reduces constraints (with GE tightening and the EQ divisibility
   /// test), drops tautologies and duplicates, and merges  E >= 0, -E >= 0
-  /// into  E == 0. Returns false if a constraint is unsatisfiable on its
-  /// face (the system is empty); the constraints are then left rewritten
-  /// up to that one, with none dropped.
+  /// into  E == 0. Normalizing again changes nothing. Returns false if a
+  /// constraint is unsatisfiable on its face (the system is empty); the
+  /// constraints are then left rewritten up to that one, with none
+  /// dropped.
   bool normalize();
 
   /// True if any constraint mentions variable \p I.

@@ -33,13 +33,13 @@ struct Counters {
 void PrintTo(const Counters &C, std::ostream *OS) { *OS << C.Name; }
 
 const Counters Pinned[] = {
-    {"lu", 4871, 1374, 0, 18787, 28044, 237, 1709, 174, 33, 18},
+    {"lu", 4871, 1385, 0, 18781, 28006, 237, 1709, 174, 33, 18},
     {"stencil", 2370, 672, 0, 10638, 12607, 163, 1045, 95, 13, 22},
-    {"cholesky", 3079, 678, 0, 12160, 17656, 176, 1188, 118, 27, 14},
-    {"jacobi2d", 9646, 3974, 4, 115202, 56025, 378, 3057, 345, 15, 50},
+    {"cholesky", 3077, 686, 0, 12154, 17624, 176, 1188, 118, 27, 14},
+    {"jacobi2d", 9644, 3974, 4, 115192, 56015, 378, 3057, 345, 15, 50},
     {"jacobi3d", 19120, 15806, 12, 251099, 18106, 339, 2016, 461, 3, 54},
-    {"adi", 10274, 3137, 0, 19759, 46592, 223, 1939, 345, 24, 6},
-    {"floyd", 5381, 1527, 0, 22877, 34475, 202, 1839, 130, 16, 9},
+    {"adi", 10269, 3183, 0, 19711, 46340, 223, 1939, 345, 24, 6},
+    {"floyd", 5381, 1536, 0, 22869, 34439, 202, 1839, 130, 16, 9},
 };
 
 class CompileCounters : public ::testing::TestWithParam<Counters> {};

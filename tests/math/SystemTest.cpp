@@ -71,6 +71,19 @@ TEST(SystemTest, NormalizeDeduplicates) {
   EXPECT_EQ(S.numConstraints(), 1u);
 }
 
+TEST(SystemTest, NormalizeDropsTheEqualityAMergeDuplicates) {
+  // Merging the pair -x >= 0, x >= 0 into x == 0 duplicates the equality
+  // kept between them; one normalize must already drop the copy.
+  Space Sp;
+  Sp.add("x", VarKind::Loop);
+  System S(std::move(Sp));
+  S.addGE(S.varExpr(0).negated());
+  S.addEQ(S.varExpr(0));
+  S.addGE(S.varExpr(0));
+  EXPECT_TRUE(S.normalize());
+  EXPECT_EQ(S.str(), "  x == 0\n");
+}
+
 TEST(SystemTest, SubstituteAndRemoveVar) {
   System S = ijN();
   S.addGE(S.varExpr(0) - S.varExpr(1)); // i - j >= 0
@@ -202,6 +215,34 @@ TEST(SystemTest, RemoveRedundant) {
     if (C.involves(0))
       ++CountI;
   EXPECT_EQ(CountI, 2u);
+}
+
+TEST(SystemTest, RemoveRedundantIgnoresHistory) {
+  // 0 <= i <= N and 0 <= j <= i: i >= 0 is redundant, three rows stay.
+  auto Rows = [](const System &S) {
+    return std::vector<AffineExpr>{
+        S.varExpr(0), S.varExpr(2) - S.varExpr(0), S.varExpr(1),
+        S.varExpr(0) - S.varExpr(1)};
+  };
+  System S = ijN(), Reversed = ijN();
+  for (AffineExpr &E : Rows(S))
+    S.addGE(std::move(E));
+  std::vector<AffineExpr> R = Rows(Reversed);
+  for (auto It = R.rbegin(); It != R.rend(); ++It)
+    Reversed.addGE(*It);
+
+  clearProjectionCaches();
+  System Cold = S;
+  Cold.removeRedundant();
+  ASSERT_EQ(Cold.numConstraints(), 3u);
+
+  // Reducing the reversed rows first must not change S's result.
+  clearProjectionCaches();
+  Reversed.removeRedundant();
+  EXPECT_NE(Reversed.str(), Cold.str());
+  System Warm = S;
+  Warm.removeRedundant();
+  EXPECT_EQ(Warm.str(), Cold.str());
 }
 
 TEST(SystemTest, ProjectedOnto) {
