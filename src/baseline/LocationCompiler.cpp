@@ -106,7 +106,6 @@ std::vector<LocPlan> buildLocationPlans(
   // regular section, over-approximation included.
   S = S.eliminated(
       std::vector<unsigned>(LoopV.begin() + PrefixLen, LoopV.end()));
-  S.normalize();
   S.removeRedundant(projectionOptions().ScanBudget);
 
   // ps != pr disjuncts.
@@ -179,7 +178,6 @@ void genLocationFragments(SpmdSpace &SS, LocPlan &Pl, unsigned ArrayId,
   std::vector<SpmdStmt> Unpack = MakeItems(SpmdStmt::Kind::UnpackElem);
 
   System Outer = Sys.eliminated(El);
-  Outer.normalize();
   Outer.removeRedundant(projectionOptions().ScanBudget);
 
   // Sender side: bind ps to myp, enumerate readers.

@@ -132,7 +132,6 @@ std::vector<unsigned> innerClosure(const System &Sys,
 System outerProjection(const System &Sys,
                        const std::vector<unsigned> &InnerVars) {
   System R = Sys.eliminated(InnerVars);
-  R.normalize();
   R.removeRedundant();
   return R;
 }

@@ -431,7 +431,6 @@ void dmcc::eliminateGroupReuse(std::vector<CommSet> &Sets) {
     System Proj = eliminateAuxVars(A.Sys.eliminated(Inner, &Exact), &Exact);
     if (!Exact)
       continue;
-    Proj.normalize();
     Proj.removeRedundant();
 
     std::vector<CommSet> Next(Sets.begin(), Sets.begin() + I + 1);

@@ -37,7 +37,6 @@ private:
     System Proj = S.eliminated(
         std::vector<unsigned>(Objs.begin() + Pos + 1, Objs.end()),
         &Result.Exact);
-    Proj.normalize();
     Proj.removeRedundant();
 
     std::vector<VarBound> Lower, Upper;
@@ -143,7 +142,6 @@ private:
       for (AffineExpr &V : Solved)
         V.removeVar(Idx);
     }
-    S.normalize();
     S.removeRedundant();
     Result.Pieces.push_back(LexPiece{std::move(S), std::move(Solved)});
   }
