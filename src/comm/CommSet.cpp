@@ -226,7 +226,7 @@ std::vector<CommSet> dmcc::buildCommSets(
         Thinned.push_back(std::move(Piece));
       Prefix.addGE(C.expr());
     }
-    if (Own.constraints().empty())
+    if (Own.numConstraints() == 0)
       Thinned.push_back(std::move(CS));
   }
   return Thinned;

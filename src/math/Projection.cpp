@@ -44,29 +44,12 @@ struct FeasEntry {
   unsigned Budget = 0; ///< budget the result was computed under
 };
 
-/// Bounded memo: on overflow the whole map is dropped (cheap, keeps the
-/// hot working set warm again within a few queries).
-template <typename V> class BoundedCache {
-public:
-  V *find(const detail::CacheKey &K) {
-    auto It = Map.find(K);
-    return It == Map.end() ? nullptr : &It->second;
-  }
-  void insert(const detail::CacheKey &K, V Val) {
-    if (Map.size() >= GlobalOptions.CacheCapacity) {
-      Map.clear();
-      ++GlobalStats.CacheEvictions;
-    }
-    Map[K] = std::move(Val);
-  }
-  void clear() { Map.clear(); }
-  std::size_t size() const { return Map.size(); }
-
-private:
-  std::unordered_map<detail::CacheKey, V, detail::CacheKeyHash> Map;
-};
-
-thread_local BoundedCache<FeasEntry> FeasCache;
+/// The feasibility memo. It is bounded: on overflow the whole map is
+/// dropped (cheap, keeps the hot working set warm again within a few
+/// queries).
+thread_local std::unordered_map<detail::CacheKey, FeasEntry,
+                                detail::CacheKeyHash>
+    FeasCache;
 
 } // namespace
 
@@ -156,25 +139,30 @@ std::size_t detail::CacheKeyHash::operator()(const CacheKey &K) const {
 
 bool detail::feasCacheLookup(const CacheKey &K, unsigned Budget,
                              Feasibility &R) {
-  FeasEntry *E = FeasCache.find(K);
-  if (!E)
+  auto It = FeasCache.find(K);
+  if (It == FeasCache.end())
     return false;
-  if (E->Result == Feasibility::Unknown && Budget > E->Budget)
+  const FeasEntry &E = It->second;
+  if (E.Result == Feasibility::Unknown && Budget > E.Budget)
     return false; // a deeper search might still resolve it
-  R = E->Result;
+  R = E.Result;
   return true;
 }
 
 void detail::feasCacheStore(const CacheKey &K, unsigned Budget,
                             Feasibility R) {
-  FeasEntry *E = FeasCache.find(K);
-  if (E) {
+  auto It = FeasCache.find(K);
+  if (It != FeasCache.end()) {
     // Keep the strongest fact: definite answers win; among Unknowns the
     // larger failed budget subsumes the smaller.
-    if (E->Result != Feasibility::Unknown)
+    if (It->second.Result != Feasibility::Unknown)
       return;
-    if (R == Feasibility::Unknown && Budget <= E->Budget)
+    if (R == Feasibility::Unknown && Budget <= It->second.Budget)
       return;
   }
-  FeasCache.insert(K, FeasEntry{R, Budget});
+  if (FeasCache.size() >= GlobalOptions.CacheCapacity) {
+    FeasCache.clear();
+    ++GlobalStats.CacheEvictions;
+  }
+  FeasCache[K] = FeasEntry{R, Budget};
 }

@@ -3,6 +3,7 @@
 #include "math/System.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace dmcc;
 
@@ -251,26 +252,27 @@ void eliminateColumn(const RowMatrix &In, RowMatrix &Out, unsigned V,
   normalizeRows(Out);
 }
 
-/// Copies \p In into \p Out as rows over N variables: the variables in
-/// \p Gone (ascending) were eliminated from In and get zero
-/// coefficients, and In's columns hold the others in order.
-void widenRows(const RowMatrix &In, unsigned N,
-               const std::vector<unsigned> &Gone, RowMatrix &Out) {
-  Out.reset(N + 2);
-  Out.Data.reserve(size_t(In.Rows) * Out.Width);
+/// Appends the rows of \p In to \p Out, moving the coefficient of In's
+/// variable I to Out's variable Col[I]. Zero coefficients are not
+/// moved, so a variable no row uses needs no column.
+void appendRemapped(const RowMatrix &In, const std::vector<unsigned> &Col,
+                    RowMatrix &Out) {
   for (unsigned R = 0; R != In.Rows; ++R) {
     const IntT *Src = In.row(R);
     IntT *P = Out.appendRow();
     P[0] = Src[0];
     P[1] = Src[1];
-    auto G = Gone.begin();
-    for (unsigned I = 0, Col = 2; I != N; ++I) {
-      if (G != Gone.end() && *G == I)
-        ++G; // stays zero
-      else
-        P[2 + I] = Src[Col++];
-    }
+    for (unsigned I = 2; I != In.Width; ++I)
+      if (Src[I] != 0)
+        P[2 + Col[I - 2]] = Src[I];
   }
+}
+
+/// The indices 0 .. N-1, in order.
+std::vector<unsigned> indices(unsigned N) {
+  std::vector<unsigned> I(N);
+  std::iota(I.begin(), I.end(), 0u);
+  return I;
 }
 
 /// The cache key of normalized rows \p M: variable and row counts, then
@@ -279,9 +281,7 @@ void widenRows(const RowMatrix &In, unsigned N,
 /// scaling, merged equalities) share one key.
 void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
   const unsigned W = M.Width;
-  std::vector<unsigned> Order(M.Rows);
-  for (unsigned R = 0; R != M.Rows; ++R)
-    Order[R] = R;
+  std::vector<unsigned> Order = indices(M.Rows);
   std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
     const IntT *PA = M.row(A), *PB = M.row(B);
     return std::lexicographical_compare(PA, PA + W, PB, PB + W);
@@ -297,11 +297,10 @@ void buildKey(const RowMatrix &M, detail::CacheKey &Key) {
 /// True under the assignment \p Vals, each row evaluated with
 /// AffineExpr::evaluate's checked operations in its order.
 bool rowsHold(const RowMatrix &M, const std::vector<IntT> &Vals) {
-  const unsigned W = M.Width;
   for (unsigned R = 0; R != M.Rows; ++R) {
     const IntT *P = M.row(R);
     IntT V = P[1];
-    for (unsigned I = 2; I != W; ++I)
+    for (unsigned I = 2; I != M.Width; ++I)
       if (P[I] != 0)
         V = addChk(V, mulChk(P[I], Vals[I - 2]));
     if (P[0] == RowMatrix::EQ ? V != 0 : V < 0)
@@ -650,15 +649,10 @@ AffineExpr ConstraintRef::expr() const {
 
 unsigned System::addVar(const std::string &Name, VarKind Kind) {
   unsigned I = Sp.add(Name, Kind);
-  assert(I + 2 == M.Width && "variables are appended");
   RowMatrix Wider;
   Wider.reset(M.Width + 1);
-  Wider.Data.reserve(size_t(M.Rows) * Wider.Width);
-  for (unsigned R = 0; R != M.Rows; ++R) {
-    Wider.Data.insert(Wider.Data.end(), M.row(R), M.row(R) + M.Width);
-    Wider.Data.push_back(0);
-  }
-  Wider.Rows = M.Rows;
+  for (unsigned R = 0; R != M.Rows; ++R)
+    std::copy(M.row(R), M.row(R) + M.Width, Wider.appendRow());
   M = std::move(Wider);
   return I;
 }
@@ -679,29 +673,19 @@ void System::addRange(unsigned I, IntT Lo, IntT Hi) {
 
 void System::addAllMapped(const System &Other, const NameMapFn &MapName) {
   assert(&Other != this && "mapping a system into itself");
-  // This space's column of each variable of Other that some row uses;
+  // The variable here of each variable of Other that some row uses;
   // unused variables are not looked up, as mapExpr skips zero terms.
-  const unsigned NO = Other.numVars();
-  std::vector<unsigned> Col(NO, 0);
-  for (unsigned I = 0; I != NO; ++I) {
+  std::vector<unsigned> Col(Other.numVars(), 0);
+  for (unsigned I = 0; I != Col.size(); ++I) {
     if (!Other.involves(I))
       continue;
     const std::string &From = Other.Sp.name(I);
     int J = Sp.indexOf(MapName ? MapName(From) : From);
     if (J < 0)
       fatalError("mapExpr: variable missing in target space");
-    Col[I] = 2 + static_cast<unsigned>(J);
+    Col[I] = static_cast<unsigned>(J);
   }
-  M.Data.reserve(M.Data.size() + size_t(Other.M.Rows) * M.Width);
-  for (unsigned R = 0; R != Other.M.Rows; ++R) {
-    const IntT *Src = Other.M.row(R);
-    IntT *P = M.appendRow();
-    P[0] = Src[0];
-    P[1] = Src[1];
-    for (unsigned I = 0; I != NO; ++I)
-      if (Src[2 + I] != 0)
-        P[Col[I]] = Src[2 + I];
-  }
+  appendRemapped(Other.M, Col, M);
 }
 
 bool System::normalize() { return normalizeRows(M); }
@@ -711,8 +695,10 @@ System System::fmEliminated(unsigned I, bool *Exact) const {
   RowMatrix Out;
   ElimScratch S;
   eliminateColumn(M, Out, 2 + I, S, Exact);
+  std::vector<unsigned> Kept = indices(Sp.size());
+  Kept.erase(Kept.begin() + I);
   System R(Sp);
-  widenRows(Out, Sp.size(), {I}, R.M);
+  appendRemapped(Out, Kept, R.M);
   return R;
 }
 
@@ -721,30 +707,26 @@ System System::eliminated(const std::vector<unsigned> &Vars,
   const RowMatrix *In = &M; // the rows so far
   RowMatrix Cur, Next;
   ElimScratch S;
-  std::vector<unsigned> Gone; // eliminated so far, ascending
+  std::vector<unsigned> Kept = indices(Sp.size()); // In's columns
   for (unsigned V : Vars) {
     assert(V < Sp.size() && "variable index out of range");
-    auto It = std::lower_bound(Gone.begin(), Gone.end(), V);
-    if (It != Gone.end() && *It == V)
-      continue;
-    // Column of V once the variables before it in Gone are dropped.
-    unsigned Col = 2 + V - static_cast<unsigned>(It - Gone.begin());
+    auto It = std::lower_bound(Kept.begin(), Kept.end(), V);
+    if (It == Kept.end() || *It != V)
+      continue; // eliminated already
+    unsigned Col = 2 + static_cast<unsigned>(It - Kept.begin());
     if (!involvesColumn(*In, Col))
       continue;
     eliminateColumn(*In, Next, Col, S, Exact);
     std::swap(Cur, Next);
     In = &Cur;
-    Gone.insert(It, V);
+    Kept.erase(It);
   }
   System R(Sp);
-  widenRows(*In, Sp.size(), Gone, R.M);
+  appendRemapped(*In, Kept, R.M);
   return R;
 }
 
-bool System::involves(unsigned I) const {
-  assert(I < Sp.size() && "variable index out of range");
-  return involvesColumn(M, 2 + I);
-}
+bool System::involves(unsigned I) const { return involvesColumn(M, 2 + I); }
 
 void System::substitute(unsigned I, const AffineExpr &Repl) {
   assert(Repl.size() == Sp.size() && "substitution over a different space");
@@ -766,7 +748,6 @@ void System::removeVar(unsigned I) {
   assert(!involves(I) && "removing a variable still in use");
   RowMatrix Narrow;
   Narrow.reset(M.Width - 1);
-  Narrow.Data.reserve(size_t(M.Rows) * Narrow.Width);
   for (unsigned R = 0; R != M.Rows; ++R)
     Narrow.appendWithout(M.row(R), 2 + I);
   M = std::move(Narrow);
@@ -870,6 +851,11 @@ void System::removeRedundant(unsigned NodeBudget) {
     return;
 
   const unsigned W = M.Width;
+  auto EraseRow = [&](unsigned R) {
+    M.Data.erase(M.Data.begin() + size_t(R) * W,
+                 M.Data.begin() + size_t(R + 1) * W);
+    --M.Rows;
+  };
   if (PO.QuickChecks && M.Rows > 1) {
     // Syntactic accelerators: drop inequalities another constraint
     // implies on its face before paying for an exact feasibility test
@@ -885,18 +871,11 @@ void System::removeRedundant(unsigned NodeBudget) {
             faceImplies(Cons[I], Cons[I].isEquality(), Cons[J], W - 2))
           Drop[J] = true;
     }
-    unsigned Kept = 0;
-    for (unsigned R = 0; R != M.Rows; ++R) {
+    for (unsigned R = M.Rows; R-- > 0;)
       if (Drop[R]) {
         ++PS.RedundancyQuickKills;
-        continue;
+        EraseRow(R);
       }
-      if (Kept != R)
-        std::copy(M.row(R), M.row(R) + W, M.row(Kept));
-      ++Kept;
-    }
-    M.Rows = Kept;
-    M.Data.resize(size_t(Kept) * W);
   }
 
   // True when the other rows and one strict side of row I, Expr <= -1
@@ -908,9 +887,8 @@ void System::removeRedundant(unsigned NodeBudget) {
       if (J != I)
         Test.Data.insert(Test.Data.end(), M.row(J), M.row(J) + W);
     Test.Rows = M.Rows - 1;
-    const IntT *C = M.row(I);
     IntT *P = Test.appendRow();
-    std::copy(C + 1, C + W, P + 1);
+    std::copy(M.row(I) + 1, M.row(I) + W, P + 1);
     if (Below) {
       // AffineExpr::negated's order: coefficients, then the constant.
       negateChk(P + 2, W - 2);
@@ -927,19 +905,14 @@ void System::removeRedundant(unsigned NodeBudget) {
       continue;
     if (M.row(I)[0] == RowMatrix::EQ && !SideIsEmpty(I, false))
       continue;
-    M.Data.erase(M.Data.begin() + size_t(I) * W,
-                 M.Data.begin() + size_t(I + 1) * W);
-    --M.Rows;
+    EraseRow(I);
   }
 }
 
 std::string System::str() const {
   std::string S;
-  for (ConstraintRef C : constraints()) {
-    S += "  ";
-    S += C.constraint().str(Sp);
-    S += "\n";
-  }
+  for (ConstraintRef C : constraints())
+    S += "  " + C.constraint().str(Sp) + "\n";
   return S;
 }
 

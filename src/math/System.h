@@ -103,28 +103,19 @@ private:
 /// The constraints of a System in order, as ConstraintRefs.
 class ConstraintList {
 public:
-  class iterator {
-  public:
-    ConstraintRef operator*() const { return ConstraintRef(P, N); }
+  struct iterator {
+    const ConstraintList *L;
+    unsigned R;
+    ConstraintRef operator*() const { return (*L)[R]; }
     iterator &operator++() {
-      P += N + 2;
+      ++R;
       return *this;
     }
-    bool operator==(const iterator &O) const { return P == O.P; }
-
-  private:
-    friend class ConstraintList;
-    iterator(const IntT *P, unsigned N) : P(P), N(N) {}
-    const IntT *P;
-    unsigned N;
+    bool operator==(const iterator &) const = default;
   };
 
-  iterator begin() const { return iterator(M.Data.data(), M.Width - 2); }
-  iterator end() const {
-    return iterator(M.Data.data() + M.Data.size(), M.Width - 2);
-  }
-  unsigned size() const { return M.Rows; }
-  bool empty() const { return M.Rows == 0; }
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, M.Rows}; }
   ConstraintRef operator[](unsigned R) const {
     assert(R < M.Rows && "constraint index out of range");
     return ConstraintRef(M.row(R), M.Width - 2);
