@@ -103,10 +103,11 @@ private:
 /// The constraints of a System in order, as ConstraintRefs.
 class ConstraintList {
 public:
+  /// Refers to the System's rows, not to this list.
   struct iterator {
-    const ConstraintList *L;
+    const detail::RowMatrix *M;
     unsigned R;
-    ConstraintRef operator*() const { return (*L)[R]; }
+    ConstraintRef operator*() const { return ConstraintList(*M)[R]; }
     iterator &operator++() {
       ++R;
       return *this;
@@ -114,8 +115,8 @@ public:
     bool operator==(const iterator &) const = default;
   };
 
-  iterator begin() const { return {this, 0}; }
-  iterator end() const { return {this, M.Rows}; }
+  iterator begin() const { return {&M, 0}; }
+  iterator end() const { return {&M, M.Rows}; }
   ConstraintRef operator[](unsigned R) const {
     assert(R < M.Rows && "constraint index out of range");
     return ConstraintRef(M.row(R), M.Width - 2);
