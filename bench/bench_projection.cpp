@@ -6,8 +6,13 @@
 // scanning, and parametric lexicographic optimization.
 //
 // Each case runs two legs: a baseline with the fast-path machinery off
-// (no memoization, no syntactic quick-checks) and an optimized leg with
-// the projectionOptions() defaults. Output is one JSON object (same
+// (no feasibility memo, no syntactic quick-checks) and an optimized leg
+// with the projectionOptions() defaults. Each leg repeats one identical
+// system, so the optimized leg measures warm-memo repeats: the
+// feasibility memo answers every repeated query, but redundancy removal
+// (redundancy_removal, and inside parametric_lexmax and scan_figure6)
+// still runs its quick checks and looks up each exact test, since there
+// is no whole-result memo. Output is one JSON object (same
 // convention as bench_checkpoint), with the commit, build type and
 // hardware_concurrency, so the speedups can be tracked across commits;
 // the checked-in snapshot lives in BENCH_projection.json.
@@ -214,7 +219,8 @@ int main() {
   }
   std::printf("  ],\n");
   std::printf("  \"notes\": \"per-iteration wall time; baseline leg runs "
-              "with memoization and syntactic quick-checks disabled\"\n");
+              "with the feasibility memo and syntactic quick-checks "
+              "disabled\"\n");
   std::printf("}\n");
   return 0;
 }
