@@ -281,6 +281,37 @@ TEST(SystemTest, AddMappedAlignsByName) {
   EXPECT_FALSE(SB.holds({2, 0, 1}));
 }
 
+TEST(SystemTest, AddAllMappedRenamesUsedVariablesOnly) {
+  Space A;
+  A.add("i", VarKind::Loop);
+  A.add("unused", VarKind::Loop);
+  System SA(A);
+  SA.addGE(SA.varExpr(0).plusConst(-2)); // i - 2 >= 0
+
+  Space B;
+  B.add("N", VarKind::Param);
+  B.add("i_r", VarKind::Loop);
+  System SB(B);
+  // "unused" has no coefficient, so it is not looked up, as in mapExpr.
+  SB.addAllMapped(SA, [](const std::string &N) {
+    EXPECT_NE(N, "unused");
+    return N + "_r";
+  });
+  EXPECT_EQ(SB.str(), "  i_r - 2 >= 0\n");
+}
+
+TEST(SystemDeathTest, AddAllMappedNamesAVariableMissingHere) {
+  Space A;
+  A.add("i", VarKind::Loop);
+  System SA(A);
+  SA.addGE(SA.varExpr(0));
+  Space B;
+  B.add("j", VarKind::Loop);
+  System SB(B);
+  EXPECT_DEATH(SB.addAllMapped(SA),
+               "mapExpr: variable missing in target space");
+}
+
 TEST(SystemTest, MapExprRename) {
   Space A;
   A.add("i", VarKind::Loop);
