@@ -601,8 +601,12 @@ private:
   std::vector<IntT> Vals;
 };
 
-/// System::checkIntegerFeasible on the rows \p Orig.
-Feasibility rowsFeasibility(const RowMatrix &Orig, unsigned NodeBudget) {
+/// System::checkIntegerFeasible on the rows \p Orig; with \p Point,
+/// also System::sampleIntPoint, which stores the point found when the
+/// verdict is Feasible. A memoized Feasible verdict carries no point, so
+/// it is served only when none is wanted.
+Feasibility rowsFeasibility(const RowMatrix &Orig, unsigned NodeBudget,
+                            std::vector<IntT> *Point = nullptr) {
   const ProjectionOptions &PO = projectionOptions();
   ProjectionStats &PS = projectionStats();
   if (NodeBudget == 0)
@@ -619,7 +623,8 @@ Feasibility rowsFeasibility(const RowMatrix &Orig, unsigned NodeBudget) {
       return Feasibility::Empty;
     buildKey(Rows, Key);
     Feasibility R;
-    if (detail::feasCacheLookup(Key, NodeBudget, R)) {
+    if (detail::feasCacheLookup(Key, NodeBudget, R) &&
+        !(Point && R == Feasibility::Feasible)) {
       ++PS.FeasCacheHits;
       return R;
     }
@@ -628,7 +633,7 @@ Feasibility rowsFeasibility(const RowMatrix &Orig, unsigned NodeBudget) {
   }
 
   IntSearch Search(Orig, NodeBudget);
-  Feasibility R = NonEmpty && Search.prepare(Rows) ? Search.run(nullptr)
+  Feasibility R = NonEmpty && Search.prepare(Rows) ? Search.run(Point)
                                                    : Feasibility::Empty;
   if (R == Feasibility::Unknown)
     ++PS.FeasUnknown;
@@ -796,34 +801,8 @@ Feasibility System::checkIntegerFeasible(unsigned NodeBudget) const {
 
 std::optional<std::vector<IntT>> System::sampleIntPoint(
     unsigned NodeBudget) const {
-  const ProjectionOptions &PO = projectionOptions();
-  if (NodeBudget == 0)
-    NodeBudget = PO.SearchBudget;
-
-  RowMatrix Rows = M;
-  if (!normalizeRows(Rows))
-    return std::nullopt;
-  // A memoized Empty verdict saves the search; a Feasible one still
-  // needs a point, so only the negative side short-circuits.
-  detail::CacheKey Key;
-  bool Keyed = false;
-  if (PO.Cache) {
-    buildKey(Rows, Key);
-    Feasibility Known;
-    if (detail::feasCacheLookup(Key, NodeBudget, Known) &&
-        Known == Feasibility::Empty)
-      return std::nullopt;
-    Keyed = true;
-  }
-
-  IntSearch Search(M, NodeBudget);
-  if (!Search.prepare(Rows))
-    return std::nullopt;
   std::vector<IntT> Point;
-  Feasibility R = Search.run(&Point);
-  if (Keyed)
-    detail::feasCacheStore(Key, NodeBudget, R);
-  if (R == Feasibility::Feasible)
+  if (rowsFeasibility(M, NodeBudget, &Point) == Feasibility::Feasible)
     return Point;
   return std::nullopt;
 }

@@ -233,7 +233,9 @@ public:
   }
 
   /// Finds one integer point, if the search succeeds within budget
-  /// (0 = projectionOptions().SearchBudget).
+  /// (0 = projectionOptions().SearchBudget). Shares checkIntegerFeasible's
+  /// memo and counters; a memoized Feasible verdict holds no point, so
+  /// that one case searches again.
   std::optional<std::vector<IntT>> sampleIntPoint(
       unsigned NodeBudget = 0) const;
 
