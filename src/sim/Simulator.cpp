@@ -2046,9 +2046,11 @@ SimResult Simulator::run() {
 
 void Simulator::execute(SimResult &R) {
   const bool Recovery = Opts.Checkpoint.enabled();
-  if (Opts.Engine == SimEngine::Event && Opts.Threads != 1)
-    fatalError("Simulator: the event engine is single-threaded; "
-               "SimEngine::Event requires Threads == 1");
+  if (Opts.Engine == SimEngine::Event && Opts.Threads != 1) {
+    R.Error = "Simulator: the event engine is single-threaded; "
+              "SimEngine::Event requires Threads == 1";
+    return;
+  }
   const unsigned Workers = effectiveWorkers();
   std::unique_ptr<ThreadEngine> TE;
   if (Workers > 1)

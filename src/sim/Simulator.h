@@ -201,8 +201,9 @@ struct SimOptions {
   unsigned Threads = 1;
   /// Scheduler choice (DESIGN.md §14). SimEngine::Event is
   /// single-threaded by design; combining it with Threads != 1 is a
-  /// configuration error (run() aborts, dmcc-cli rejects it as a usage
-  /// error). Results are bit-identical across engines.
+  /// configuration error (run() returns Ok == false with the reason in
+  /// Error, dmcc-cli rejects it as a usage error). Results are
+  /// bit-identical across engines.
   SimEngine Engine = SimEngine::Rounds;
 };
 

@@ -291,6 +291,23 @@ TEST(SimulatorTest, EventBudgetEndsTheRunWithAStructuredError) {
   }
 }
 
+TEST(SimulatorTest, ThreadedEventEngineIsAStructuredError) {
+  // The event engine is single-threaded. Asking for it with more than
+  // one thread is a configuration error that run() reports, rather
+  // than ending the process.
+  Program P = shift();
+  CompileSpec Spec = shiftSpec(P, 8);
+  CompiledProgram CP = compile(P, Spec);
+  SimOptions SO = opts(2, {{"T", 2}, {"N", 63}});
+  SO.Engine = SimEngine::Event;
+  SO.Threads = 2;
+  SimResult R = Simulator(P, CP, Spec, SO).run();
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "Simulator: the event engine is single-threaded; "
+                     "SimEngine::Event requires Threads == 1");
+  EXPECT_EQ(R.TotalEvents, 0u);
+}
+
 TEST(SimulatorTest, PeerOutsideTheGridEndsTheRun) {
   // Sabotage the peers of every send (then of every receive) so they
   // name processors outside the virtual grid (0..7). A send to one has
