@@ -3,16 +3,14 @@
 #include "sim/Fleet.h"
 
 #include "support/StableStore.h"
+#include "support/WorkPool.h"
 
 #include <chrono>
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <exception>
+#include <mutex>
 
 using namespace dmcc;
 
@@ -25,8 +23,8 @@ double secondsSince(Clock::time_point T0) {
 }
 
 /// SplitMix64 finalizer, as in FaultModel.cpp: the fleet's final-array
-/// hash must be a pure function of the array contents so parent and
-/// child agree without shipping the arrays over the pipe.
+/// hash must be a pure function of the array contents, so that equal
+/// hashes stand for equal arrays.
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ull;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -38,9 +36,9 @@ uint64_t combine(uint64_t H, uint64_t X) { return mix64(H ^ mix64(X)); }
 
 /// Hashes every final-data array of a completed functional run, in
 /// array-id order, element by element (bit pattern of the double, or a
-/// sentinel for missing elements). Both the parent's clean run and each
-/// child's scenario run sweep through this same code, so equal hashes
-/// mean bit-identical final arrays.
+/// sentinel for missing elements). The clean run and every scenario run
+/// sweep through this same code, so equal hashes mean bit-identical
+/// final arrays.
 uint64_t hashFinalArrays(Simulator &Sim, const Program &P,
                          const CompileSpec &Spec,
                          const std::map<std::string, IntT> &Params) {
@@ -83,27 +81,10 @@ uint64_t hashFinalArrays(Simulator &Sim, const Program &P,
   return H;
 }
 
-/// Fixed-size result record a worker writes to its pipe in one atomic
-/// write (well under PIPE_BUF). Anything short of a full record with
-/// the right magic is treated as a worker crash.
-struct WireResult {
-  uint32_t Magic = 0;
-  uint32_t Status = 0; ///< a ScenarioStatus from runStatus()
-  double Makespan = 0;
-  uint64_t Retrans = 0;
-  uint64_t Crashes = 0;
-  uint64_t Rollbacks = 0;
-  uint64_t Hash = 0;
-  char Error[96] = {};
-};
-
-constexpr uint32_t WireMagic = 0x464C5452; // "FLTR"
-
 /// Resume-journal frame types (DESIGN.md §13) and payload version.
 constexpr uint32_t JrnlMetaType = 0x464C4D54;    // "FLMT"
-constexpr uint32_t JrnlStartType = 0x464C5354;   // "FLST"
 constexpr uint32_t JrnlVerdictType = 0x464C5644; // "FLVD"
-constexpr uint32_t JournalVersion = 1;
+constexpr uint32_t JournalVersion = 2;
 
 /// Appends minimally-escaped JSON string content.
 void appendEscaped(std::string &Out, const std::string &S) {
@@ -131,12 +112,8 @@ const char *dmcc::scenarioStatusName(ScenarioStatus S) {
     return "deadlock";
   case ScenarioStatus::TransportExhausted:
     return "transport-exhausted";
-  case ScenarioStatus::Timeout:
-    return "timeout";
   case ScenarioStatus::WorkerCrash:
     return "worker-crash";
-  case ScenarioStatus::RetryExhausted:
-    return "retry-exhausted";
   case ScenarioStatus::EventBudget:
     return "event-budget";
   }
@@ -186,21 +163,21 @@ std::string FleetReport::json() const {
         ", \"threads\": %u, \"engine\": \"%s\", \"drop_rate\": %g, "
         "\"corrupt_rate\": %g, "
         "\"partition_rate\": %g, \"slow_link_rate\": %g, "
-        "\"crash_rate\": %g, \"status\": \"%s\", \"attempts\": %u, "
+        "\"crash_rate\": %g, \"status\": \"%s\", "
         "\"makespan_seconds\": %.9f, \"retransmissions\": %" PRIu64
         ", \"crashes\": %" PRIu64 ", \"rollbacks\": %" PRIu64
         ", \"hash\": \"0x%016" PRIx64 "\", \"hash_match\": %s, "
-        "\"last_failure\": \"",
+        "\"error\": \"",
         O.Scn.Index, F.Seed, F.CrashSeed, O.Scn.CheckpointInterval,
         O.Scn.Threads,
         O.Scn.Engine == SimEngine::Event ? "event" : "rounds",
         F.DropRate, F.CorruptRate, F.PartitionRate,
         F.SlowLinkRate, F.CrashRate, scenarioStatusName(O.Status),
-        O.Attempts, O.MakespanSeconds, O.Retransmissions, O.Crashes,
+        O.MakespanSeconds, O.Retransmissions, O.Crashes,
         O.Rollbacks, O.ResultHash,
         O.ok() && O.ResultHash == GoldenHash ? "true" : "false");
     Out += Buf;
-    appendEscaped(Out, O.LastFailure);
+    appendEscaped(Out, O.Error);
     Out += "\"}";
     Out += I + 1 != Outcomes.size() ? ",\n" : "\n";
   }
@@ -290,28 +267,6 @@ std::vector<FleetScenario> dmcc::buildMatrix(const FleetMatrixSpec &MS) {
   return Out;
 }
 
-std::chrono::steady_clock::duration dmcc::boundedSeconds(double Seconds) {
-  // NaN fails every comparison, so `!(Seconds > 0)` also catches it.
-  if (!(Seconds > 0))
-    return {};
-  // steady_clock counts nanoseconds in 63 bits (~292 years); casting a
-  // double beyond that range is undefined behavior, not a saturated
-  // deadline. ~31 years is far past any plausible watchdog or backoff.
-  constexpr double MaxSeconds = 1e9;
-  if (Seconds > MaxSeconds)
-    Seconds = MaxSeconds;
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(Seconds));
-}
-
-double dmcc::clampedBackoffSeconds(double FirstSeconds, unsigned Attempt) {
-  constexpr double MaxBackoffSeconds = 60;
-  double Back = FirstSeconds;
-  for (unsigned K = 1; K < Attempt && Back < MaxBackoffSeconds; ++K)
-    Back *= 2;
-  return Back < MaxBackoffSeconds ? Back : MaxBackoffSeconds;
-}
-
 Fleet::Fleet(const Program &Prog, const CompiledProgram &Comp,
              const CompileSpec &Sp, std::map<std::string, IntT> Par,
              IntT Pr, FleetOptions Opt)
@@ -345,18 +300,31 @@ uint64_t Fleet::goldenHash() {
   return Golden;
 }
 
-/// Per-shard supervision state. Shard k owns scenarios k, k+Jobs,
-/// k+2*Jobs, ... and runs them in order, one child at a time.
-struct Fleet::Shard {
-  std::deque<unsigned> Queue; ///< matrix positions still to run
-  bool HasCur = false;
-  unsigned Cur = 0;      ///< scenario currently being supervised
-  unsigned Attempt = 0;  ///< spawns consumed for Cur
-  pid_t Pid = -1;        ///< active child, or -1
-  int Fd = -1;           ///< read end of the child's result pipe
-  Clock::time_point Deadline;  ///< watchdog expiry for the child
-  Clock::time_point NextSpawn; ///< earliest respawn (backoff)
-};
+ScenarioOutcome Fleet::runScenario(const FleetScenario &S) const {
+  ScenarioOutcome O;
+  O.Scn = S;
+  try {
+    Simulator Sim(P, CP, Spec, scenarioOptions(S));
+    SimResult R = Sim.run();
+    O.Error = R.Error;
+    O.MakespanSeconds = R.MakespanSeconds;
+    O.Retransmissions = R.Retransmissions;
+    O.Crashes = R.Crashes;
+    O.Rollbacks = R.Recovery.Rollbacks;
+    if (R.Ok)
+      O.ResultHash = hashFinalArrays(Sim, P, Spec, Params);
+    O.Status = runStatus(R, O.ResultHash, Golden);
+  } catch (const std::exception &E) {
+    // dmcc raises none itself; the standard library can (e.g. bad_alloc
+    // for a scenario too large to simulate). The scenario gets a
+    // verdict, and the exception must not escape the worker thread.
+    O = ScenarioOutcome();
+    O.Scn = S;
+    O.Status = ScenarioStatus::WorkerCrash;
+    O.Error = std::string("exception: ") + E.what();
+  }
+  return O;
+}
 
 FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
   Clock::time_point T0 = Clock::now();
@@ -370,6 +338,7 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
   // Resume journal (DESIGN.md §13): replay verdicts already on disk,
   // then open for appending with any torn tail cut off.
   stable::JournalWriter Jrnl;
+  std::mutex JournalLock; // guards Jrnl and Rep.Error while workers run
   std::vector<char> Done(Matrix.size(), 0);
   bool MetaOnDisk = false;
   if (!FO.JournalPath.empty()) {
@@ -395,12 +364,11 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
             }
             MetaOnDisk = true;
           } else if (F.Type == JrnlVerdictType) {
-            uint32_t Index = Rd.u32(), Status = Rd.u32(),
-                     Attempts = Rd.u32();
+            uint32_t Index = Rd.u32(), Status = Rd.u32();
             double Makespan = Rd.f64();
             uint64_t Retrans = Rd.u64(), Crashes = Rd.u64(),
                      Rollbacks = Rd.u64(), Hash = Rd.u64();
-            std::string LastFailure = Rd.str();
+            std::string Error = Rd.str();
             // Verdicts are trusted only under an intact, matching meta
             // record; anything malformed is ignored rather than fatal.
             if (!MetaOnDisk || !Rd.ok() || Index >= Matrix.size() ||
@@ -408,20 +376,17 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
               continue;
             ScenarioOutcome &O = Rep.Outcomes[Index];
             O.Status = static_cast<ScenarioStatus>(Status);
-            O.Attempts = Attempts;
             O.MakespanSeconds = Makespan;
             O.Retransmissions = Retrans;
             O.Crashes = Crashes;
             O.Rollbacks = Rollbacks;
             O.ResultHash = Hash;
-            O.LastFailure = std::move(LastFailure);
+            O.Error = std::move(Error);
             if (!Done[Index]) {
               Done[Index] = 1;
               ++Rep.ResumedFromJournal;
             }
           }
-          // Start records carry no verdict: a started-but-unverdicted
-          // scenario was in flight at the kill and is simply re-queued.
         }
       }
     }
@@ -454,233 +419,28 @@ FleetReport Fleet::run(const std::vector<FleetScenario> &Matrix) {
       return Rep;
   }
 
-  std::vector<Shard> Shards(FO.Jobs);
+  std::vector<size_t> Todo;
   for (size_t I = 0; I != Matrix.size(); ++I)
     if (!Done[I])
-      Shards[I % FO.Jobs].Queue.push_back(static_cast<unsigned>(I));
-
-  // SIGPIPE would kill the orchestrator if a child's pipe went away
-  // mid-write; the supervisor only reads, but be explicit.
-  signal(SIGPIPE, SIG_IGN);
-
-  auto Spawn = [&](Shard &Sh) {
-    const FleetScenario &S = Matrix[Sh.Cur];
-    int Fds[2];
-    if (pipe(Fds) != 0) {
-      Sh.NextSpawn = Clock::now() + std::chrono::milliseconds(10);
-      return;
-    }
-    ++Sh.Attempt;
-    pid_t Pid = fork();
-    if (Pid == 0) {
-      // --- child ---
-      close(Fds[0]);
-      if (FO.HangScenarios.count(S.Index))
-        for (;;)
-          pause(); // sabotage: wedge until the watchdog fires
-      if (FO.AbortScenarios.count(S.Index) ||
-          (FO.AbortOnceScenarios.count(S.Index) && Sh.Attempt == 1)) {
-        struct rlimit RL = {0, 0};
-        setrlimit(RLIMIT_CORE, &RL); // no core file for the sabotage
-        std::abort();
-      }
-      WireResult W;
-      W.Magic = WireMagic;
-      Simulator Sim(P, CP, Spec, scenarioOptions(S));
-      SimResult R = Sim.run();
-      W.Makespan = R.MakespanSeconds;
-      W.Retrans = R.Retransmissions;
-      W.Crashes = R.Crashes;
-      W.Rollbacks = R.Recovery.Rollbacks;
-      if (R.Ok)
-        W.Hash = hashFinalArrays(Sim, P, Spec, Params);
-      else
-        std::snprintf(W.Error, sizeof W.Error, "%s", R.Error.c_str());
-      W.Status = static_cast<uint32_t>(runStatus(R, W.Hash, Golden));
-      ssize_t N = write(Fds[1], &W, sizeof W);
-      (void)N;
-      _exit(0); // no stdio flush: the parent owns the terminal
-    }
-    // --- parent ---
-    close(Fds[1]);
-    if (Pid < 0) {
-      close(Fds[0]);
-      --Sh.Attempt;
-      Sh.NextSpawn = Clock::now() + std::chrono::milliseconds(10);
-      return;
-    }
-    Sh.Pid = Pid;
-    Sh.Fd = Fds[0];
-    Sh.Deadline = Clock::now() + boundedSeconds(FO.TimeoutSeconds);
-  };
-
-  unsigned Remaining =
-      static_cast<unsigned>(Matrix.size()) - Rep.ResumedFromJournal;
-
-  // Terminal bookkeeping for the shard's current scenario.
-  auto Finish = [&](Shard &Sh, ScenarioOutcome O) {
-    // Keep the failure trail of earlier retried attempts even when a
-    // respawn eventually succeeded.
-    if (O.LastFailure.empty())
-      O.LastFailure = Rep.Outcomes[Sh.Cur].LastFailure;
-    O.Scn = Matrix[Sh.Cur];
-    O.Attempts = Sh.Attempt;
-    Rep.Outcomes[Sh.Cur] = std::move(O);
-    Sh.HasCur = false;
-    Sh.Attempt = 0;
-    --Remaining;
+      Todo.push_back(I);
+  forEachIndex(Todo.size(), FO.Jobs, [&](size_t K) {
+    ScenarioOutcome &O = Rep.Outcomes[Todo[K]];
+    O = runScenario(Matrix[Todo[K]]);
     // The verdict hits stable storage before the scenario is considered
-    // done, so a resumed sweep never re-runs a verified scenario.
-    const ScenarioOutcome &Fin = Rep.Outcomes[Sh.Cur];
+    // done, so a resumed sweep never re-runs a verified scenario. A
+    // failed append stops the pool.
     stable::ByteWriter W;
-    W.u32(Fin.Scn.Index);
-    W.u32(static_cast<uint32_t>(Fin.Status));
-    W.u32(Fin.Attempts);
-    W.f64(Fin.MakespanSeconds);
-    W.u64(Fin.Retransmissions);
-    W.u64(Fin.Crashes);
-    W.u64(Fin.Rollbacks);
-    W.u64(Fin.ResultHash);
-    W.str(Fin.LastFailure);
-    (void)JournalAppend(JrnlVerdictType, W);
-  };
-
-  // A retryable failure (timeout / worker crash): respawn with
-  // exponential backoff until the budget runs out.
-  auto FailRetryable = [&](Shard &Sh, ScenarioStatus Kind,
-                           std::string Why) {
-    ScenarioOutcome &O = Rep.Outcomes[Sh.Cur];
-    O.LastFailure = std::move(Why);
-    if (Sh.Attempt <= FO.MaxRetries) {
-      Sh.NextSpawn =
-          Clock::now() + boundedSeconds(clampedBackoffSeconds(
-                             FO.RetryBackoffSeconds, Sh.Attempt));
-      return;
-    }
-    ScenarioOutcome Fin;
-    Fin.LastFailure = O.LastFailure;
-    // With no retry budget the raw failure is the verdict; once
-    // retries were attempted and spent, the scenario is classified as
-    // retry-exhausted with the last failure recorded.
-    Fin.Status = FO.MaxRetries == 0 ? Kind : ScenarioStatus::RetryExhausted;
-    Finish(Sh, std::move(Fin));
-  };
-
-  // Reap one finished child (already waited on) and classify it.
-  auto Classify = [&](Shard &Sh, int WaitStatus, bool Timedout) {
-    WireResult W;
-    ssize_t N = 0;
-    if (!Timedout) {
-      // Drain the (at most record-sized, atomic) result write.
-      char *Dst = reinterpret_cast<char *>(&W);
-      while (N < static_cast<ssize_t>(sizeof W)) {
-        ssize_t Got = read(Sh.Fd, Dst + N, sizeof W - N);
-        if (Got <= 0)
-          break;
-        N += Got;
-      }
-    }
-    close(Sh.Fd);
-    Sh.Fd = -1;
-    Sh.Pid = -1;
-    if (Timedout) {
-      char Buf[96];
-      std::snprintf(Buf, sizeof Buf,
-                    "watchdog timeout after %.3f s (attempt %u)",
-                    FO.TimeoutSeconds, Sh.Attempt);
-      FailRetryable(Sh, ScenarioStatus::Timeout, Buf);
-      return;
-    }
-    bool Structured = N == static_cast<ssize_t>(sizeof W) &&
-                      W.Magic == WireMagic && WIFEXITED(WaitStatus) &&
-                      WEXITSTATUS(WaitStatus) == 0 &&
-                      W.Status < NumScenarioStatuses;
-    if (!Structured) {
-      char Buf[96];
-      if (WIFSIGNALED(WaitStatus))
-        std::snprintf(Buf, sizeof Buf,
-                      "worker killed by signal %d (attempt %u)",
-                      WTERMSIG(WaitStatus), Sh.Attempt);
-      else
-        std::snprintf(Buf, sizeof Buf,
-                      "worker exited with status %d (attempt %u)",
-                      WIFEXITED(WaitStatus) ? WEXITSTATUS(WaitStatus)
-                                            : -1,
-                      Sh.Attempt);
-      FailRetryable(Sh, ScenarioStatus::WorkerCrash, Buf);
-      return;
-    }
-    ScenarioOutcome O;
-    O.MakespanSeconds = W.Makespan;
-    O.Retransmissions = W.Retrans;
-    O.Crashes = W.Crashes;
-    O.Rollbacks = W.Rollbacks;
-    O.ResultHash = W.Hash;
-    O.Status = static_cast<ScenarioStatus>(W.Status);
-    if (O.Status != ScenarioStatus::Ok &&
-        O.Status != ScenarioStatus::Mismatch)
-      O.LastFailure = W.Error;
-    Finish(Sh, std::move(O));
-  };
-
-  while (Remaining) {
-    bool Progress = false;
-    for (Shard &Sh : Shards) {
-      if (Sh.Pid < 0) {
-        if (!Sh.HasCur) {
-          if (Sh.Queue.empty())
-            continue;
-          Sh.Cur = Sh.Queue.front();
-          Sh.Queue.pop_front();
-          Sh.HasCur = true;
-          Sh.Attempt = 0;
-          Sh.NextSpawn = Clock::now();
-          // Journal the take-up: a kill between here and the verdict
-          // leaves a started-but-unverdicted record, which resume
-          // re-queues.
-          stable::ByteWriter W;
-          W.u32(Matrix[Sh.Cur].Index);
-          (void)JournalAppend(JrnlStartType, W);
-        }
-        if (Clock::now() >= Sh.NextSpawn) {
-          Spawn(Sh);
-          Progress = true;
-        }
-        continue;
-      }
-      int WaitStatus = 0;
-      pid_t Got = waitpid(Sh.Pid, &WaitStatus, WNOHANG);
-      if (Got == Sh.Pid) {
-        Classify(Sh, WaitStatus, /*Timedout=*/false);
-        Progress = true;
-      } else if (Got == 0 && Clock::now() > Sh.Deadline) {
-        kill(Sh.Pid, SIGKILL);
-        waitpid(Sh.Pid, &WaitStatus, 0);
-        Classify(Sh, WaitStatus, /*Timedout=*/true);
-        Progress = true;
-      }
-    }
-    if (!Rep.Error.empty()) {
-      // A journal append failed: the durability contract is broken, so
-      // stop the sweep instead of running on without it. Reap every
-      // outstanding child first.
-      for (Shard &Sh : Shards)
-        if (Sh.Pid > 0) {
-          kill(Sh.Pid, SIGKILL);
-          int WS = 0;
-          waitpid(Sh.Pid, &WS, 0);
-          if (Sh.Fd >= 0)
-            close(Sh.Fd);
-          Sh.Pid = -1;
-          Sh.Fd = -1;
-        }
-      break;
-    }
-    if (!Progress && Remaining) {
-      struct timespec TS = {0, 2 * 1000 * 1000}; // 2 ms sweep
-      nanosleep(&TS, nullptr);
-    }
-  }
+    W.u32(O.Scn.Index);
+    W.u32(static_cast<uint32_t>(O.Status));
+    W.f64(O.MakespanSeconds);
+    W.u64(O.Retransmissions);
+    W.u64(O.Crashes);
+    W.u64(O.Rollbacks);
+    W.u64(O.ResultHash);
+    W.str(O.Error);
+    std::lock_guard<std::mutex> Lock(JournalLock);
+    return JournalAppend(JrnlVerdictType, W);
+  });
 
   Rep.ElapsedSeconds = secondsSince(T0);
   return Rep;

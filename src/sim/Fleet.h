@@ -1,33 +1,30 @@
-//===- sim/Fleet.h - Crash-tolerant scenario fleet orchestration -*- C++ -*-===//
+//===- sim/Fleet.h - Scenario fleet runner ----------------------*- C++ -*-===//
 //
 // Part of dmcc, a reproduction of Amarasinghe & Lam, PLDI 1993.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scenario fleet runner: compile a program once, then fan a matrix
+/// The scenario fleet runner: compile a program once, then run a matrix
 /// of simulation scenarios (fault seed x crash seed x checkpoint
-/// interval x engine/thread count) across a fork-based worker pool with
-/// robust supervision (DESIGN.md §12):
+/// interval x engine/thread count) in-process on a pool of worker
+/// threads (DESIGN.md §12):
 ///
-///  - every scenario runs in its own forked child, so a wedged or
-///    crashed simulation never takes the orchestrator down;
-///  - a wall-clock watchdog SIGKILLs children past their deadline;
-///  - children that die (signal or nonzero exit) or hang are respawned
-///    with exponential backoff up to a bounded retry budget;
-///  - scenario i is deterministically assigned to shard i mod Jobs and
-///    each shard processes its scenarios in order, so a rerun of the
-///    same matrix replays the same assignment;
-///  - every scenario is accounted for in the final report, with one of
-///    the statuses: ok / mismatch / deadlock / event-budget /
-///    transport-exhausted / timeout / worker-crash / retry-exhausted.
+///  - each worker claims the next scenario index (support/WorkPool.h),
+///    builds its own Simulator and writes that scenario's outcome slot,
+///    so the report does not depend on the pool size or interleaving;
+///  - every way a scenario can end is a structured verdict: ok /
+///    mismatch / deadlock / event-budget / transport-exhausted, plus
+///    worker-crash for a standard-library exception. Runaway runs are
+///    bounded by SimOptions::MaxEvents, the stall detector and the
+///    recovery's rollback budget, so no watchdog is needed.
 ///
-/// Surviving scenarios are checked against the clean run: the parent
-/// executes the scenario matrix's program once, sequentially and
-/// fault-free, and hashes every final-data array; each child hashes its
-/// own final arrays the same way, and any difference is reported as a
-/// `mismatch` — turning a fleet run into a standing bit-exactness proof
-/// over hundreds of hostile fault schedules.
+/// Surviving scenarios are checked against the clean run: the fleet
+/// executes the matrix's program once, sequentially and fault-free, and
+/// hashes every final-data array; each scenario hashes its own final
+/// arrays the same way, and any difference is reported as a `mismatch`
+/// — turning a fleet run into a standing bit-exactness proof over
+/// hundreds of hostile fault schedules.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +33,6 @@
 
 #include "sim/Simulator.h"
 
-#include <chrono>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -55,25 +50,22 @@ struct FleetScenario {
   SimEngine Engine = SimEngine::Rounds;
 };
 
-/// Final classification of one scenario after supervision. The values
-/// are journaled, so new ones go at the end.
+/// Final classification of one scenario, in report order. The values
+/// are journaled: changing them needs a new journal version.
 enum class ScenarioStatus {
   Ok,                 ///< completed, final arrays match the clean run
   Mismatch,           ///< completed but final arrays differ (dmcc bug)
   Deadlock,           ///< simulation stalled with no transport failure
-  TransportExhausted, ///< transport gave up on a packet (deterministic)
-  Timeout,            ///< watchdog killed the worker (after retries)
-  WorkerCrash,        ///< worker died abnormally (after retries)
-  RetryExhausted,     ///< respawn budget spent on timeouts/crashes
   EventBudget,        ///< stopped at SimOptions::MaxEvents (deterministic)
+  TransportExhausted, ///< transport gave up on a packet (deterministic)
+  WorkerCrash,        ///< the scenario threw a std::exception
 };
 
 /// Every status, in the order reports list them.
 inline constexpr ScenarioStatus AllScenarioStatuses[] = {
     ScenarioStatus::Ok,          ScenarioStatus::Mismatch,
     ScenarioStatus::Deadlock,    ScenarioStatus::EventBudget,
-    ScenarioStatus::TransportExhausted, ScenarioStatus::Timeout,
-    ScenarioStatus::WorkerCrash, ScenarioStatus::RetryExhausted};
+    ScenarioStatus::TransportExhausted, ScenarioStatus::WorkerCrash};
 inline constexpr unsigned NumScenarioStatuses =
     sizeof(AllScenarioStatuses) / sizeof(AllScenarioStatuses[0]);
 
@@ -86,12 +78,11 @@ const char *scenarioStatusName(ScenarioStatus S);
 /// by why it stopped.
 ScenarioStatus runStatus(const SimResult &R, uint64_t Hash, uint64_t Golden);
 
-/// What happened to one scenario, including supervision metadata.
+/// What happened to one scenario.
 struct ScenarioOutcome {
   FleetScenario Scn;
   ScenarioStatus Status = ScenarioStatus::WorkerCrash;
-  unsigned Attempts = 0;    ///< worker spawns consumed (1 = clean)
-  std::string LastFailure;  ///< last retryable failure, if any
+  std::string Error;        ///< why the run did not complete, if it did not
   double MakespanSeconds = 0;
   uint64_t Retransmissions = 0;
   uint64_t Crashes = 0;
@@ -101,34 +92,21 @@ struct ScenarioOutcome {
   bool ok() const { return Status == ScenarioStatus::Ok; }
 };
 
-/// Orchestrator tuning plus the sabotage hooks the supervision tests
-/// use to manufacture hostile workers deterministically.
+/// How run() executes a matrix.
 struct FleetOptions {
-  unsigned Jobs = 4;            ///< worker shards (concurrent children)
-  double TimeoutSeconds = 30;   ///< per-scenario watchdog deadline
-  unsigned MaxRetries = 2;      ///< respawns after a timeout/crash
-  double RetryBackoffSeconds = 0.05; ///< first respawn delay; doubles
-  /// Sabotage hooks: scenario indices whose worker hangs forever
-  /// (exercises the watchdog), aborts on every attempt (exercises
-  /// retry exhaustion), or aborts on the first attempt only (exercises
-  /// retry-then-succeed). Applied in the child, after fork.
-  std::set<unsigned> HangScenarios;
-  std::set<unsigned> AbortScenarios;
-  std::set<unsigned> AbortOnceScenarios;
+  unsigned Jobs = 4; ///< worker threads
   /// Append-only resume journal (DESIGN.md §13). When non-empty, run()
-  /// records one CRC-framed record per supervision event at this path:
-  /// a meta record binding the journal to this matrix (scenario count +
-  /// golden hash), a start record when a scenario is first taken up,
-  /// and a verdict record when it reaches a terminal status — each
-  /// fdatasync'd, so a SIGKILL of the orchestrator loses at most one
+  /// records one CRC-framed record per event at this path: a meta
+  /// record binding the journal to this matrix (version, scenario count
+  /// and golden hash), then a verdict record per finished scenario —
+  /// each fdatasync'd, so a SIGKILL of the process loses at most one
   /// torn trailing record (discarded on resume).
   std::string JournalPath;
   /// Replay JournalPath before running: scenarios with a journaled
-  /// verdict are restored into the report and never re-run; scenarios
-  /// only started (in flight at the kill) are re-queued. The resumed
-  /// report is identical to an uninterrupted sweep. A missing or empty
-  /// journal resumes as a fresh sweep, so a kill/restart loop can pass
-  /// Resume unconditionally.
+  /// verdict are restored into the report and never re-run; the rest
+  /// are queued. The resumed report is identical to an uninterrupted
+  /// sweep. A missing or empty journal resumes as a fresh sweep, so a
+  /// kill/restart loop can pass Resume unconditionally.
   bool Resume = false;
 };
 
@@ -144,14 +122,12 @@ struct FleetReport {
   unsigned ResumedFromJournal = 0;
   /// Non-empty when the sweep aborted before completion: the journal
   /// could not be opened/appended (ErrorIsIo) or does not belong to
-  /// this matrix (incompatible meta record; a usage error).
+  /// this matrix (incompatible meta record; a usage error). After an
+  /// append failure no worker starts another scenario.
   std::string Error;
   bool ErrorIsIo = false;
 
   unsigned count(ScenarioStatus S) const;
-  /// True when every scenario reached a terminal status (always holds
-  /// after run(); exposed so tests can assert it independently).
-  bool allAccounted() const { return true; }
   /// Renders the report as a single JSON document.
   std::string json() const;
 };
@@ -191,32 +167,16 @@ struct NamedFleetReport {
 /// shape is decided by the --programs flag, not the program count.
 std::string groupedFleetJson(const std::vector<NamedFleetReport> &Reports);
 
-/// Saturating conversion from a seconds value to a steady_clock
-/// duration for deadline arithmetic: NaN and non-positive inputs map to
-/// zero, and anything above ~31 years pins at that cap — so
-/// `Clock::now() + boundedSeconds(x)` can never shift past the clock's
-/// 63-bit nanosecond range (duration_cast of an unrepresentable double
-/// is undefined behavior, not merely a wrong deadline).
-std::chrono::steady_clock::duration boundedSeconds(double Seconds);
-
-/// Exponential respawn backoff, clamped: \p FirstSeconds doubles per
-/// prior attempt but never exceeds 60 s, so an arbitrarily large retry
-/// count cannot overflow the doubling into inf or push a deadline past
-/// the clock range. Attempt counts from 0/1 (first spawn) upward.
-double clampedBackoffSeconds(double FirstSeconds, unsigned Attempt);
-
 /// The fleet orchestrator. Holds the once-compiled program; run() fans
 /// a scenario list across the worker pool and aggregates the report.
-/// The caller must not hold live threads across run(): the supervisor
-/// forks, and only the children may go multi-threaded.
 class Fleet {
 public:
   Fleet(const Program &P, const CompiledProgram &CP,
         const CompileSpec &Spec, std::map<std::string, IntT> Params,
         IntT Procs, FleetOptions FO);
 
-  /// Runs every scenario under supervision; blocks until all are
-  /// terminal. Outcomes are returned in matrix (index) order.
+  /// Runs every scenario; blocks until all have a verdict. Outcomes are
+  /// returned in matrix (index) order.
   FleetReport run(const std::vector<FleetScenario> &Matrix);
 
   /// The clean reference: sequential, fault-free, functional run,
@@ -224,10 +184,9 @@ public:
   uint64_t goldenHash();
 
 private:
-  struct Shard;
-  /// Runs one scenario in-process and fills the wire fields; factored
-  /// out so the child body stays fork-safe and tiny.
   SimOptions scenarioOptions(const FleetScenario &S) const;
+  /// Simulates \p S and classifies it against the golden hash.
+  ScenarioOutcome runScenario(const FleetScenario &S) const;
 
   const Program &P;
   const CompiledProgram &CP;

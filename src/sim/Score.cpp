@@ -2,10 +2,9 @@
 
 #include "sim/Score.h"
 
-#include <algorithm>
-#include <atomic>
+#include "support/WorkPool.h"
+
 #include <exception>
-#include <thread>
 
 using namespace dmcc;
 
@@ -30,7 +29,6 @@ SpecScore scoreOne(const Program &P, const CompileSpec &Spec,
   // makes scoring dozens of candidates affordable.
   Sim.Functional = false;
   Sim.CollapseLoops = true;
-  Sim.Engine = SO.Engine;
   Sim.MaxEvents = SO.MaxEvents;
   Simulator Sm(P, CP, Spec, Sim);
   SimResult R = Sm.run();
@@ -59,27 +57,17 @@ dmcc::scoreSpecs(const Program &P, const std::vector<CompileSpec> &Specs,
     return Out;
   }
 
-  // Each worker claims the next unscored index and owns its slot, so
-  // the scores do not depend on the pool size or the interleaving.
-  std::atomic<size_t> Next{0};
-  auto Work = [&] {
-    for (size_t I; (I = Next.fetch_add(1)) < Specs.size();) {
-      try {
-        Out[I] = scoreOne(P, Specs[I], SO);
-      } catch (const std::exception &E) {
-        // dmcc raises none itself; the standard library can (e.g.
-        // bad_alloc for a candidate too large to build). The candidate
-        // is infeasible, and the exception must not escape the thread.
-        Out[I] = SpecScore();
-        Out[I].Error = std::string("exception: ") + E.what();
-      }
+  forEachIndex(Specs.size(), SO.Jobs, [&](size_t I) {
+    try {
+      Out[I] = scoreOne(P, Specs[I], SO);
+    } catch (const std::exception &E) {
+      // dmcc raises none itself; the standard library can (e.g.
+      // bad_alloc for a candidate too large to build). The candidate
+      // is infeasible, and the exception must not escape the thread.
+      Out[I] = SpecScore();
+      Out[I].Error = std::string("exception: ") + E.what();
     }
-  };
-  size_t Jobs = std::min<size_t>(std::max(SO.Jobs, 1u), Specs.size());
-  {
-    std::vector<std::jthread> Pool; // joins every worker on scope exit
-    for (size_t J = 0; J != Jobs; ++J)
-      Pool.emplace_back(Work);
-  }
+    return true;
+  });
   return Out;
 }

@@ -13,10 +13,10 @@
 /// search replays that judgement mechanically, and the score is what it
 /// ranks by.
 ///
-/// Candidates are scored in-process by a pool of worker threads; each
-/// thread claims the next candidate index and writes its score into
-/// that candidate's slot, so the result does not depend on the pool
-/// size. Every way a candidate can fail — a spec the compiler rejects,
+/// Candidates are scored in-process by a pool of worker threads
+/// (support/WorkPool.h); each thread claims the next candidate index and
+/// writes its score into that candidate's slot, so the result does not
+/// depend on the pool size. Every way a candidate can fail — a spec the compiler rejects,
 /// an unbound parameter, a simulated deadlock, an exhausted event
 /// budget — comes back as a structured infeasible score. The event
 /// budget (ScoreOptions::MaxEvents) bounds a runaway candidate
@@ -45,7 +45,6 @@ struct ScoreOptions {
   /// Per-candidate simulated-event budget (SimOptions::MaxEvents); a
   /// candidate that exceeds it is scored infeasible.
   uint64_t MaxEvents = 400000000ull;
-  SimEngine Engine = SimEngine::Rounds;
 };
 
 /// What one candidate cost. Infeasible candidates (spec rejected by the

@@ -1,12 +1,10 @@
 //===- tools/dmcc-fleet.cpp - Scenario fleet orchestrator ------*- C++ -*-===//
 //
-// Compile a program once, then fan a scenario matrix (fault seed x
-// crash seed x checkpoint interval x engine/thread count) across a
-// fork-based worker pool with watchdog timeouts, crash detection and
-// bounded retry with exponential backoff (DESIGN.md §12). Every
-// surviving scenario's final arrays are checked bit-identical to the
-// clean sequential run; the aggregated JSON report accounts for every
-// scenario with a terminal status.
+// Compile a program once, then run a scenario matrix (fault seed x
+// crash seed x checkpoint interval x engine/thread count) in-process on
+// a pool of worker threads (DESIGN.md §12). Every surviving scenario's
+// final arrays are checked bit-identical to the clean sequential run;
+// the aggregated JSON report gives every scenario a verdict.
 //
 //   dmcc-fleet FILE [options]
 //     --procs P              simulated processors per scenario (def 8)
@@ -39,31 +37,23 @@
 //     --partition-outage N --slow-link-rate R --slow-link-factor F
 //     --crash-rate R --max-retries N --retry-timeout T
 //
-//   Supervision:
-//     --jobs N               worker shards (def 4)
-//     --timeout T            per-scenario watchdog seconds (def 30)
-//     --fleet-retries N      respawns after a timeout/crash (def 2)
-//     --backoff T            first respawn delay, doubles (def 0.05)
+//   Execution:
+//     --jobs N               worker threads (def 4)
 //     --report PATH          write the JSON report here (def stdout);
 //                            written atomically (temp+fsync+rename)
 //
 //   Crash-resumable sweeps (DESIGN.md §13):
 //     --journal PATH         append-only CRC-framed journal of scenario
-//                            start/verdict records
+//                            verdicts
 //     --resume               replay --journal first: journaled verdicts
-//                            are restored, in-flight scenarios re-run;
-//                            the merged report equals an uninterrupted
-//                            sweep
+//                            are restored, the other scenarios run; the
+//                            merged report equals an uninterrupted sweep
 //
-//   Sabotage hooks (supervision tests; repeatable):
-//     --hang-scenario I      worker for scenario I hangs forever
-//     --abort-scenario I     worker for scenario I aborts every attempt
-//     --abort-once-scenario I  worker aborts on the first attempt only
-//
-//   Exit codes (support/ExitCodes.h): 0 when the matrix is fully
-//   accounted for and no scenario mismatched the clean run; 6 on any
-//   mismatch; 2 usage (incl. a journal that belongs to a different
-//   matrix); 3 parse/compile error; 7 report/journal I/O failure.
+//   Exit codes (support/ExitCodes.h): 0 when no scenario mismatched the
+//   clean run; 6 on any mismatch; 2 usage (incl. a journal that belongs
+//   to a different matrix); 3 parse/compile error; 7 report/journal I/O
+//   failure; 70 when the library hits an internal error inside a
+//   scenario (the journal keeps every verdict reached before it).
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,11 +83,7 @@ int usage(const char *Argv0) {
       "       [--partition-rate R] [--partition-outage N]\n"
       "       [--slow-link-rate R] [--slow-link-factor F]\n"
       "       [--crash-rate R] [--max-retries N] [--retry-timeout T]\n"
-      "       [--jobs N] [--timeout T] [--fleet-retries N] "
-      "[--backoff T]\n"
-      "       [--report PATH] [--journal PATH] [--resume]\n"
-      "       [--hang-scenario I] [--abort-scenario I]\n"
-      "       [--abort-once-scenario I]\n",
+      "       [--jobs N] [--report PATH] [--journal PATH] [--resume]\n",
       Argv0);
   return ExitUsage;
 }
@@ -267,19 +253,6 @@ int main(int Argc, char **Argv) {
       if (!(V = Value(A)))
         return ExitUsage;
       FO.Jobs = static_cast<unsigned>(std::strtoull(V, nullptr, 10));
-    } else if (std::strcmp(A, "--timeout") == 0) {
-      if (!(V = Value(A)))
-        return ExitUsage;
-      FO.TimeoutSeconds = std::atof(V);
-    } else if (std::strcmp(A, "--fleet-retries") == 0) {
-      if (!(V = Value(A)))
-        return ExitUsage;
-      FO.MaxRetries =
-          static_cast<unsigned>(std::strtoull(V, nullptr, 10));
-    } else if (std::strcmp(A, "--backoff") == 0) {
-      if (!(V = Value(A)))
-        return ExitUsage;
-      FO.RetryBackoffSeconds = std::atof(V);
     } else if (std::strcmp(A, "--report") == 0) {
       if (!(V = Value(A)))
         return ExitUsage;
@@ -290,21 +263,6 @@ int main(int Argc, char **Argv) {
       FO.JournalPath = V;
     } else if (std::strcmp(A, "--resume") == 0) {
       FO.Resume = true;
-    } else if (std::strcmp(A, "--hang-scenario") == 0) {
-      if (!(V = Value(A)))
-        return ExitUsage;
-      FO.HangScenarios.insert(
-          static_cast<unsigned>(std::strtoull(V, nullptr, 10)));
-    } else if (std::strcmp(A, "--abort-scenario") == 0) {
-      if (!(V = Value(A)))
-        return ExitUsage;
-      FO.AbortScenarios.insert(
-          static_cast<unsigned>(std::strtoull(V, nullptr, 10)));
-    } else if (std::strcmp(A, "--abort-once-scenario") == 0) {
-      if (!(V = Value(A)))
-        return ExitUsage;
-      FO.AbortOnceScenarios.insert(
-          static_cast<unsigned>(std::strtoull(V, nullptr, 10)));
     } else if (std::strcmp(A, "--programs") == 0) {
       if (!(V = Value(A)))
         return ExitUsage;
@@ -372,11 +330,8 @@ int main(int Argc, char **Argv) {
     MS.CrashSeeds.push_back(S);
 
   std::vector<FleetScenario> Matrix = buildMatrix(MS);
-  std::fprintf(stderr,
-               "dmcc-fleet: %zu scenarios across %u shards (timeout "
-               "%.1f s, %u retries)%s\n",
-               Matrix.size(), FO.Jobs ? FO.Jobs : 1, FO.TimeoutSeconds,
-               FO.MaxRetries,
+  std::fprintf(stderr, "dmcc-fleet: %zu scenarios on %u threads%s\n",
+               Matrix.size(), FO.Jobs ? FO.Jobs : 1,
                ProgramList.size() > 1 ? ", per program" : "");
 
   // The whole matrix runs once per program; Params holds the CLI
