@@ -351,33 +351,30 @@ CompiledProgram dmcc::compile(const Program &P, const CompileSpec &Spec,
   }
 
   // Finalization.
-  if (Opts.Finalize) {
-    for (const auto &[ArrayId, FinalD] : Spec.FinalData) {
-      LastWriteTree AT = buildArrayLastWrites(P, ArrayId);
-      if (!AT.Exact) {
-        Out.Stats.AllExact = false;
-        Out.Diagnostics += "warning: approximate finalization for array " +
-                           std::to_string(ArrayId) + "\n";
-      }
-      for (const LWTContext &Ctx : AT.Contexts) {
-        const Decomposition *Init = nullptr;
-        auto It = Spec.InitialData.find(ArrayId);
-        if (It != Spec.InitialData.end())
-          Init = &It->second;
-        if (!Ctx.HasWriter && !Init)
-          continue; // untouched data with no known home: nothing to move
-        std::vector<CommSet> Sets = buildFinalizationSets(
-            P, AT, Ctx, Ctx.HasWriter ? &PlanOf[Ctx.WriteStmtId]->Comp
-                                      : nullptr,
-            Init, FinalD, Opts.GridDims);
-        for (CommSet &CS : Sets) {
-          ++Out.Stats.NumFinalizationSets;
-          Placed Pl;
-          Pl.Plan.Set = std::move(CS);
-          Pl.Plan.AggLevel = 0;
-          Pl.IsFinal = true;
-          Comms.push_back(std::move(Pl));
-        }
+  for (const auto &[ArrayId, FinalD] : Spec.FinalData) {
+    LastWriteTree AT = buildArrayLastWrites(P, ArrayId);
+    if (!AT.Exact) {
+      Out.Stats.AllExact = false;
+      Out.Diagnostics += "warning: approximate finalization for array " +
+                         std::to_string(ArrayId) + "\n";
+    }
+    for (const LWTContext &Ctx : AT.Contexts) {
+      const Decomposition *Init = nullptr;
+      auto It = Spec.InitialData.find(ArrayId);
+      if (It != Spec.InitialData.end())
+        Init = &It->second;
+      if (!Ctx.HasWriter && !Init)
+        continue; // untouched data with no known home: nothing to move
+      std::vector<CommSet> Sets = buildFinalizationSets(
+          P, AT, Ctx, Ctx.HasWriter ? &PlanOf[Ctx.WriteStmtId]->Comp : nullptr,
+          Init, FinalD, Opts.GridDims);
+      for (CommSet &CS : Sets) {
+        ++Out.Stats.NumFinalizationSets;
+        Placed Pl;
+        Pl.Plan.Set = std::move(CS);
+        Pl.Plan.AggLevel = 0;
+        Pl.IsFinal = true;
+        Comms.push_back(std::move(Pl));
       }
     }
   }

@@ -52,8 +52,6 @@ struct CompilerOptions {
   /// Prefer the coarse (dependence-level - 1) aggregation when legal;
   /// otherwise messages batch per dependence-level iteration.
   bool AggressiveAggregation = true;
-  /// Emit finalization communication into the final data layout.
-  bool Finalize = true;
   /// Section 5.4: statically split merged loops at guard breakpoints so
   /// iteration ranges run guard-free.
   bool SplitLoops = true;
