@@ -10,7 +10,8 @@ using namespace dmcc;
 
 std::vector<SpmdStmt> SpmdSimplifier::splitLoop(SpmdStmt For,
                                                 const SpmdContext &Ctx,
-                                                unsigned Budget) {
+                                                unsigned Budget,
+                                                std::vector<Constraint> Tried) {
   std::vector<SpmdStmt> Out;
   if (Budget < 2) {
     Out.push_back(std::move(For));
@@ -28,7 +29,6 @@ std::vector<SpmdStmt> SpmdSimplifier::splitLoop(SpmdStmt For,
   // Find a top-level guard condition affine in the loop variable, free of
   // body-assigned variables, that holds on part of the range only. Guards
   // of sibling fragments often repeat one another; each is tried once.
-  std::vector<Constraint> Tried;
   for (const SpmdStmt &If : For.Body) {
     if (If.K != SpmdStmt::Kind::If)
       continue;
@@ -84,13 +84,17 @@ std::vector<SpmdStmt> SpmdSimplifier::splitLoop(SpmdStmt For,
         MakeSeg({}, {SpmdBound{R, -A}});
         MakeSeg({SpmdBound{R.plusConst(1), -A}}, {});
       }
-      if (Segs.size() < 2)
+      if (Segs.empty())
         continue;
       if (Segs.size() > Budget) {
         ++Split.GuardsKept;
         continue;
       }
       ++Split.GuardsEliminated;
+      // When the other segments do no work, the one left is the loop,
+      // with a tighter range and without the guard: split it further.
+      if (Segs.size() == 1)
+        return splitLoop(std::move(Segs[0]), Ctx, Budget, std::move(Tried));
 
       // Recursively split each segment on the remaining guards.
       unsigned SubBudget = Budget / Segs.size();

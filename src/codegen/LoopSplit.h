@@ -23,8 +23,10 @@
 /// context already implies or contradicts is never split on; every
 /// segment is simplified under the context plus its own bounds, so the
 /// guard disappears from it, and a segment with an empty range or body is
-/// not emitted. Guards that do not meet the criterion stay as run-time
-/// tests (the paper's dynamic fallback).
+/// not emitted. When one segment is left, it replaces the loop (a tighter
+/// range, no guard) and is searched for further splits. Guards that do
+/// not meet the criterion stay as run-time tests (the paper's dynamic
+/// fallback).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -37,52 +37,114 @@ bool readsAny(const AffineExpr &E, const std::set<unsigned> &Vars) {
   return false;
 }
 
-/// Marks every variable that some expression in \p Stmts reads.
-void markReads(const std::vector<SpmdStmt> &Stmts, std::vector<char> &Read) {
-  auto Mark = [&Read](const AffineExpr &E) {
+/// Adds every variable that \p S's own expressions, not its body's,
+/// read to \p Live.
+void addReads(const SpmdStmt &S, std::vector<char> &Live) {
+  auto Add = [&Live](const AffineExpr &E) {
     for (unsigned V = 0, N = E.size(); V != N; ++V)
       if (E.involves(V))
-        Read[V] = 1;
+        Live[V] = 1;
   };
-  for (const SpmdStmt &S : Stmts) {
-    for (const SpmdBound &B : S.Lower)
-      Mark(B.Num);
-    for (const SpmdBound &B : S.Upper)
-      Mark(B.Num);
-    if (S.K == SpmdStmt::Kind::SetVar)
-      Mark(S.Value);
-    for (const Constraint &C : S.Conds)
-      Mark(C.Expr);
-    for (const AffineExpr &E : S.IterExprs)
-      Mark(E);
-    for (const AffineExpr &E : S.Peer)
-      Mark(E);
-    for (const AffineExpr &E : S.Indices)
-      Mark(E);
-    markReads(S.Body, Read);
-  }
+  Add(S.Value);
+  for (const SpmdBound &B : S.Lower)
+    Add(B.Num);
+  for (const SpmdBound &B : S.Upper)
+    Add(B.Num);
+  for (const Constraint &C : S.Conds)
+    Add(C.Expr);
+  for (const auto *Es : {&S.IterExprs, &S.Peer, &S.Indices})
+    for (const AffineExpr &E : *Es)
+      Add(E);
 }
 
-/// Deletes the assignments to variables nothing reads, and the Ifs and
-/// Fors that this leaves empty. Returns the number of SetVars deleted.
-unsigned dropDeadSets(std::vector<SpmdStmt> &Stmts,
-                      const std::vector<char> &Read) {
-  unsigned Dropped = 0;
-  std::vector<SpmdStmt> Out;
-  for (SpmdStmt &S : Stmts) {
-    bool HadBody = !S.Body.empty();
-    Dropped += dropDeadSets(S.Body, Read);
-    if (S.K == SpmdStmt::Kind::SetVar && !Read[S.Var]) {
-      ++Dropped;
-      continue;
+void addLive(std::vector<char> &Live, const std::vector<char> &More) {
+  for (unsigned V = 0, N = Live.size(); V != N; ++V)
+    Live[V] |= More[V];
+}
+
+/// Backward liveness over \p Stmts: \p Live holds the variables live
+/// after the list on entry and those live before it on return. A SetVar
+/// whose target is dead at its point reads nothing, and neither does an
+/// If or For whose body keeps no statement, so assignments that only feed
+/// dead ones are dead too. With \p Deleted set, those statements are
+/// deleted and the deleted SetVars counted; without, the tree is left as
+/// it is and the sets are the ones pruning would give. Returns whether
+/// any statement is kept.
+bool liveBefore(std::vector<SpmdStmt> &Stmts, std::vector<char> &Live,
+                unsigned *Deleted) {
+  using K = SpmdStmt::Kind;
+  std::vector<char> Keep(Stmts.size(), 1), In;
+  for (size_t I = Stmts.size(); I-- > 0;) {
+    SpmdStmt &S = Stmts[I];
+    switch (S.K) {
+    case K::SetVar:
+      Keep[I] = Live[S.Var];
+      Live[S.Var] = 0;
+      break;
+    case K::For: {
+      // From the end of the body, control leaves the loop or advances the
+      // loop variable into the next iteration. The set live there only
+      // grows, so it reaches a fixpoint; the body is pruned once, under it.
+      std::vector<char> End = Live;
+      End[S.Var] = 1;
+      for (;;) {
+        In = End;
+        Keep[I] = liveBefore(S.Body, In, nullptr);
+        std::vector<char> Next = End;
+        addLive(Next, In);
+        if (!Keep[I] || Next == End)
+          break;
+        End = std::move(Next);
+      }
+      if (Keep[I] && Deleted)
+        liveBefore(S.Body, End, Deleted);
+      // A loop may run no iteration; the first one assigns its variable.
+      In[S.Var] = 0;
+      break;
     }
-    if ((S.K == SpmdStmt::Kind::If || S.K == SpmdStmt::Kind::For) &&
-        HadBody && S.Body.empty())
+    case K::If:
+    case K::Seq:
+    case K::Send:
+    case K::Recv:
+      // The body may be skipped: a multicast send or receive reuses the
+      // packing of its first destination. Messages stay, even empty.
+      In = Live;
+      Keep[I] = liveBefore(S.Body, In, Deleted) || S.K == K::Send ||
+                S.K == K::Recv;
+      break;
+    default:
+      break;
+    }
+    // A statement's own expressions (a loop's bounds, a message's peer)
+    // are read before its body runs.
+    if (!Keep[I])
       continue;
-    Out.push_back(std::move(S));
+    if (!S.Body.empty())
+      addLive(Live, In);
+    addReads(S, Live);
+  }
+  bool Any = std::find(Keep.begin(), Keep.end(), 1) != Keep.end();
+  if (!Deleted)
+    return Any;
+  std::vector<SpmdStmt> Out;
+  for (size_t I = 0; I != Stmts.size(); ++I) {
+    if (Keep[I])
+      Out.push_back(std::move(Stmts[I]));
+    else if (Stmts[I].K == K::SetVar)
+      ++*Deleted;
   }
   Stmts = std::move(Out);
-  return Dropped;
+  return Any;
+}
+
+/// The condition of \p Cs equal to \p C, which is over all \p NumVars
+/// variables, or Cs.end().
+std::vector<Constraint>::const_iterator
+findCond(const std::vector<Constraint> &Cs, const Constraint &C,
+         unsigned NumVars) {
+  return std::find_if(Cs.begin(), Cs.end(), [&](const Constraint &D) {
+    return widened(D, NumVars) == C;
+  });
 }
 
 /// Removes and returns the conditions that every top-level statement of
@@ -98,18 +160,14 @@ std::vector<Constraint> takeInvariantGuard(SpmdStmt &For, unsigned NumVars) {
     return Common;
   std::set<unsigned> Assigned{For.Var};
   assignedVars(For.Body, Assigned);
-  auto Find = [&](const std::vector<Constraint> &Cs, const Constraint &C) {
-    return std::find_if(Cs.begin(), Cs.end(), [&](const Constraint &D) {
-      return widened(D, NumVars) == C;
-    });
-  };
   for (const Constraint &First : For.Body[0].Conds) {
     Constraint C = widened(First, NumVars);
-    if (readsAny(C.Expr, Assigned) || Find(Common, C) != Common.end())
+    if (readsAny(C.Expr, Assigned) ||
+        findCond(Common, C, NumVars) != Common.end())
       continue;
     bool All = true;
     for (const SpmdStmt &S : For.Body)
-      All = All && Find(S.Conds, C) != S.Conds.end();
+      All = All && findCond(S.Conds, C, NumVars) != S.Conds.end();
     if (All)
       Common.push_back(std::move(C));
   }
@@ -118,7 +176,7 @@ std::vector<Constraint> takeInvariantGuard(SpmdStmt &For, unsigned NumVars) {
   std::vector<SpmdStmt> Body;
   for (SpmdStmt &S : For.Body) {
     for (const Constraint &C : Common)
-      S.Conds.erase(Find(S.Conds, C));
+      S.Conds.erase(findCond(S.Conds, C, NumVars));
     if (!S.Conds.empty()) {
       Body.push_back(std::move(S));
       continue;
@@ -128,6 +186,42 @@ std::vector<Constraint> takeInvariantGuard(SpmdStmt &For, unsigned NumVars) {
   }
   For.Body = std::move(Body);
   return Common;
+}
+
+/// True when \p First and \p Second are Ifs that test the same
+/// conditions and \p First's body assigns nothing they read, so the
+/// second test has the outcome of the first.
+bool mergeable(const SpmdStmt &First, const SpmdStmt &Second,
+               unsigned NumVars) {
+  if (First.K != SpmdStmt::Kind::If || Second.K != SpmdStmt::Kind::If ||
+      First.Conds.size() != Second.Conds.size())
+    return false;
+  std::set<unsigned> Assigned;
+  assignedVars(First.Body, Assigned);
+  for (const Constraint &C : First.Conds) {
+    Constraint W = widened(C, NumVars);
+    if (readsAny(W.Expr, Assigned) ||
+        findCond(Second.Conds, W, NumVars) == Second.Conds.end())
+      return false;
+  }
+  return true;
+}
+
+/// Rewrites if (C) { A } if (C) { B } as if (C) { A B } wherever the
+/// pair is mergeable.
+void mergeGuards(std::vector<SpmdStmt> &Stmts, unsigned NumVars) {
+  for (size_t I = 1; I < Stmts.size();) {
+    if (!mergeable(Stmts[I - 1], Stmts[I], NumVars)) {
+      ++I;
+      continue;
+    }
+    std::vector<SpmdStmt> &Body = Stmts[I - 1].Body;
+    for (SpmdStmt &S : Stmts[I].Body)
+      Body.push_back(std::move(S));
+    Stmts.erase(Stmts.begin() + I);
+    // Where the two bodies meet, another pair may now be adjacent.
+    mergeGuards(Body, NumVars);
+  }
 }
 
 } // namespace
@@ -396,16 +490,11 @@ SpmdSimplifier::SpmdSimplifier(const SpmdProgram &Prog,
 void SpmdSimplifier::run(std::vector<SpmdStmt> &Top) {
   SpmdContext Ctx(NumVars);
   Top = list(std::move(Top), Ctx, MaxSegments > 1);
-  // Deleting guards leaves assignments whose only readers are gone (the
-  // pack and unpack bodies' unused instance coordinates, for one).
-  for (;;) {
-    std::vector<char> Read(NumVars, 0);
-    markReads(Top, Read);
-    unsigned Dropped = dropDeadSets(Top, Read);
-    if (Dropped == 0)
-      break;
-    Stats.DeadSetsDeleted += Dropped;
-  }
+  // Deleting guards leaves assignments that nothing reads before the
+  // next assignment (the pack and unpack bodies' instance coordinates,
+  // for one). Nothing is live after the program.
+  std::vector<char> Live(NumVars, 0);
+  liveBefore(Top, Live, &Stats.DeadSetsDeleted);
 }
 
 std::vector<SpmdStmt> SpmdSimplifier::list(std::vector<SpmdStmt> Stmts,
@@ -414,6 +503,7 @@ std::vector<SpmdStmt> SpmdSimplifier::list(std::vector<SpmdStmt> Stmts,
   std::vector<SpmdStmt> Out;
   for (SpmdStmt &S : Stmts)
     stmt(std::move(S), Ctx, SplitLoops, Out);
+  mergeGuards(Out, NumVars);
   return Out;
 }
 

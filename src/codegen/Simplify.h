@@ -22,12 +22,15 @@
 /// another term dominates, deletes every If and For that has no integer
 /// point or an empty body, and moves a guard that every statement of a
 /// loop body tests in front of the loop when it cannot change between
-/// iterations. Loop splitting (LoopSplit.h) runs in the same walk.
-/// Afterwards every SetVar of a variable that no expression reads is
-/// deleted. Each processor still executes the same compute, send and
-/// receive statements in the same order, with the same values of every
-/// variable they read; only guard tests, loop headers and assignments
-/// whose outcome never mattered disappear.
+/// iterations. Adjacent Ifs that test the same conditions become one
+/// when the first body assigns nothing the conditions read. Loop
+/// splitting (LoopSplit.h) runs in the same walk. Afterwards one backward
+/// liveness pass deletes every SetVar whose target no path reads before
+/// the next assignment to it, and each If and For this empties. Each
+/// processor still executes the same compute, send and receive
+/// statements in the same order, with the same values of every variable
+/// they read; only guard tests, loop headers and assignments whose
+/// outcome never mattered disappear.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,7 +100,7 @@ struct SimplifyStats {
   unsigned LoopsDeleted = 0;  ///< Fors with an empty range or body
   unsigned BoundsFolded = 0;  ///< dominated max/min bound terms
   unsigned GuardsHoisted = 0;  ///< loop-invariant guards moved out of loops
-  unsigned DeadSetsDeleted = 0; ///< SetVars of variables nothing reads
+  unsigned DeadSetsDeleted = 0; ///< SetVars whose target is dead
 };
 
 /// Every variable a statement list may assign (loop indices and SetVar
@@ -132,9 +135,11 @@ private:
   SpmdContext bodyContext(const SpmdStmt &For, const SpmdContext &Ctx,
                           const std::set<unsigned> &Forget) const;
 
-  // Defined in LoopSplit.cpp.
+  // Defined in LoopSplit.cpp. Tried holds the conditions already tried
+  // on a loop that a one-segment split narrowed.
   std::vector<SpmdStmt> splitLoop(SpmdStmt For, const SpmdContext &Ctx,
-                                  unsigned Budget);
+                                  unsigned Budget,
+                                  std::vector<Constraint> Tried = {});
 
   unsigned NumVars;
   unsigned MaxSegments;

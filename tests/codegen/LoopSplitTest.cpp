@@ -207,6 +207,48 @@ TEST(LoopSplitTest, ImpliedOrContradictedGuardsAreNotSplitOn) {
   EXPECT_EQ(Before, After);
 }
 
+TEST(LoopSplitTest, OneNonemptySegmentBecomesTheLoop) {
+  // for i = 0 to 9 { if (i <= p) S0 }: the segment i > p does no work,
+  // so the loop becomes for i = 0 to min(9, p) { S0 }.
+  SpmdProgram Prog;
+  unsigned I = Prog.Sp.add("i", VarKind::Loop);
+  unsigned P = Prog.Sp.add("p", VarKind::Proc);
+  Prog.MyProcVars = {P};
+  SpmdStmt For;
+  For.K = SpmdStmt::Kind::For;
+  For.Var = I;
+  For.Lower = {SpmdBound{AffineExpr::constant(2, 0), 1}};
+  For.Upper = {SpmdBound{AffineExpr::constant(2, 9), 1}};
+  SpmdStmt If;
+  If.K = SpmdStmt::Kind::If;
+  If.Conds = {Constraint::ge(AffineExpr::var(2, P) -
+                             AffineExpr::var(2, I))}; // i <= p
+  If.Body.push_back(makeCompute(0));
+  For.Body.push_back(std::move(If));
+  Prog.Top.push_back(std::move(For));
+  SpmdProgram Before = Prog;
+
+  LoopSplitStats St = splitLoops(Prog);
+  EXPECT_EQ(St.LoopsSplit, 0u);
+  EXPECT_EQ(St.GuardsEliminated, 1u);
+  ASSERT_EQ(Prog.Top.size(), 1u) << Prog.str();
+  const SpmdStmt &Loop = Prog.Top[0];
+  ASSERT_EQ(Loop.Body.size(), 1u) << Prog.str();
+  EXPECT_EQ(Loop.Body[0].K, SpmdStmt::Kind::Compute) << Prog.str();
+  bool BoundReadsP = false;
+  for (const SpmdBound &B : Loop.Upper)
+    BoundReadsP = BoundReadsP || B.Num.involves(P);
+  EXPECT_TRUE(BoundReadsP) << Prog.str();
+  for (IntT PVal : {-3, 0, 4, 9, 20}) {
+    std::vector<IntT> Env(2, 0);
+    Env[P] = PVal;
+    std::vector<std::pair<unsigned, IntT>> Want, Got;
+    interpret(Before.Top, Env, Want, I);
+    interpret(Prog.Top, Env, Got, I);
+    EXPECT_EQ(Want, Got) << "p = " << PVal;
+  }
+}
+
 TEST(LoopSplitTest, CompilerAppliesSplitting) {
   // LU over cyclic rows: the pivot loop's guards compare i1 with the
   // executing processor, so splitting gives receive-and-update,

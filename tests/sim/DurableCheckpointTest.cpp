@@ -601,12 +601,11 @@ TEST(DurableCheckpoint, ImageBytesArePinned) {
     ASSERT_GE(R.Recovery.Rollbacks, 1u);
     expectPinned(D.Path, {
       {"ckpt-00000000000000000000.dmc", 0xE6BC6068u},
-      {"ckpt-00000000000000003000.dmc", 0xC6FF50D7u},
-      {"ckpt-00000000000000006000.dmc", 0x447755D8u},
-      {"ckpt-00000000000000009000.dmc", 0x58EB0E62u},
-      {"ckpt-00000000000000012000.dmc", 0x4843E9F3u},
-      {"ckpt-00000000000000015000.dmc", 0x3313801Au},
-      {"ckpt-00000000000000016500.dmc", 0xC542C5DBu},
+      {"ckpt-00000000000000003000.dmc", 0x81F3A8E2u},
+      {"ckpt-00000000000000006000.dmc", 0x45AA8776u},
+      {"ckpt-00000000000000009000.dmc", 0x718EBDD3u},
+      {"ckpt-00000000000000010500.dmc", 0x34D63600u},
+      {"ckpt-00000000000000013500.dmc", 0x22801FC6u},
     });
   }
   {
@@ -622,12 +621,11 @@ TEST(DurableCheckpoint, ImageBytesArePinned) {
     ASSERT_GT(R.EarlySends, 0u);
     expectPinned(D.Path, {
       {"ckpt-00000000000000000000.dmc", 0xC1A960ECu},
-      {"ckpt-00000000000000001500.dmc", 0xAC6994ADu},
-      {"ckpt-00000000000000003000.dmc", 0x1AA35E1Bu},
-      {"ckpt-00000000000000004500.dmc", 0x5E704833u},
-      {"ckpt-00000000000000006000.dmc", 0xE21D36D5u},
-      {"ckpt-00000000000000007500.dmc", 0x6CDF2E17u},
-      {"ckpt-00000000000000009000.dmc", 0x02FC0A03u},
+      {"ckpt-00000000000000001500.dmc", 0x6E20AA25u},
+      {"ckpt-00000000000000003000.dmc", 0x9753EC95u},
+      {"ckpt-00000000000000004500.dmc", 0xF6114600u},
+      {"ckpt-00000000000000006000.dmc", 0xBA80874Au},
+      {"ckpt-00000000000000007500.dmc", 0x6E601ABFu},
     });
   }
 }
