@@ -13,12 +13,14 @@
 //
 // Every resume leg is required to reproduce the uninterrupted run's
 // makespan exactly — a divergence fails the benchmark. Output is one
-// JSON object; the repo snapshot lives in BENCH_durability.json.
+// JSON object with the commit, build type and hardware_concurrency; the
+// repo snapshot lives in BENCH_durability.json.
 //
 // Set DMCC_FAULT_BENCH_SMALL=1 to run at reduced scale.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SourceCommit.h"
 #include "frontend/Parser.h"
 #include "sim/Simulator.h"
 #include "support/StableStore.h"
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 #include <unistd.h>
 
 using namespace dmcc;
@@ -114,6 +117,10 @@ int main() {
   std::printf("  \"case\": \"lu\",\n");
   std::printf("  \"n\": %lld,\n  \"procs\": 4,\n",
               static_cast<long long>(N));
+  std::printf("  \"commit\": \"%s\",\n", sourceCommit().c_str());
+  std::printf("  \"build_type\": \"%s\",\n", DMCC_BUILD_TYPE);
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"rows\": [\n");
 
   int Rc = 0;

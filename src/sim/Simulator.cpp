@@ -212,11 +212,46 @@ struct Simulator::ExecCond {
   bool IsEq = false;
 };
 
+/// A lowered compute's loop variable: ProgEnv[Var] = Value, a form
+/// over the SPMD space.
+struct Simulator::ExecBind {
+  LinearForm Value;
+  unsigned Var = 0;
+};
+
+/// One op of a compute statement's right-hand side lowered to postfix
+/// code (DESIGN.md §17). The ops run in order on a value stack: Read,
+/// Const and Affine push a value; Add, Sub, Mul and Div pop two and push
+/// one. A Select is lowered to
+///   cond; JumpUnlessGE else; then; Jump end; else: ...; end:
+/// so the branch not taken is never evaluated, and a NaN condition, for
+/// which cond >= 0 is false, takes the else branch.
+struct Simulator::ExecOp {
+  enum class Kind : unsigned char {
+    Read,
+    Const,
+    Affine,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    JumpUnlessGE, ///< pops the condition; jumps unless it is >= 0
+    Jump,
+  };
+  Kind K = Kind::Const;
+  /// Read: the array. JumpUnlessGE and Jump: the target, an Ops index.
+  unsigned Arg = 0;
+  /// Read: one subscript per dimension; Affine: the one value. In Forms,
+  /// over the program space.
+  Span Subs;
+  double Const = 0;
+};
+
 /// One SpmdStmt lowered for execution (DESIGN.md §17): same kind and
 /// same position, with a Body that mirrors the SpmdStmt's, so call-stack
 /// frames and their durable encoding are unchanged. Lists are spans of
-/// the simulator's pools (Stmts, Bounds, Conds, Forms), affine
-/// expressions are sparse LinearForms over Terms, and what the
+/// the simulator's pools (Stmts, Bounds, Conds, Forms, Binds, Ops),
+/// affine expressions are sparse LinearForms over Terms, and what the
 /// interpreter would otherwise recompute on every execution is computed
 /// once here.
 struct Simulator::ExecStmt {
@@ -242,9 +277,13 @@ struct Simulator::ExecStmt {
   // If.
   Span Conds; ///< in Conds
 
-  // Compute: the statement, and the cost and flops of one execution.
-  unsigned StmtId = 0;
-  Span IterExprs; ///< in Forms
+  // Compute: the binding of each of the statement's loop variables, its
+  // right-hand side as postfix code with the value-stack depth that code
+  // needs, and the cost and flops of one execution. The written element
+  // is ArrayId and Indices.
+  Span Binds; ///< in Binds
+  Span Code;  ///< in Ops
+  unsigned Depth = 0;
   double Cost = 0;
   unsigned Flops = 0;
 
@@ -254,7 +293,8 @@ struct Simulator::ExecStmt {
   bool IsMulticast = false;
   bool Nonblocking = false;
 
-  // PackElem / UnpackElem.
+  // PackElem / UnpackElem: the element, over the SPMD space. Compute:
+  // the written element, over the program space.
   unsigned ArrayId = 0;
   Span Indices; ///< in Forms
 };
@@ -782,16 +822,49 @@ namespace {
 
 /// How many entries lowering a statement list adds to each pool.
 struct PoolSizes {
-  size_t Stmts = 0, Bounds = 0, Conds = 0, Forms = 0;
+  size_t Stmts = 0, Bounds = 0, Conds = 0, Forms = 0, Binds = 0, Ops = 0;
 };
 
-void countPools(const std::vector<SpmdStmt> &List, PoolSizes &N) {
+/// Counts what Simulator::lowerRVal adds for node \p Node of \p S.
+void countRVal(const Statement &S, int Node, PoolSizes &N) {
+  const RVal &R = S.RPool[Node];
+  ++N.Ops;
+  switch (R.K) {
+  case RVal::Kind::ReadRef:
+    N.Forms += S.Reads[R.ReadIdx].Indices.size();
+    return;
+  case RVal::Kind::ConstF:
+    return;
+  case RVal::Kind::AffineVal:
+    ++N.Forms;
+    return;
+  case RVal::Kind::Select:
+    ++N.Ops; // two jumps stand for the one node
+    countRVal(S, R.Cond, N);
+    break;
+  default:
+    break;
+  }
+  countRVal(S, R.Lhs, N);
+  countRVal(S, R.Rhs, N);
+}
+
+/// Counts what Simulator::lowerList adds for \p List; \p Functional as
+/// SimOptions::Functional.
+void countPools(const Program &P, const std::vector<SpmdStmt> &List,
+                bool Functional, PoolSizes &N) {
   for (const SpmdStmt &S : List) {
     ++N.Stmts;
     N.Bounds += S.Lower.size() + S.Upper.size();
     N.Conds += S.Conds.size();
-    N.Forms += S.IterExprs.size() + S.Peer.size() + S.Indices.size();
-    countPools(S.Body, N);
+    N.Forms += S.Peer.size() + S.Indices.size();
+    if (S.K == SpmdStmt::Kind::Compute && Functional) {
+      N.Binds += S.IterExprs.size();
+      const Statement &St = P.statement(S.StmtId);
+      N.Forms += St.Write.Indices.size();
+      countRVal(St, St.RRoot, N);
+    }
+    countPools(P, S.Body, Functional, N);
   }
 }
 
@@ -864,13 +937,17 @@ Simulator::Simulator(const Program &P, const CompiledProgram &CP,
   // it folds in depend on this run's cost model. The pools are sized
   // first (Terms by estimate), so they fill without reallocating.
   PoolSizes N;
-  countPools(CP.Spmd.Top, N);
+  countPools(P, CP.Spmd.Top, this->Opts.Functional, N);
   Stmts.reserve(N.Stmts);
   Bounds.reserve(N.Bounds);
   Conds.reserve(N.Conds);
   Forms.reserve(N.Forms);
-  Terms.reserve(2 * (N.Bounds + N.Conds + N.Forms)); // ~2 terms each
+  Binds.reserve(N.Binds);
+  Terms.reserve(2 * (N.Bounds + N.Conds + N.Forms + N.Binds)); // ~2 each
+  Ops.reserve(N.Ops);
   Top = lowerList(CP.Spmd.Top);
+  assert(Forms.size() == N.Forms && Binds.size() == N.Binds &&
+         Ops.size() == N.Ops && "pool counts disagree with lowering");
 
   // Instantiate the virtual processors.
   unsigned Dims = CP.Spmd.GridDims;
@@ -1082,22 +1159,8 @@ IntT Simulator::flatIndex(unsigned ArrayId,
   return Flat;
 }
 
-IntT Simulator::flatIndex(unsigned ArrayId,
-                          const std::vector<AffineExpr> &Indices,
-                          const std::vector<IntT> &Env) const {
-  const std::vector<IntT> &Dims = ArrayDims[ArrayId];
-  IntT Flat = 0;
-  for (unsigned K = 0, E = Indices.size(); K != E; ++K) {
-    IntT I = Indices[K].evaluate(Env);
-    if (I < 0 || I >= Dims[K])
-      return -1;
-    Flat = Flat * Dims[K] + I;
-  }
-  return Flat;
-}
-
-IntT Simulator::flatIndex(unsigned ArrayId, Span Indices,
-                          const std::vector<IntT> &Env) const {
+inline IntT Simulator::flatIndex(unsigned ArrayId, Span Indices,
+                                 const std::vector<IntT> &Env) const {
   const std::vector<IntT> &Dims = ArrayDims[ArrayId];
   IntT Flat = 0;
   for (unsigned K = 0; K != Indices.Size; ++K) {
@@ -1186,7 +1249,6 @@ Simulator::Span Simulator::lowerList(const std::vector<SpmdStmt> &List) {
       Pool.push_back(Make(X));
     return Out;
   };
-  auto Form = [&](const AffineExpr &X) { return LinearForm(X, Terms); };
   auto Bound = [&](const SpmdBound &B) {
     return ExecBound{LinearForm(B.Num, Terms), B.Den};
   };
@@ -1207,18 +1269,31 @@ Simulator::Span Simulator::lowerList(const std::vector<SpmdStmt> &List) {
       E.Value = LinearForm(S.Value, Terms);
     E.ValueDen = S.ValueDen;
     E.Conds = appendSpan(Conds, S.Conds, Cond);
-    E.StmtId = S.StmtId;
-    E.IterExprs = appendSpan(Forms, S.IterExprs, Form);
-    E.Peer = appendSpan(Forms, S.Peer, Form);
+    E.Peer = appendForms(S.Peer);
     E.CommId = S.CommId;
     E.IsMulticast = S.IsMulticast;
     E.Nonblocking = S.Nonblocking;
     E.ArrayId = S.ArrayId;
-    E.Indices = appendSpan(Forms, S.Indices, Form);
+    E.Indices = appendForms(S.Indices);
 
     if (S.K == K::Compute) {
-      E.Flops = countFlops(P.statement(S.StmtId));
+      const Statement &St = P.statement(S.StmtId);
+      E.Flops = countFlops(St);
       E.Cost = Opts.Cost.IterOverhead + E.Flops * Opts.Cost.FlopTime;
+      // Performance mode computes no values, so it needs no code.
+      if (Opts.Functional) {
+        assert(S.IterExprs.size() == St.Loops.size() && "one per loop");
+        E.Binds = {spanField(Binds.size()), spanField(S.IterExprs.size())};
+        for (unsigned L = 0; L != E.Binds.Size; ++L)
+          Binds.push_back({LinearForm(S.IterExprs[L], Terms),
+                           P.loop(St.Loops[L]).VarIndex});
+        // The SpmdStmt names no element; the statement's write does.
+        E.ArrayId = St.Write.ArrayId;
+        E.Indices = appendForms(St.Write.Indices);
+        E.Code.Begin = spanField(Ops.size());
+        E.Depth = lowerRVal(St, St.RRoot);
+        E.Code.Size = spanField(Ops.size() - E.Code.Begin);
+      }
     } else if (S.K == K::For) {
       E.Collapsible = Body.Size != 0;
       unsigned Items = 0;
@@ -1241,6 +1316,74 @@ Simulator::Span Simulator::lowerList(const std::vector<SpmdStmt> &List) {
     }
   }
   return Block;
+}
+
+Simulator::Span
+Simulator::appendForms(const std::vector<AffineExpr> &Exprs) {
+  const Span Out{spanField(Forms.size()), spanField(Exprs.size())};
+  for (const AffineExpr &X : Exprs)
+    Forms.emplace_back(X, Terms);
+  return Out;
+}
+
+unsigned Simulator::lowerRVal(const Statement &S, int Node) {
+  using OK = ExecOp::Kind;
+  const RVal &R = S.RPool[Node];
+  ExecOp Op;
+  switch (R.K) {
+  case RVal::Kind::ReadRef: {
+    const Access &A = S.Reads[R.ReadIdx];
+    Op.K = OK::Read;
+    Op.Arg = A.ArrayId;
+    Op.Subs = appendForms(A.Indices);
+    Ops.push_back(Op);
+    return 1;
+  }
+  case RVal::Kind::ConstF:
+    Op.Const = R.Const;
+    Ops.push_back(Op);
+    return 1;
+  case RVal::Kind::AffineVal:
+    Op.K = OK::Affine;
+    Op.Subs = {spanField(Forms.size()), 1};
+    Forms.emplace_back(R.Aff, Terms);
+    Ops.push_back(Op);
+    return 1;
+  case RVal::Kind::Select: {
+    // cond; JumpUnlessGE else; then; Jump end; else: ...; end: — the
+    // condition is popped before either branch pushes its value.
+    unsigned Depth = lowerRVal(S, R.Cond);
+    const size_t ToElse = Ops.size();
+    Op.K = OK::JumpUnlessGE;
+    Ops.push_back(Op);
+    Depth = std::max(Depth, lowerRVal(S, R.Lhs));
+    const size_t ToEnd = Ops.size();
+    Op.K = OK::Jump;
+    Ops.push_back(Op);
+    Ops[ToElse].Arg = spanField(Ops.size());
+    Depth = std::max(Depth, lowerRVal(S, R.Rhs));
+    Ops[ToEnd].Arg = spanField(Ops.size());
+    return Depth;
+  }
+  case RVal::Kind::Add:
+    Op.K = OK::Add;
+    break;
+  case RVal::Kind::Sub:
+    Op.K = OK::Sub;
+    break;
+  case RVal::Kind::Mul:
+    Op.K = OK::Mul;
+    break;
+  case RVal::Kind::Div:
+    Op.K = OK::Div;
+    break;
+  }
+  // A binary node: the left operand's value stays on the stack while
+  // the right operand is computed above it.
+  unsigned Depth = lowerRVal(S, R.Lhs);
+  Depth = std::max(Depth, 1 + lowerRVal(S, R.Rhs));
+  Ops.push_back(Op);
+  return Depth;
 }
 
 IntT Simulator::eval(const LinearForm &F,
@@ -1358,50 +1501,73 @@ void Simulator::sendOutsideGrid(const VirtProc &V, const ExecStmt &St,
 // Execution
 //===----------------------------------------------------------------------===//
 
-double Simulator::evalRVal(const VirtProc &V, const Statement &S,
-                           int Node) const {
-  const RVal &R = S.RPool[Node];
-  switch (R.K) {
-  case RVal::Kind::ReadRef: {
-    const Access &A = S.Reads[R.ReadIdx];
-    IntT Flat = flatIndex(A.ArrayId, A.Indices, V.ProgEnv);
-    const double *Val = Flat < 0 ? nullptr : V.Store.find(A.ArrayId, Flat);
-    if (!Val)
-      localityViolation(A.ArrayId, "reads");
-    return *Val;
-  }
-  case RVal::Kind::ConstF:
-    return R.Const;
-  case RVal::Kind::AffineVal:
-    return static_cast<double>(R.Aff.evaluate(V.ProgEnv));
-  case RVal::Kind::Add:
-    return evalRVal(V, S, R.Lhs) + evalRVal(V, S, R.Rhs);
-  case RVal::Kind::Sub:
-    return evalRVal(V, S, R.Lhs) - evalRVal(V, S, R.Rhs);
-  case RVal::Kind::Mul:
-    return evalRVal(V, S, R.Lhs) * evalRVal(V, S, R.Rhs);
-  case RVal::Kind::Div:
-    return evalRVal(V, S, R.Lhs) / evalRVal(V, S, R.Rhs);
-  case RVal::Kind::Select:
-    return evalRVal(V, S, R.Cond) >= 0 ? evalRVal(V, S, R.Lhs)
-                                       : evalRVal(V, S, R.Rhs);
-  }
-  return 0;
-}
-
-void Simulator::execComputeIter(VirtProc &V, const ExecStmt &St) {
-  const Statement &S = P.statement(St.StmtId);
+void Simulator::execComputeIter(VirtProc &V, const ExecStmt &St) const {
   if (!Opts.Functional)
     return;
-  for (unsigned K = 0, E = S.Loops.size(); K != E; ++K)
-    V.ProgEnv[P.loop(S.Loops[K]).VarIndex] =
-        eval(Forms[St.IterExprs.Begin + K], V.Env);
-  double Val = evalRVal(V, S, S.RRoot);
-  unsigned A = S.Write.ArrayId;
-  IntT Flat = flatIndex(A, S.Write.Indices, V.ProgEnv);
+  for (unsigned L = 0; L != St.Binds.Size; ++L) {
+    const ExecBind &B = Binds[St.Binds.Begin + L];
+    V.ProgEnv[B.Var] = eval(B.Value, V.Env);
+  }
+
+  // Run the postfix code on a local value stack: the threaded engine's
+  // workers run computes concurrently, so nothing here is shared.
+  std::array<double, 16> Inline{};
+  std::vector<double> Spill;
+  double *Base = Inline.data();
+  if (St.Depth > Inline.size()) {
+    Spill.resize(St.Depth);
+    Base = Spill.data();
+  }
+  double *Top = Base; // one past the top value
+  using OK = ExecOp::Kind;
+  for (unsigned Pc = St.Code.Begin, End = Pc + St.Code.Size; Pc != End;) {
+    const ExecOp &Op = Ops[Pc++];
+    switch (Op.K) {
+    case OK::Read: {
+      IntT Flat = flatIndex(Op.Arg, Op.Subs, V.ProgEnv);
+      const double *Val = Flat < 0 ? nullptr : V.Store.find(Op.Arg, Flat);
+      if (!Val)
+        localityViolation(Op.Arg, "reads");
+      *Top++ = *Val;
+      break;
+    }
+    case OK::Const:
+      *Top++ = Op.Const;
+      break;
+    case OK::Affine:
+      *Top++ = static_cast<double>(eval(Forms[Op.Subs.Begin], V.ProgEnv));
+      break;
+    case OK::Add:
+      --Top;
+      Top[-1] = Top[-1] + Top[0];
+      break;
+    case OK::Sub:
+      --Top;
+      Top[-1] = Top[-1] - Top[0];
+      break;
+    case OK::Mul:
+      --Top;
+      Top[-1] = Top[-1] * Top[0];
+      break;
+    case OK::Div:
+      --Top;
+      Top[-1] = Top[-1] / Top[0];
+      break;
+    case OK::JumpUnlessGE:
+      if (!(*--Top >= 0))
+        Pc = Op.Arg;
+      break;
+    case OK::Jump:
+      Pc = Op.Arg;
+      break;
+    }
+  }
+  assert(Top == Base + 1 && "compute code must leave exactly one value");
+
+  IntT Flat = flatIndex(St.ArrayId, St.Indices, V.ProgEnv);
   if (Flat < 0)
-    localityViolation(A, "writes");
-  V.Store.set(A, Flat, Val, ArrayExtent[A]);
+    localityViolation(St.ArrayId, "writes");
+  V.Store.set(St.ArrayId, Flat, *Base, ArrayExtent[St.ArrayId]);
 }
 
 void Simulator::runItems(VirtProc &V, Span List,

@@ -481,10 +481,13 @@ private:
     unsigned Begin = 0, Size = 0;
   };
   /// One SPMD statement lowered for execution (DESIGN.md §17), and the
-  /// pooled loop bounds and guards it refers to.
+  /// pooled loop bounds, guards, loop-variable bindings and compute code
+  /// it refers to.
   struct ExecStmt;
   struct ExecBound;
   struct ExecCond;
+  struct ExecBind;
+  struct ExecOp;
   /// One directed channel's receive queue and transport cursors.
   struct Channel;
   /// A directed channel's identity: communication set, then sender and
@@ -501,12 +504,10 @@ private:
   };
 
   /// Row-major flat offset of an element from its index tuple (or from
-  /// index expressions evaluated in \p Env), or -1 when an index lies
-  /// outside its dimension. Uses the dimension sizes resolved at
-  /// construction; no parameter lookup.
+  /// index forms evaluated in \p Env), or -1 when an index lies outside
+  /// its dimension. Uses the dimension sizes resolved at construction;
+  /// no parameter lookup.
   IntT flatIndex(unsigned ArrayId, const std::vector<IntT> &Idx) const;
-  IntT flatIndex(unsigned ArrayId, const std::vector<AffineExpr> &Indices,
-                 const std::vector<IntT> &Env) const;
   IntT flatIndex(unsigned ArrayId, Span Indices,
                  const std::vector<IntT> &Env) const;
   /// Aborts the run with the locality-violation diagnostic: a processor
@@ -518,6 +519,11 @@ private:
   /// Lowers \p List, bodies included, into the pools; returns its span
   /// of Stmts (DESIGN.md §17).
   Span lowerList(const std::vector<SpmdStmt> &List);
+  /// Appends a LinearForm per expression to Forms; returns where.
+  Span appendForms(const std::vector<AffineExpr> &Exprs);
+  /// Appends node \p Node of \p S's right-hand side to Ops as postfix
+  /// code; returns the value-stack depth the code needs.
+  unsigned lowerRVal(const Statement &S, int Node);
   /// Evaluators over the lowered program's pools: a form, the max
   /// (lower) or min (upper) of a bound list, a guard list, and a
   /// SetVar's value.
@@ -548,13 +554,13 @@ private:
                 std::vector<double> *PackOut,
                 const std::vector<double> *UnpackIn, uint64_t &Cursor,
                 uint64_t &Count);
-  /// Evaluates node \p Node of a statement's right-hand side against
-  /// \p V's local store.
-  double evalRVal(const VirtProc &V, const Statement &S, int Node) const;
   /// One cooperative round of the sequential engine: every live
   /// processor runs one slice, in ascending processor order.
   RoundFlags runRoundSequential();
-  void execComputeIter(VirtProc &V, const ExecStmt &St);
+  /// One iteration of a Compute: binds the statement's loop variables
+  /// in \p V's ProgEnv, runs its lowered code against \p V's local
+  /// store and stores the value (functional mode only).
+  void execComputeIter(VirtProc &V, const ExecStmt &St) const;
   unsigned physOf(const std::vector<IntT> &VirtCoord) const;
   /// Flat Procs index of a virtual-grid coordinate; false when the
   /// coordinate lies outside the instantiated grid.
@@ -613,6 +619,8 @@ private:
   std::vector<ExecCond> Conds;
   std::vector<LinearForm> Forms;
   std::vector<LinearTerm> Terms;
+  std::vector<ExecBind> Binds;
+  std::vector<ExecOp> Ops;
   Span Top;
   /// The channel table (DESIGN.md §17): key and state per channel id.
   /// Ids are handed out on first use and never freed; their order

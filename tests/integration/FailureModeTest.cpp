@@ -123,6 +123,57 @@ for i = 0 to N - 1 {
       "locality violation");
 }
 
+TEST(FailureModeTest, OutOfRangeComputeIndexAborts) {
+  // Row blocks of 4; each processor reads its own rows of X and the row
+  // below them. Sabotage one column subscript of the compute statement
+  // to N + 1, one past the last column. Row-major, X[i][N + 1] aliases
+  // X[i + 1][0], which the processor holds because the statement reads
+  // it too, and Y[i][N + 1] aliases Y[i + 1][0]. The simulator must
+  // check each subscript against its dimension and report a locality
+  // violation, not read or overwrite the aliased element.
+  const char *Src = R"(
+param N;
+array X[N + 1][N + 1];
+array Y[N + 1][N + 1];
+for i = 0 to N - 1 {
+  for j = 0 to N {
+    Y[i][j] = X[i][j] + X[i + 1][j];
+  }
+}
+)";
+  for (bool SabotageWrite : {false, true}) {
+    SCOPED_TRACE(SabotageWrite ? "write subscript" : "read subscript");
+    Program P = parseProgramOrDie(Src);
+    CompileSpec Spec;
+    Decomposition DX = blockData(P, 0, 0, 4);
+    Decomposition DY = blockData(P, 1, 0, 4);
+    Spec.Stmts.push_back(StmtPlan{0, ownerComputes(P, 0, DY)});
+    Spec.InitialData.emplace(0, DX);
+    Spec.InitialData.emplace(1, DY);
+    Spec.FinalData.emplace(1, DY);
+    CompiledProgram CP = compile(P, Spec);
+    ASSERT_TRUE(CP.Ok) << CP.ErrorMessage;
+
+    // The simulator lowers the statement's accesses when it is built,
+    // so the sabotage after compile() reaches only the simulation.
+    Statement &S = P.statement(0);
+    Access &A = SabotageWrite ? S.Write : S.Reads[0];
+    A.Indices[1] =
+        AffineExpr::var(P.space().size(), P.space().indexOf("N")).plusConst(1);
+
+    SimOptions SO;
+    SO.PhysGrid = {2};
+    SO.ParamValues = {{"N", 15}};
+    SO.Functional = true;
+    EXPECT_DEATH(
+        {
+          Simulator Sim(P, CP, Spec, SO);
+          (void)Sim.run();
+        },
+        "locality violation");
+  }
+}
+
 TEST(FailureModeTest, MissingParameterAborts) {
   Program P = shift();
   CompileSpec Spec;

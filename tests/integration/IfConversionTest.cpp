@@ -155,3 +155,78 @@ if (1) {
 }
 )").ok());
 }
+
+namespace {
+
+/// Compiles \p P with statement \p Stmt's iterations and every array in
+/// blocks of 4, simulates it functionally on 3 processors with N = 14,
+/// and counts the elements of array 0 that differ from the sequential
+/// interpreter's.
+unsigned mismatchesWithSequential(const Program &P, unsigned Stmt) {
+  CompileSpec Spec;
+  Spec.Stmts.push_back(StmtPlan{Stmt, blockComputation(P, Stmt, 0, 4)});
+  for (unsigned A = 0; A != P.numArrays(); ++A)
+    Spec.InitialData.emplace(A, blockData(P, A, 0, 4));
+  Spec.FinalData.emplace(0, blockData(P, 0, 0, 4));
+  CompiledProgram CP = compile(P, Spec);
+  EXPECT_TRUE(CP.Ok) << CP.ErrorMessage;
+
+  std::map<std::string, IntT> Params{{"N", 14}};
+  SeqInterpreter Gold(P, Params);
+  Gold.run();
+  SimOptions SO;
+  SO.PhysGrid = {3};
+  SO.ParamValues = Params;
+  SO.Functional = true;
+  Simulator Sim(P, CP, Spec, SO);
+  SimResult R = Sim.run();
+  EXPECT_TRUE(R.Ok) << R.Error;
+  unsigned Wrong = 0;
+  for (IntT K = 0; K <= 14; ++K) {
+    auto Got = Sim.finalValue(0, {K});
+    if (!Got || *Got != Gold.arrayValue(0, {K}))
+      ++Wrong;
+  }
+  return Wrong;
+}
+
+} // namespace
+
+TEST(IfConversionTest, UntakenBranchIsNotEvaluated) {
+  // At i = N the guard fails and the then-value reads B[N + 1], one
+  // past the end of B. Its block is the one that computes i = N, so no
+  // message is involved. The simulator evaluates a Select lazily, as the
+  // sequential interpreter does, so that read never happens: no
+  // locality violation, and A[N] keeps its initial value.
+  Program P = parseProgramOrDie(R"(
+param N;
+array A[N + 1];
+array B[N + 1];
+for i = 0 to N {
+  if (N - 1 - i) {
+    A[i] = B[i + 1];
+  }
+}
+)");
+  EXPECT_EQ(mismatchesWithSequential(P, 0), 0u);
+}
+
+TEST(IfConversionTest, NaNConditionTakesTheElseBranch) {
+  // 0 / 0 is NaN, and NaN >= 0 is false: both evaluators keep A's
+  // current value.
+  Program P = parseProgramOrDie(R"(
+param N;
+array A[N + 1];
+array C[N + 1];
+for k = 0 to N {
+  if ((C[k] - C[k]) / (C[k] - C[k])) {
+    A[k] = 7;
+  }
+}
+)");
+  SeqInterpreter Gold(P, {{"N", 14}});
+  Gold.run();
+  for (IntT K = 0; K <= 14; ++K)
+    EXPECT_EQ(Gold.arrayValue(0, {K}), initialArrayValue(0, K)) << K;
+  EXPECT_EQ(mismatchesWithSequential(P, 0), 0u);
+}

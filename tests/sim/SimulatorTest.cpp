@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <optional>
 #include <set>
+#include <string>
 
 using namespace dmcc;
 
@@ -237,6 +238,38 @@ TEST(SimulatorTest, FoldingBoundaryMoreProcessorsThanVirtual) {
   ASSERT_TRUE(RP.Ok) << RP.Error;
   EXPECT_EQ(RP.Messages, RW.Messages);
   EXPECT_EQ(RP.Words, RW.Words);
+}
+
+TEST(SimulatorTest, DeepRightHandSideMatchesGold) {
+  // X[i] = 1 - (2 - (... - (20 - X[i - 3]))): every left operand waits
+  // on the value stack, so the lowered code needs 21 slots, more than
+  // the evaluator keeps inline.
+  std::string Rhs = "X[i - 3]";
+  for (int K = 20; K >= 1; --K)
+    Rhs = std::to_string(K) + " - (" + Rhs + ")";
+  Program P = parseProgramOrDie(R"(
+param T;
+param N;
+array X[N + 1];
+for t = 0 to T {
+  for i = 3 to N {
+    X[i] = )" + Rhs + R"(;
+  }
+}
+)");
+  CompileSpec Spec = shiftSpec(P, 8);
+  CompiledProgram CP = compile(P, Spec);
+  std::map<std::string, IntT> Pv = {{"T", 2}, {"N", 63}};
+  Simulator Sim(P, CP, Spec, opts(4, Pv, true));
+  SimResult R = Sim.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  SeqInterpreter Gold(P, Pv);
+  Gold.run();
+  for (IntT I = 0; I <= 63; ++I) {
+    std::optional<double> V = Sim.finalValue(0, {I});
+    ASSERT_TRUE(V.has_value()) << "X[" << I << "] unowned";
+    EXPECT_EQ(*V, Gold.arrayValue(0, {I})) << "X[" << I << "]";
+  }
 }
 
 TEST(SimulatorTest, BusyTimeNeverExceedsMakespan) {
