@@ -622,6 +622,8 @@ private:
   std::vector<ExecBind> Binds;
   std::vector<ExecOp> Ops;
   Span Top;
+  /// The deepest value stack any compute's code needs.
+  unsigned StackDepth = 0;
   /// The channel table (DESIGN.md §17): key and state per channel id.
   /// Ids are handed out on first use and never freed; their order
   /// differs between engines, so nothing observable may depend on it.
